@@ -50,7 +50,6 @@ import (
 	"vaq/internal/cliutil"
 	"vaq/internal/jobs"
 	"vaq/internal/serve"
-	"vaq/internal/sim"
 )
 
 func main() {
@@ -63,7 +62,6 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline (0: no limit)")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
 		cacheN   = flag.Int("cache-entries", 512, "LRU response-cache capacity (0: disable)")
-		kernel   = flag.String("kernel", "", "Monte-Carlo kernel when a request names none: packed (bit-parallel, default) or scalar (reference)")
 		jobsDir  = flag.String("jobs-dir", "", "durable job-queue directory for POST /v1/jobs (empty: jobs are in-memory and do not survive restarts)")
 		jobsW    = flag.Int("job-workers", 0, "worker goroutines executing queued jobs (0: one per CPU, <0: serial)")
 		driftDir = flag.String("drift-dir", "", "calibration cycle-store directory for the drift plane (empty: cycles are in-memory and do not survive restarts)")
@@ -94,17 +92,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nisqd: -drift-threshold must be >= 0 (got %v)\n", *driftThr)
 		os.Exit(2)
 	}
-	if !sim.ValidKernel(*kernel) {
-		fmt.Fprintf(os.Stderr, "nisqd: -kernel must be %q or %q (got %q)\n",
-			sim.KernelPacked, sim.KernelScalar, *kernel)
-		os.Exit(2)
-	}
 
 	srv, err := serve.New(serve.Config{
 		Seed:           *seed,
 		MaxTrials:      *trials,
 		Workers:        *workers,
-		Kernel:         *kernel,
 		MaxInFlight:    *inflight,
 		RequestTimeout: *reqTO,
 		DrainTimeout:   *drainTO,

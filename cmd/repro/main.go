@@ -39,24 +39,22 @@ import (
 	"vaq/internal/experiments"
 	"vaq/internal/parallel"
 	"vaq/internal/report"
-	"vaq/internal/sim"
 )
 
 func main() {
 	var (
-		which    = flag.String("experiment", "all", "experiment to run (all, fig5..fig16, table1..table3, ext-*, scale, qvtime, vqa)")
-		seed     = flag.Int64("seed", 2019, "seed for the synthetic characterization archive")
-		trials   = flag.Int("trials", 200000, "Monte-Carlo trials per PST estimate")
-		full     = flag.Bool("full", false, "use the paper's budgets (1M trials, 32 native configs); an explicit -trials wins")
-		workers  = flag.Int("workers", 0, "worker goroutines for experiment fan-out and trial sharding (0: one per CPU, <0: serial); results are identical at any setting")
-		format   = flag.String("format", "text", "output format: text (tables+charts), csv, json")
-		ckDir    = flag.String("checkpoint", "", "directory for per-unit result checkpoints (written atomically)")
-		resume   = flag.Bool("resume", false, "serve completed units from the -checkpoint directory instead of recomputing them")
-		timeout  = flag.Duration("timeout", 0, "cancel the run after this duration (0: no limit); completed units are kept")
-		calibP   = flag.String("calib", "", "replace the synthetic archive with a calgen-style JSON archive (invalid cycles are quarantined)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		kernel   = flag.String("kernel", "", "Monte-Carlo kernel: packed (bit-parallel, default) or scalar (reference)")
+		which   = flag.String("experiment", "all", "experiment to run (all, fig5..fig16, table1..table3, ext-*, scale, qvtime, vqa)")
+		seed    = flag.Int64("seed", 2019, "seed for the synthetic characterization archive")
+		trials  = flag.Int("trials", 200000, "Monte-Carlo trials per PST estimate")
+		full    = flag.Bool("full", false, "use the paper's budgets (1M trials, 32 native configs); an explicit -trials wins")
+		workers = flag.Int("workers", 0, "worker goroutines for experiment fan-out and trial sharding (0: one per CPU, <0: serial); results are identical at any setting")
+		format  = flag.String("format", "text", "output format: text (tables+charts), csv, json")
+		ckDir   = flag.String("checkpoint", "", "directory for per-unit result checkpoints (written atomically)")
+		resume  = flag.Bool("resume", false, "serve completed units from the -checkpoint directory instead of recomputing them")
+		timeout = flag.Duration("timeout", 0, "cancel the run after this duration (0: no limit); completed units are kept")
+		calibP  = flag.String("calib", "", "replace the synthetic archive with a calgen-style JSON archive (invalid cycles are quarantined)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -68,16 +66,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(2)
 	}
-	if !sim.ValidKernel(*kernel) {
-		fmt.Fprintf(os.Stderr, "repro: -kernel must be %q or %q (got %q)\n",
-			sim.KernelPacked, sim.KernelScalar, *kernel)
-		os.Exit(2)
-	}
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	cfg := experiments.Config{Seed: *seed, Trials: *trials, Workers: *workers, Kernel: *kernel}
+	cfg := experiments.Config{Seed: *seed, Trials: *trials, Workers: *workers}
 	cfg = applyFullBudget(cfg, *full, explicit)
 
 	if *resume && *ckDir == "" {

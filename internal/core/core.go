@@ -85,8 +85,6 @@ type Options struct {
 	Optimize bool
 	// Seed drives Native's randomized initial mapping.
 	Seed int64
-	// MaxExpansions caps the per-layer A* search (0: default).
-	MaxExpansions int
 	// Movement, when non-empty, replaces the policy's routing pass with
 	// the named movement policy (route.MovementNames lists the valid
 	// names; "sabre" is the scalable choice past ~100 qubits). The
@@ -142,7 +140,7 @@ func Compile(d *device.Device, prog *circuit.Circuit, opts Options) (*Compiled, 
 // randomized mapping, VQAVQM still races its allocation candidates and
 // keeps the analytic winner, everything else allocates greedily.
 func compileWithMovement(d *device.Device, prog *circuit.Circuit, opts Options) (*Compiled, error) {
-	router, err := route.ByName(opts.Movement, opts.MaxExpansions)
+	router, err := route.ByName(opts.Movement, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -188,9 +186,9 @@ func compileBestCandidate(d *device.Device, prog *circuit.Circuit, opts Options)
 		a alloc.Policy
 		r route.Router
 	}
-	reliability := route.AStar{Cost: route.CostReliability, MAH: -1, MaxExpansions: opts.MaxExpansions}
-	hopLimited := route.AStar{Cost: route.CostReliability, MAH: mah, MaxExpansions: opts.MaxExpansions}
-	hops := route.AStar{Cost: route.CostHops, MAH: -1, MaxExpansions: opts.MaxExpansions}
+	reliability := route.AStar{Cost: route.CostReliability, MAH: -1}
+	hopLimited := route.AStar{Cost: route.CostReliability, MAH: mah}
+	hops := route.AStar{Cost: route.CostHops, MAH: -1}
 	var cands []candidate
 	switch opts.Policy {
 	case VQM:
@@ -286,7 +284,7 @@ func components(opts Options) (alloc.Policy, route.Router, error) {
 	case Native:
 		return alloc.NewRandom(opts.Seed), route.Naive{}, nil
 	case Baseline:
-		return alloc.Greedy{}, route.AStar{Cost: route.CostHops, MAH: -1, MaxExpansions: opts.MaxExpansions}, nil
+		return alloc.Greedy{}, route.AStar{Cost: route.CostHops, MAH: -1}, nil
 	default:
 		return nil, nil, fmt.Errorf("core: unknown policy %d", int(opts.Policy))
 	}

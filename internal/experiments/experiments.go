@@ -55,10 +55,6 @@ type Config struct {
 	// archive with an externally loaded one (repro -calib). Callers should
 	// validate it first (calib.Archive.Validate or calib.ReadJSONLenient).
 	Archive *calib.Archive
-	// Kernel selects the Monte-Carlo kernel for every experiment ("" means
-	// the simulator default, the packed kernel; "scalar" reproduces the
-	// historical byte-exact trial streams at one-trial-at-a-time speed).
-	Kernel string
 }
 
 // DefaultConfig returns the paper-faithful settings (except MC trial
@@ -138,7 +134,7 @@ const minMCSuccesses = 50
 // this: identical circuits must yield identical PSTs for its ≥-fixed
 // guarantee to hold.
 func (c Config) measure(d *device.Device, phys *circuit.Circuit, trials int, seed int64) float64 {
-	scfg := sim.Config{Trials: trials, Seed: seed + 7777, Workers: c.Workers, Kernel: c.Kernel}
+	scfg := sim.Config{Trials: trials, Seed: seed + 7777, Workers: c.Workers}
 	prep := sim.Prepare(d, phys, scfg)
 	out := prep.Run(scfg)
 	if out.Successes < minMCSuccesses {
@@ -150,9 +146,6 @@ func (c Config) measure(d *device.Device, phys *circuit.Circuit, trials int, see
 func (c Config) pstWith(d *device.Device, prog *circuit.Circuit, copts core.Options, scfg sim.Config) (float64, *core.Compiled, error) {
 	if scfg.Workers == 0 {
 		scfg.Workers = c.Workers
-	}
-	if scfg.Kernel == "" {
-		scfg.Kernel = c.Kernel
 	}
 	comp, err := core.Compile(d, prog, copts)
 	if err != nil {

@@ -34,7 +34,7 @@ type ExtMAHRow struct {
 func ExtMAHSweep(cfg Config) ([]ExtMAHRow, error) {
 	cfg = cfg.withDefaults()
 	d := cfg.meanQ20()
-	scfg := sim.Config{Kernel: cfg.Kernel}
+	var scfg sim.Config
 	specs := []workloads.Spec{
 		{Name: "bv-16", Circuit: workloads.BV(16)},
 		{Name: "qft-12", Circuit: workloads.QFT(12)},
@@ -165,7 +165,7 @@ type ExtOptimizerRow struct {
 func ExtOptimizer(cfg Config) ([]ExtOptimizerRow, error) {
 	cfg = cfg.withDefaults()
 	d := cfg.meanQ20()
-	scfg := sim.Config{Kernel: cfg.Kernel}
+	var scfg sim.Config
 	suite := workloads.Table1Suite()
 	return parallel.Map(cfg.Workers, len(suite), func(i int) (ExtOptimizerRow, error) {
 		spec := suite[i]

@@ -37,7 +37,7 @@ func Fig16PartitioningCtx(r *Runner) ([]Fig16Row, error) {
 	d := cfg.meanQ20()
 	opts := partition.Options{
 		Compile:    core.Options{Policy: core.VQAVQM},
-		Sim:        sim.Config{Trials: cfg.Trials / 4, Seed: cfg.Seed, Workers: cfg.Workers, Kernel: cfg.Kernel},
+		Sim:        sim.Config{Trials: cfg.Trials / 4, Seed: cfg.Seed, Workers: cfg.Workers},
 		Candidates: 10,
 	}
 	suite := workloads.TenQubitSuite()

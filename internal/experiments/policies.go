@@ -392,7 +392,7 @@ func Table2ErrorScalingCtx(r *Runner) ([]Table2Row, error) {
 		{Label: "10x lower, 2*Cov-Base", MeanFactor: 0.1, CovFactor: 2},
 	}
 	const archives = 7
-	scfg := sim.Config{DisableCoherence: true, Kernel: cfg.Kernel}
+	scfg := sim.Config{DisableCoherence: true}
 	rows := make([]*Table2Row, len(configs))
 	err := r.collectUnits(len(configs), func(i int) {
 		key := UnitKey{Experiment: "table2", Workload: "bv-16", Day: -1, Policy: configs[i].Label}

@@ -49,7 +49,7 @@ var scaleSizes = []int{20, 100, 399, 1000}
 func ScaleSweep(cfg Config) ([]ScaleRow, error) {
 	cfg = cfg.withDefaults()
 	prog := workloads.BV(16)
-	scfg := sim.Config{Kernel: cfg.Kernel}
+	var scfg sim.Config
 
 	type cell struct {
 		n    int

@@ -170,6 +170,23 @@ func Collect(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return errors.Join(all...)
 }
 
+// Errors unpacks a Collect error into its per-item failures, in index
+// order. The context's own error, joined after them on cancellation, is
+// not an item failure and is skipped; a nil err yields none.
+func Errors(err error) []*Error {
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		return nil
+	}
+	var out []*Error
+	for _, e := range joined.Unwrap() {
+		if ie, ok := e.(*Error); ok {
+			out = append(out, ie)
+		}
+	}
+	return out
+}
+
 // Protect runs fn on the calling goroutine with the pool's panic
 // discipline but no pool: a panic is recovered into a *PanicError
 // carrying the stack captured at the recovery point, instead of

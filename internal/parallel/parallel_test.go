@@ -229,6 +229,37 @@ func TestCollectCtxCancellationJoinsCtxErr(t *testing.T) {
 	}
 }
 
+// TestErrorsUnpacksCollect pins the Collect-error unpacking: item
+// failures come back in index order, the joined context error is
+// skipped, and nil unpacks to nothing.
+func TestErrorsUnpacksCollect(t *testing.T) {
+	if got := Errors(nil); got != nil {
+		t.Fatalf("Errors(nil) = %v", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	err := Collect(ctx, -1, 6, func(i int) error {
+		if i == 4 {
+			cancel()
+		}
+		if i%2 == 0 {
+			return fmt.Errorf("fail-%d", i)
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the context error joined", err)
+	}
+	items := Errors(err)
+	if len(items) != 3 {
+		t.Fatalf("Errors = %v, want the 3 item failures only", items)
+	}
+	for k, ie := range items {
+		if ie.Index != 2*k || ie.Err.Error() != fmt.Sprintf("fail-%d", 2*k) {
+			t.Errorf("failure %d = %v, want index %d", k, ie, 2*k)
+		}
+	}
+}
+
 func TestMapCtxDiscardsPartialsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

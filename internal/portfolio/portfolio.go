@@ -24,7 +24,6 @@ package portfolio
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -93,10 +92,6 @@ type Spec struct {
 	// Workers bounds the candidate fan-out goroutines (0: one per CPU,
 	// <0: serial). The ranking is bit-identical at any setting.
 	Workers int
-	// Kernel selects the Monte-Carlo kernel for the refinement stage
-	// ("" means the simulator default, the packed kernel; see
-	// sim.Config.Kernel).
-	Kernel string
 	// NoOptimize drops the transpile.Optimize candidates from the grid.
 	// Parametric (sentinel-carrying) templates require it: the optimizer
 	// does angle arithmetic — rotation merging, zero-angle elimination —
@@ -503,7 +498,6 @@ func Run(ctx context.Context, d *device.Device, arch *calib.Archive, prog *circu
 			Trials:  spec.Trials,
 			Seed:    deriveSeed(spec.RootSeed, mcStream, c.ID),
 			Workers: -1, // the refinement set is the parallel axis
-			Kernel:  spec.Kernel,
 		})
 		c.MCResult = &MC{PST: out.PST, StdErr: out.StdErr, Trials: out.Trials}
 		return nil
@@ -511,13 +505,10 @@ func Run(ctx context.Context, d *device.Device, arch *calib.Archive, prog *circu
 	if err != nil && ctx.Err() == nil {
 		// A refinement failure demotes the candidate to analytic-only
 		// ranking; the failure itself is preserved.
-		for _, e := range unwrapJoined(err) {
-			var pe *parallel.Error
-			if errors.As(e, &pe) {
-				c := survivors[pe.Index]
-				c.MCResult = nil
-				failures = append(failures, Failure{CandidateSpec: c.CandidateSpec, Reason: pe.Err.Error(), Err: pe.Err})
-			}
+		for _, pe := range parallel.Errors(err) {
+			c := survivors[pe.Index]
+			c.MCResult = nil
+			failures = append(failures, Failure{CandidateSpec: c.CandidateSpec, Reason: pe.Err.Error(), Err: pe.Err})
 		}
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -561,9 +552,8 @@ func quarantine(grid []CandidateSpec, cands []*Candidate, err error) []Failure {
 		return nil
 	}
 	var failures []Failure
-	for _, e := range unwrapJoined(err) {
-		var pe *parallel.Error
-		if errors.As(e, &pe) && pe.Index < len(grid) && cands[pe.Index] == nil {
+	for _, pe := range parallel.Errors(err) {
+		if pe.Index < len(grid) && cands[pe.Index] == nil {
 			failures = append(failures, Failure{
 				CandidateSpec: grid[pe.Index],
 				Reason:        pe.Err.Error(),
@@ -580,12 +570,4 @@ func fillResultMeta(res *Result, d *device.Device, prog *circuit.Circuit, start 
 	res.DeviceFP = fmt.Sprintf("%016x", d.Fingerprint())
 	res.Program = prog.Name
 	res.TotalNs = time.Since(start).Nanoseconds()
-}
-
-// unwrapJoined flattens an errors.Join tree one level.
-func unwrapJoined(err error) []error {
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		return joined.Unwrap()
-	}
-	return []error{err}
 }

@@ -76,9 +76,3 @@ func (c *lruCache) delete(key string) bool {
 	delete(c.m, key)
 	return true
 }
-
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -31,11 +31,6 @@ type Spec struct {
 	Trials   int
 	Workers  int
 	Optimize bool
-	// Kernel selects the Monte-Carlo kernel (sim.KernelPacked or
-	// sim.KernelScalar; "" means the simulator default). It is part of
-	// the cache identity: the kernels agree statistically, not byte for
-	// byte.
-	Kernel string
 	// SkipMonteCarlo leaves Result.MC zeroed and MC absent from the
 	// report (the /v1/estimate endpoint's analytic-only mode).
 	SkipMonteCarlo bool
@@ -123,9 +118,6 @@ func Run(d *device.Device, prog *circuit.Circuit, spec Spec) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %q", spec.Policy)
 	}
-	if !sim.ValidKernel(spec.Kernel) {
-		return nil, fmt.Errorf("unknown kernel %q", spec.Kernel)
-	}
 	comp, err := core.Compile(d, prog, core.Options{Policy: policy, Seed: spec.Seed, Optimize: spec.Optimize, Movement: spec.Movement})
 	if err != nil {
 		return nil, err
@@ -136,7 +128,7 @@ func Run(d *device.Device, prog *circuit.Circuit, spec Spec) (*Result, error) {
 
 	in := prog.Stats()
 	out := comp.Routed.Physical.Stats()
-	scfg := sim.Config{Trials: spec.Trials, Seed: spec.Seed, Workers: spec.Workers, Kernel: spec.Kernel}
+	scfg := sim.Config{Trials: spec.Trials, Seed: spec.Seed, Workers: spec.Workers}
 	prep := sim.Prepare(d, comp.Routed.Physical, scfg)
 	analytic := prep.AnalyticPST()
 	breakdown := sim.AnalyticBreakdown(d, comp.Routed.Physical, scfg)

@@ -25,9 +25,9 @@ import (
 // and the SSE broker drift feeds hang off. All decision paths run on
 // the injected clock; reports carry no wall-clock state.
 type driftState struct {
-	store  *caldrift.Store
-	detect caldrift.DetectConfig
-	canary caldrift.CanaryConfig
+	store      *caldrift.Store
+	detect     caldrift.DetectConfig
+	canary     caldrift.CanaryConfig
 	window     int
 	maxHot     int
 	cool       time.Duration
@@ -103,33 +103,13 @@ func canarySpec(cfg Config) portfolio.Spec {
 	}
 }
 
-// noteHot records a compile-cache miss as a hot circuit: the freshest
-// mapping the cache will now serve for key, and the canary's
-// recompile-from-scratch baseline. Most recent last; the set is the
-// per-device LRU the canary drains.
+// noteHot records a served compile in the device's hot set, the
+// per-device LRU the canary drains (most recent last). A key already
+// present just moves to the back; a new one joins with its mapping —
+// stale, the freshest mapping the cache serves for key and the canary's
+// recompile-from-scratch baseline. A cache hit passes no mapping, so it
+// only refreshes.
 func (ds *driftState) noteHot(device, key string, prog, stale *circuit.Circuit) {
-	if stale == nil || prog == nil {
-		return
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	set := ds.hot[device]
-	for i, h := range set {
-		if h.key == key {
-			set = append(append(set[:i:i], set[i+1:]...), h)
-			ds.hot[device] = set
-			return
-		}
-	}
-	set = append(set, hotCircuit{key: key, prog: prog, stale: stale})
-	if len(set) > ds.maxHot {
-		set = set[len(set)-ds.maxHot:]
-	}
-	ds.hot[device] = set
-}
-
-// touchHot refreshes a hot circuit's LRU position on a cache hit.
-func (ds *driftState) touchHot(device, key string) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	set := ds.hot[device]
@@ -139,6 +119,14 @@ func (ds *driftState) touchHot(device, key string) {
 			return
 		}
 	}
+	if stale == nil || prog == nil {
+		return
+	}
+	set = append(set, hotCircuit{key: key, prog: prog, stale: stale})
+	if len(set) > ds.maxHot {
+		set = set[len(set)-ds.maxHot:]
+	}
+	ds.hot[device] = set
 }
 
 // dropHot removes a hot circuit whose mapping was adopted away — the

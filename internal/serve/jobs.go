@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -40,116 +39,56 @@ type JobRequest struct {
 // the embedded request (decoded with the same decoder the synchronous
 // endpoint uses).
 func DecodeJobRequest(data []byte, maxTrials int) (*JobRequest, error) {
-	var req JobRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badReqf("decode: %v", err)
-	}
-	if dec.More() {
-		return nil, badReqf("trailing data after request object")
-	}
-	if !jobs.ValidKind(jobs.Kind(req.Kind)) {
-		return nil, badReqf("kind must be one of %v (got %q)", jobs.Kinds(), req.Kind)
-	}
-	if req.Class != "" && !jobs.ValidClass(jobs.Class(req.Class)) {
-		return nil, badReqf("class must be one of %v (got %q)", jobs.Classes(), req.Class)
-	}
-	if req.Tenant != "" && !deviceNameRE.MatchString(req.Tenant) {
-		return nil, badReqf("tenant must match [a-zA-Z0-9][a-zA-Z0-9_-]{0,63}")
-	}
-	if len(req.Request) == 0 {
-		return nil, badReqf("request body is required")
-	}
-	var err error
-	switch jobs.Kind(req.Kind) {
-	case jobs.KindCompile, jobs.KindEstimate:
-		_, err = DecodeCompileRequest(req.Request, maxTrials)
-	case jobs.KindBatch:
-		_, err = DecodeBatchRequest(req.Request, maxTrials)
-	case jobs.KindPortfolio:
-		_, err = DecodePortfolioRequest(req.Request, maxTrials)
-	case jobs.KindSweep:
-		_, err = DecodeSweepRequest(req.Request)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s request: %w", req.Kind, err)
-	}
-	return &req, nil
+	return decode[JobRequest](data, maxTrials)
 }
 
-// executeJob is the in-process jobs.Backend: it routes a job through
-// exactly the code path its synchronous endpoint uses (same decoders,
-// same response cache, same pipelines), so a job's result bytes are
-// byte-identical to the synchronous response for the same request.
-func (s *Server) executeJob(ctx context.Context, w jobs.Work, progress func(string)) ([]byte, error) {
-	switch w.Kind {
-	case jobs.KindCompile, jobs.KindEstimate:
-		req, err := DecodeCompileRequest(w.Request, s.cfg.MaxTrials)
-		if err != nil {
-			return nil, jobs.Permanent(err)
-		}
-		endpoint, skipMC := "/v1/compile", false
-		if w.Kind == jobs.KindEstimate {
-			endpoint, skipMC = "/v1/estimate", !req.MonteCarlo
-		}
-		body, hit, err := s.compileCached(ctx, endpoint, req, skipMC)
-		if err != nil {
-			return nil, classifyJobErr(ctx, err)
-		}
-		if hit {
-			progress("served from response cache")
-		}
-		return body, nil
-
-	case jobs.KindBatch:
-		req, err := DecodeBatchRequest(w.Request, s.cfg.MaxTrials)
-		if err != nil {
-			return nil, jobs.Permanent(err)
-		}
-		progress(fmt.Sprintf("fanning out %d items", len(req.Items)))
-		resp := s.runBatch(ctx, req)
-		if err := ctx.Err(); err != nil {
-			// Interrupted mid-fan-out: report the interruption instead of
-			// storing a partial result; the re-run recomputes everything.
-			return nil, classifyJobErr(ctx, err)
-		}
-		body, err := json.MarshalIndent(resp, "", " ")
-		if err != nil {
-			return nil, err
-		}
-		return append(body, '\n'), nil
-
-	case jobs.KindPortfolio:
-		req, err := DecodePortfolioRequest(w.Request, s.cfg.MaxTrials)
-		if err != nil {
-			return nil, jobs.Permanent(err)
-		}
-		body, hit, err := s.portfolioCached(ctx, req)
-		if err != nil {
-			return nil, classifyJobErr(ctx, err)
-		}
-		if hit {
-			progress("served from response cache")
-		}
-		return body, nil
-
-	case jobs.KindSweep:
-		req, err := DecodeSweepRequest(w.Request)
-		if err != nil {
-			return nil, jobs.Permanent(err)
-		}
-		progress(fmt.Sprintf("sweeping %d points", len(req.Points)))
-		body, hit, err := s.sweepCached(ctx, req)
-		if err != nil {
-			return nil, classifyJobErr(ctx, err)
-		}
-		if hit {
-			progress("served from response cache")
-		}
-		return body, nil
+func (r *JobRequest) check(maxTrials int) error {
+	op, ok := operations[jobs.Kind(r.Kind)]
+	if !ok {
+		return badReqf("kind must be one of %v (got %q)", jobs.Kinds(), r.Kind)
 	}
-	return nil, jobs.Permanent(fmt.Errorf("unhandled job kind %q", w.Kind))
+	if r.Class != "" && !jobs.ValidClass(jobs.Class(r.Class)) {
+		return badReqf("class must be one of %v (got %q)", jobs.Classes(), r.Class)
+	}
+	if r.Tenant != "" && !deviceNameRE.MatchString(r.Tenant) {
+		return badReqf("tenant must match [a-zA-Z0-9][a-zA-Z0-9_-]{0,63}")
+	}
+	if len(r.Request) == 0 {
+		return badReqf("request body is required")
+	}
+	if _, err := op.decode(r.Request, maxTrials); err != nil {
+		return fmt.Errorf("%s request: %w", r.Kind, err)
+	}
+	return nil
+}
+
+// executeJob is the in-process jobs.Backend: it runs a job through the
+// same operation its synchronous endpoint uses (same decoder, plan and
+// response cache), so a job's result bytes are the synchronous
+// response's bytes for the same request.
+func (s *Server) executeJob(ctx context.Context, w jobs.Work, progress func(string)) ([]byte, error) {
+	op, ok := operations[w.Kind]
+	if !ok {
+		return nil, jobs.Permanent(fmt.Errorf("unhandled job kind %q", w.Kind))
+	}
+	p, err := s.prepare(op, w.Request, progress)
+	var body []byte
+	var disposition string
+	if err == nil {
+		body, disposition, err = s.cached(ctx, p)
+	}
+	if err == nil && p.partial {
+		// Interrupted mid-fan-out: report the interruption instead of
+		// storing a partial result; the re-run recomputes everything.
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, classifyJobErr(ctx, err)
+	}
+	if disposition == "hit" {
+		progress("served from response cache")
+	}
+	return body, nil
 }
 
 // classifyJobErr maps a pipeline failure onto the retry taxonomy:

@@ -1,17 +1,8 @@
 package serve
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"net/http"
-
 	"vaq/internal/circuit"
-	"vaq/internal/cliutil"
 	"vaq/internal/portfolio"
-	"vaq/internal/qasm"
 )
 
 // Portfolio request limits. The grid bound is the one that matters: a
@@ -65,26 +56,13 @@ type PortfolioRequest struct {
 // the returned request is normalized (every optional field resolved),
 // so Spec() is a pure conversion.
 func DecodePortfolioRequest(data []byte, maxTrials int) (*PortfolioRequest, error) {
-	var req PortfolioRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badReqf("decode: %v", err)
-	}
-	if dec.More() {
-		return nil, badReqf("trailing data after request object")
-	}
-	req.normalize()
-	if err := req.validate(maxTrials); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decode[PortfolioRequest](data, maxTrials)
 }
 
-// normalize resolves every optional field, so validation and the cache
-// key see canonical values (two requests meaning the same portfolio
-// share a cache entry).
-func (r *PortfolioRequest) normalize() {
+// check resolves every optional field first, so validation and the
+// cache key see canonical values (two requests meaning the same
+// portfolio share a cache entry), then validates.
+func (r *PortfolioRequest) check(maxTrials int) error {
 	if r.Device == "" {
 		r.Device = DefaultDevice
 	}
@@ -106,17 +84,8 @@ func (r *PortfolioRequest) normalize() {
 	if r.Trials == 0 {
 		r.Trials = portfolio.DefaultTrials
 	}
-}
-
-func (r *PortfolioRequest) validate(maxTrials int) error {
-	switch {
-	case r.Workload != "" && r.QASM != "":
-		return badReqf("specify either workload or qasm, not both")
-	case r.Workload == "" && r.QASM == "":
-		return badReqf("specify workload or qasm")
-	}
-	if len(r.QASM) > MaxQASMBytes {
-		return badReqf("qasm program is %d bytes (max %d)", len(r.QASM), MaxQASMBytes)
+	if err := checkSource("workload", r.Workload, r.QASM); err != nil {
+		return err
 	}
 	if *r.Cycles < 0 || *r.Cycles > MaxPortfolioCycles {
 		return badReqf("cycles must be in [0, %d] (got %d)", MaxPortfolioCycles, *r.Cycles)
@@ -127,14 +96,8 @@ func (r *PortfolioRequest) validate(maxTrials int) error {
 	if r.TopK < 0 || r.TopK > MaxPortfolioTopK {
 		return badReqf("top_k must be in [0, %d] (got %d)", MaxPortfolioTopK, r.TopK)
 	}
-	if maxTrials <= 0 || maxTrials > cliutil.MaxTrials {
-		maxTrials = cliutil.MaxTrials
-	}
-	if r.Trials < 0 {
-		return badReqf("trials must not be negative (got %d)", r.Trials)
-	}
-	if r.Trials > maxTrials {
-		return badReqf("trials %d over the server cap %d", r.Trials, maxTrials)
+	if err := checkTrials(r.Trials, maxTrials); err != nil {
+		return err
 	}
 	// The grid bound: worst case the device archive covers the whole
 	// requested window.
@@ -171,69 +134,4 @@ func (r *PortfolioRequest) Spec(workers int) portfolio.Spec {
 		Trials:       r.Trials,
 		Workers:      workers,
 	}
-}
-
-// portfolioCacheKey is the response-cache identity of a portfolio
-// request: device fingerprint, program hash, and every spec field that
-// changes the ranking. Workers is deliberately absent — the ranking is
-// bit-identical at any worker count.
-func portfolioCacheKey(deviceFP uint64, prog *circuit.Circuit, spec portfolio.Spec) string {
-	h := fnv.New64a()
-	h.Write([]byte(qasm.Serialize(prog)))
-	return fmt.Sprintf("/v1/portfolio|%016x|%016x|%d|%d|%d|%d|%d",
-		deviceFP, h.Sum64(), spec.RootSeed, spec.Cycles, spec.RandomStarts, spec.TopK, spec.Trials)
-}
-
-// portfolioCached runs one decoded portfolio request against the
-// response cache, exactly as compileCached does for compile/estimate;
-// it is the shared execution path of POST /v1/portfolio and portfolio
-// jobs. The bool reports whether the result was served from cache.
-func (s *Server) portfolioCached(ctx context.Context, req *PortfolioRequest) ([]byte, bool, error) {
-	prog, err := req.Program()
-	if err != nil {
-		return nil, false, err
-	}
-	d, arch, err := s.lookupDeviceArchive(req.Device)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := checkFits(d, prog); err != nil {
-		return nil, false, err
-	}
-	spec := req.Spec(s.cfg.Workers)
-	key := portfolioCacheKey(d.Fingerprint(), prog, spec)
-	if body, ok := s.cache.get(key); ok {
-		s.met.cache(true)
-		return body, true, nil
-	}
-	s.met.cache(false)
-	res, err := portfolio.Run(ctx, d, arch, prog, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	body, err := json.MarshalIndent(res, "", " ")
-	if err != nil {
-		return nil, false, err
-	}
-	body = append(body, '\n')
-	s.cache.put(key, body)
-	return body, false, nil
-}
-
-func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodePortfolioRequest(data, s.cfg.MaxTrials)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	body, hit, err := s.portfolioCached(r.Context(), req)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	writeCachedResult(w, body, hit)
 }

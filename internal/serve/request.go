@@ -12,7 +12,6 @@ import (
 	"vaq/internal/core"
 	"vaq/internal/qasm"
 	"vaq/internal/route"
-	"vaq/internal/sim"
 	"vaq/internal/workloads"
 )
 
@@ -25,7 +24,7 @@ const (
 	MaxBatchItems = 256
 )
 
-// Defaults applied by normalize when a request omits a field; they
+// Defaults applied by the decoders when a request omits a field; they
 // mirror cmd/nisqc's flag defaults so an empty request means the same
 // thing in both front-ends.
 const (
@@ -59,10 +58,6 @@ type CompileRequest struct {
 	// MonteCarlo toggles the Monte-Carlo estimate on /v1/estimate
 	// (ignored by /v1/compile, which always runs it, mirroring nisqc).
 	MonteCarlo bool `json:"monte_carlo,omitempty"`
-	// Kernel selects the Monte-Carlo kernel: "packed" (the bit-parallel
-	// default) or "scalar" (the reference path). Omitted means the
-	// server's configured default.
-	Kernel string `json:"kernel,omitempty"`
 	// Movement overrides the policy's routing pass with a named movement
 	// policy (route.MovementNames; e.g. "sabre" for large devices).
 	// Omitted means the policy's own router.
@@ -82,6 +77,33 @@ func badReqf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 }
 
+// request is the decoder contract of a request body type: check
+// validates the decoded fields and fills the documented defaults.
+type request[R any] interface {
+	*R
+	check(maxTrials int) error
+}
+
+// decode strictly parses and checks one request object: unknown
+// fields, trailing data and every request-side bound are rejected here,
+// before any work is admitted. maxTrials is the server's per-request
+// Monte-Carlo cap (<= 0 means cliutil.MaxTrials).
+func decode[R any, P request[R]](data []byte, maxTrials int) (*R, error) {
+	var req R
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, badReqf("decode: %v", err)
+	}
+	if dec.More() {
+		return nil, badReqf("trailing data after request object")
+	}
+	if err := P(&req).check(maxTrials); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
 // DecodeCompileRequest parses and validates one compile/estimate
 // request body: unknown fields, trailing garbage, missing or duplicate
 // program sources, oversized programs, unknown policies, and
@@ -89,87 +111,46 @@ func badReqf(format string, args ...any) error {
 // compilation work is admitted. maxTrials is the server's per-request
 // cap (<= 0 means cliutil.MaxTrials).
 func DecodeCompileRequest(data []byte, maxTrials int) (*CompileRequest, error) {
-	var req CompileRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badReqf("decode: %v", err)
-	}
-	if dec.More() {
-		return nil, badReqf("trailing data after request object")
-	}
-	if err := req.validate(maxTrials); err != nil {
-		return nil, err
-	}
-	req.normalize()
-	return &req, nil
+	return decode[CompileRequest](data, maxTrials)
 }
 
 // DecodeBatchRequest parses and validates a /v1/batch body. Item-level
 // validation is the same as DecodeCompileRequest's, with the item index
 // in the error message.
 func DecodeBatchRequest(data []byte, maxTrials int) (*BatchRequest, error) {
-	var req BatchRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badReqf("decode: %v", err)
-	}
-	if dec.More() {
-		return nil, badReqf("trailing data after request object")
-	}
-	if len(req.Items) == 0 {
-		return nil, badReqf("batch has no items")
-	}
-	if len(req.Items) > MaxBatchItems {
-		return nil, badReqf("batch has %d items (max %d)", len(req.Items), MaxBatchItems)
-	}
-	for i := range req.Items {
-		if err := req.Items[i].validate(maxTrials); err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, err)
-		}
-		req.Items[i].normalize()
-	}
-	return &req, nil
+	return decode[BatchRequest](data, maxTrials)
 }
 
-func (r *CompileRequest) validate(maxTrials int) error {
-	switch {
-	case r.Workload != "" && r.QASM != "":
-		return badReqf("specify either workload or qasm, not both")
-	case r.Workload == "" && r.QASM == "":
-		return badReqf("specify workload or qasm")
+func (r *BatchRequest) check(maxTrials int) error {
+	if len(r.Items) == 0 {
+		return badReqf("batch has no items")
 	}
-	if len(r.QASM) > MaxQASMBytes {
-		return badReqf("qasm program is %d bytes (max %d)", len(r.QASM), MaxQASMBytes)
+	if len(r.Items) > MaxBatchItems {
+		return badReqf("batch has %d items (max %d)", len(r.Items), MaxBatchItems)
 	}
-	if r.Policy != "" {
-		if _, ok := core.PolicyByName(r.Policy); !ok {
-			return badReqf("unknown policy %q", r.Policy)
+	for i := range r.Items {
+		if err := r.Items[i].check(maxTrials); err != nil {
+			return fmt.Errorf("item %d: %w", i, err)
 		}
 	}
-	if maxTrials <= 0 || maxTrials > cliutil.MaxTrials {
-		maxTrials = cliutil.MaxTrials
+	return nil
+}
+
+func (r *CompileRequest) check(maxTrials int) error {
+	if err := checkSource("workload", r.Workload, r.QASM); err != nil {
+		return err
 	}
-	if r.Trials < 0 {
-		return badReqf("trials must not be negative (got %d)", r.Trials)
+	if _, ok := core.PolicyByName(r.Policy); r.Policy != "" && !ok {
+		return badReqf("unknown policy %q", r.Policy)
 	}
-	if r.Trials > maxTrials {
-		return badReqf("trials %d over the server cap %d", r.Trials, maxTrials)
-	}
-	if !sim.ValidKernel(r.Kernel) {
-		return badReqf("unknown kernel %q (valid: %q, %q)", r.Kernel, sim.KernelPacked, sim.KernelScalar)
+	if err := checkTrials(r.Trials, maxTrials); err != nil {
+		return err
 	}
 	if r.Movement != "" {
 		if _, err := route.ByName(r.Movement, 0); err != nil {
 			return badReqf("%v", err)
 		}
 	}
-	return nil
-}
-
-// normalize fills the documented defaults into omitted fields.
-func (r *CompileRequest) normalize() {
 	if r.Policy == "" {
 		r.Policy = DefaultPolicy
 	}
@@ -183,6 +164,36 @@ func (r *CompileRequest) normalize() {
 	if r.Trials == 0 {
 		r.Trials = DefaultTrials
 	}
+	return nil
+}
+
+// checkSource enforces exactly one program source — the named one
+// (workload, ansatz) or inline QASM — and the inline size cap.
+func checkSource(kind, named, qasm string) error {
+	switch {
+	case named != "" && qasm != "":
+		return badReqf("specify either %s or qasm, not both", kind)
+	case named == "" && qasm == "":
+		return badReqf("specify %s or qasm", kind)
+	}
+	if len(qasm) > MaxQASMBytes {
+		return badReqf("qasm program is %d bytes (max %d)", len(qasm), MaxQASMBytes)
+	}
+	return nil
+}
+
+// checkTrials bounds a Monte-Carlo budget by the server's cap.
+func checkTrials(trials, maxTrials int) error {
+	if maxTrials <= 0 || maxTrials > cliutil.MaxTrials {
+		maxTrials = cliutil.MaxTrials
+	}
+	if trials < 0 {
+		return badReqf("trials must not be negative (got %d)", trials)
+	}
+	if trials > maxTrials {
+		return badReqf("trials %d over the server cap %d", trials, maxTrials)
+	}
+	return nil
 }
 
 // Program resolves the request's circuit: the named built-in workload
@@ -212,8 +223,15 @@ func (r *CompileRequest) Program() (*circuit.Circuit, error) {
 // /v1/compile and /v1/estimate render different responses for the same
 // spec.
 func CacheKey(endpoint string, deviceFP uint64, prog *circuit.Circuit, spec Spec) string {
+	return fmt.Sprintf("%s|%016x|%016x|%s|%d|%d|%t|%t|%s",
+		endpoint, deviceFP, progHash(prog), spec.Policy, spec.Seed, spec.Trials, spec.Optimize, spec.SkipMonteCarlo, spec.Movement)
+}
+
+// progHash is the FNV-64a hash of a circuit's serialized form — the
+// program component of every cache key, so a workload and the
+// equivalent inline QASM share an entry.
+func progHash(prog *circuit.Circuit) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(qasm.Serialize(prog)))
-	return fmt.Sprintf("%s|%016x|%016x|%s|%d|%d|%t|%s|%t|%s",
-		endpoint, deviceFP, h.Sum64(), spec.Policy, spec.Seed, spec.Trials, spec.Optimize, spec.Kernel, spec.SkipMonteCarlo, spec.Movement)
+	return h.Sum64()
 }

@@ -362,6 +362,7 @@ func TestRequestErrors(t *testing.T) {
 	}{
 		{"malformed json", "/v1/compile", `{"workload":`, http.StatusBadRequest},
 		{"unknown field", "/v1/compile", `{"workload":"bv-4","frobnicate":1}`, http.StatusBadRequest},
+		{"kernel is an unknown field", "/v1/estimate", `{"workload":"bv-4","monte_carlo":true,"kernel":"scalar"}`, http.StatusBadRequest},
 		{"trailing data", "/v1/compile", `{"workload":"bv-4"} {"again":true}`, http.StatusBadRequest},
 		{"no source", "/v1/compile", `{"policy":"vqm"}`, http.StatusBadRequest},
 		{"both sources", "/v1/compile", `{"workload":"bv-4","qasm":"OPENQASM 2.0;"}`, http.StatusBadRequest},
@@ -440,52 +441,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestKernelSelection covers the kernel knob end to end: the response's
-// monte_carlo.kernel echoes the kernel that ran, the two kernels are
-// distinct cache entries, scalar throughput is metered separately, and an
-// unknown kernel is a 400.
-func TestKernelSelection(t *testing.T) {
-	_, ts := newTestServer(t)
-	req := func(kernel string) string {
-		return fmt.Sprintf(`{"workload":"bv-4","policy":"baseline","trials":2000,"monte_carlo":true,"kernel":%q}`, kernel)
-	}
-	var out struct {
-		MC *MCInfo `json:"monte_carlo"`
-	}
-	for _, kernel := range []string{"packed", "scalar"} {
-		resp, body := post(t, ts.URL+"/v1/estimate", req(kernel))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", kernel, resp.StatusCode, body)
-		}
-		if resp.Header.Get("X-Nisqd-Cache") != "miss" {
-			t.Errorf("%s: expected a distinct cache entry per kernel", kernel)
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.MC == nil || out.MC.Kernel != kernel {
-			t.Errorf("kernel %q response reports %+v", kernel, out.MC)
-		}
-	}
-	resp, _ := post(t, ts.URL+"/v1/estimate", req("scalar"))
-	if resp.Header.Get("X-Nisqd-Cache") != "hit" {
-		t.Error("repeated scalar request missed the cache")
-	}
-	_, body := get(t, ts.URL+"/metrics")
-	for _, want := range []string{
-		`nisqd_mc_trials_total{kernel="packed"} 2000`,
-		`nisqd_mc_trials_total{kernel="scalar"} 2000`,
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics missing %q:\n%s", want, body)
-		}
-	}
-	resp, body = post(t, ts.URL+"/v1/estimate", req("vectorized"))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown kernel: status %d: %s", resp.StatusCode, body)
 	}
 }
 

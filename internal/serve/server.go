@@ -18,11 +18,9 @@ import (
 	"time"
 
 	"vaq/internal/calib"
-	"vaq/internal/circuit"
 	"vaq/internal/clock"
 	"vaq/internal/device"
 	"vaq/internal/jobs"
-	"vaq/internal/parallel"
 	"vaq/internal/topo"
 )
 
@@ -39,9 +37,6 @@ type Config struct {
 	// batch fan-out (0: one per CPU, <0: serial); outcomes are
 	// bit-identical at any setting.
 	Workers int
-	// Kernel is the Monte-Carlo kernel used when a request does not name
-	// one ("" means the simulator default, the packed kernel).
-	Kernel string
 	// MaxInFlight is the concurrency limit beyond which requests are
 	// shed with 429 instead of queued (default 64).
 	MaxInFlight int
@@ -183,6 +178,17 @@ func New(cfg Config) (*Server, error) {
 	s.devices["q5"] = device.MustNew(q5.Topo, q5)
 	s.archives["q5"] = &calib.Archive{Topo: q5.Topo, Snapshots: []*calib.Snapshot{q5}}
 
+	// The drift plane shares the job store's failure posture: an
+	// unusable cycle directory fails startup rather than silently
+	// dropping acknowledged calibration later. It exists before the job
+	// plane starts, because a recovered job may run (and feed the drift
+	// hot set) at once.
+	ds, err := newDriftState(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.drift = ds
+
 	jm, err := jobs.NewManager(cfg.Jobs, jobs.BackendFunc(s.executeJob))
 	if err != nil {
 		return nil, err
@@ -190,21 +196,10 @@ func New(cfg Config) (*Server, error) {
 	s.jobs = jm
 	jm.Start()
 
-	// The drift plane shares the job store's failure posture: an
-	// unusable cycle directory fails startup rather than silently
-	// dropping acknowledged calibration later.
-	ds, err := newDriftState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.drift = ds
-
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/compile", s.limited("/v1/compile", s.handleCompile))
-	mux.HandleFunc("POST /v1/estimate", s.limited("/v1/estimate", s.handleEstimate))
-	mux.HandleFunc("POST /v1/batch", s.limited("/v1/batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/portfolio", s.limited("/v1/portfolio", s.handlePortfolio))
-	mux.HandleFunc("POST /v1/sweep", s.limited("/v1/sweep", s.handleSweep))
+	for _, op := range operations {
+		mux.HandleFunc("POST "+op.endpoint, s.limited(op.endpoint, s.handle(op)))
+	}
 	mux.HandleFunc("POST /v1/calibration", s.limited("/v1/calibration", s.handleCalibration))
 	mux.HandleFunc("GET /v1/calibration/{device}", s.instrumented("/v1/calibration/{device}", s.handleCalibrationWindow))
 	mux.HandleFunc("GET /v1/drift/{device}", s.instrumented("/v1/drift/{device}", s.handleDriftReport))
@@ -468,243 +463,6 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
-}
-
-// checkFits rejects programs larger than the target device up front, as
-// a client error — core.Compile would fail anyway, but deeper in, where
-// the failure would read as a server fault.
-func checkFits(d *device.Device, prog *circuit.Circuit) error {
-	if prog.NumQubits > d.NumQubits() {
-		return badReqf("program needs %d qubits, device %q has %d",
-			prog.NumQubits, d.Topology().Name, d.NumQubits())
-	}
-	return nil
-}
-
-// spec converts a normalized request into the cacheable pipeline spec.
-func (s *Server) spec(req *CompileRequest, skipMC bool) Spec {
-	kernel := req.Kernel
-	if kernel == "" {
-		kernel = s.cfg.Kernel
-	}
-	return Spec{
-		Policy:         req.Policy,
-		Seed:           *req.Seed,
-		Trials:         req.Trials,
-		Workers:        s.cfg.Workers,
-		Optimize:       req.Optimize,
-		Kernel:         kernel,
-		SkipMonteCarlo: skipMC,
-		Movement:       req.Movement,
-	}
-}
-
-// compileCached runs one compile/estimate spec against the response
-// cache: a hit returns the previously marshaled bytes, a miss runs the
-// pipeline and stores the response. The bool reports whether the result
-// was served from cache.
-func (s *Server) compileCached(ctx context.Context, endpoint string, req *CompileRequest, skipMC bool) ([]byte, bool, error) {
-	prog, err := req.Program()
-	if err != nil {
-		return nil, false, err
-	}
-	d, err := s.lookupDevice(req.Device)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := checkFits(d, prog); err != nil {
-		return nil, false, err
-	}
-	spec := s.spec(req, skipMC)
-	key := CacheKey(endpoint, d.Fingerprint(), prog, spec)
-	if body, ok := s.cache.get(key); ok {
-		s.met.cache(true)
-		s.drift.touchHot(req.Device, key)
-		return body, true, nil
-	}
-	s.met.cache(false)
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	res, err := Run(d, prog, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	s.met.mc(res)
-	// Every served mapping is a canary candidate: if this device later
-	// drifts, the recompiler re-evaluates exactly what the cache would
-	// keep handing out.
-	s.drift.noteHot(req.Device, key, prog, res.PhysicalCircuit)
-	body, err := json.MarshalIndent(res, "", " ")
-	if err != nil {
-		return nil, false, err
-	}
-	body = append(body, '\n')
-	s.cache.put(key, body)
-	return body, false, nil
-}
-
-// writeCachedResult writes a compileCached response; the cache
-// disposition travels in a header so hot and cold bodies stay
-// bit-identical.
-func writeCachedResult(w http.ResponseWriter, body []byte, hit bool) {
-	w.Header().Set("Content-Type", "application/json")
-	if hit {
-		w.Header().Set("X-Nisqd-Cache", "hit")
-	} else {
-		w.Header().Set("X-Nisqd-Cache", "miss")
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeCompileRequest(data, s.cfg.MaxTrials)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	body, hit, err := s.compileCached(r.Context(), "/v1/compile", req, false)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	writeCachedResult(w, body, hit)
-}
-
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeCompileRequest(data, s.cfg.MaxTrials)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	body, hit, err := s.compileCached(r.Context(), "/v1/estimate", req, !req.MonteCarlo)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	writeCachedResult(w, body, hit)
-}
-
-// batchItem is one element of a /v1/batch response: exactly one of
-// Result and Error is set. A failing item never hides its siblings'
-// results — the fan-out runs under parallel.Collect, which quarantines
-// errors and panics per item.
-type batchItem struct {
-	Result *Result         `json:"result,omitempty"`
-	Error  *batchItemError `json:"error,omitempty"`
-}
-
-type batchItemError struct {
-	Index   int    `json:"index"`
-	Status  int    `json:"status"`
-	Message string `json:"message"`
-}
-
-type batchResponse struct {
-	Items []batchItem `json:"items"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeBatchRequest(data, s.cfg.MaxTrials)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, s.runBatch(r.Context(), req))
-}
-
-// runBatch fans a decoded batch out with per-item fault isolation; it
-// is the shared execution path of POST /v1/batch and batch jobs, so the
-// two produce identical item sets for the same request.
-func (s *Server) runBatch(ctx context.Context, req *BatchRequest) batchResponse {
-	items := make([]batchItem, len(req.Items))
-	// The batch itself is the parallel axis, so each item's Monte-Carlo
-	// runs serial (Workers -1) — the pool guarantees the outcome is
-	// bit-identical either way, which is also why the cache key (shared
-	// with /v1/compile) ignores the worker count.
-	err := parallel.Collect(ctx, s.cfg.Workers, len(req.Items), func(i int) error {
-		item := req.Items[i]
-		prog, err := item.Program()
-		if err != nil {
-			return err
-		}
-		d, err := s.lookupDevice(item.Device)
-		if err != nil {
-			return err
-		}
-		if err := checkFits(d, prog); err != nil {
-			return err
-		}
-		spec := s.spec(&item, false)
-		spec.Workers = -1
-		cacheKey := CacheKey("/v1/compile", d.Fingerprint(), prog, spec)
-		if body, ok := s.cache.get(cacheKey); ok {
-			s.met.cache(true)
-			var res Result
-			if err := json.Unmarshal(body, &res); err == nil {
-				items[i].Result = &res
-				return nil
-			}
-		}
-		s.met.cache(false)
-		res, err := Run(d, prog, spec)
-		if err != nil {
-			return err
-		}
-		s.met.mc(res)
-		items[i].Result = res
-		if body, err := json.MarshalIndent(res, "", " "); err == nil {
-			s.cache.put(cacheKey, append(body, '\n'))
-		}
-		return nil
-	})
-	if err != nil {
-		// Collect returns every item failure joined; unpack them back
-		// to their indices as typed error entries.
-		for _, e := range unwrapJoined(err) {
-			var ie *parallel.Error
-			if errors.As(e, &ie) {
-				items[ie.Index].Error = &batchItemError{
-					Index:   ie.Index,
-					Status:  errorStatus(ie.Err),
-					Message: ie.Err.Error(),
-				}
-			}
-		}
-		// Items neither computed nor failed were skipped by
-		// cancellation.
-		for i := range items {
-			if items[i].Result == nil && items[i].Error == nil {
-				items[i].Error = &batchItemError{
-					Index:   i,
-					Status:  http.StatusServiceUnavailable,
-					Message: "cancelled before completion",
-				}
-			}
-		}
-	}
-	return batchResponse{Items: items}
-}
-
-// unwrapJoined flattens an errors.Join tree one level.
-func unwrapJoined(err error) []error {
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		return joined.Unwrap()
-	}
-	return []error{err}
 }
 
 // calibrationResponse acknowledges a registered calibration archive.

@@ -15,11 +15,14 @@ import (
 	"vaq/internal/jobs"
 )
 
-// slowEstimate is a request whose Monte-Carlo run takes long enough
-// (hundreds of ms) that the test can observe it in flight. It pins the
-// scalar kernel: the packed kernel finishes 5M trials in milliseconds,
-// too fast for the in-flight gauge to catch.
-const slowEstimate = `{"workload":"bv-10","policy":"vqm","trials":5000000,"monte_carlo":true,"kernel":"scalar"}`
+// slowEstimate is a request whose compile takes long enough (about
+// 0.5 s, 4 s under -race, on a 2-vCPU Xeon) that the test can observe it
+// in flight, yet finishes well inside DrainTimeout: SABRE-routing the
+// 14280 CNOTs of a 120-qubit QFT onto the 399-qubit heavy-hex zoo
+// device, analytic estimate only. SABRE keeps its run time steady
+// and its memory small (under 200 MB with -race), unlike an A* search
+// of similar length.
+const slowEstimate = `{"workload":"qft-120","policy":"baseline","device":"heavy-hex-399","movement":"sabre"}`
 
 // waitInFlight polls the in-flight gauge until it reaches want.
 func waitInFlight(t *testing.T, s *Server, want int64) {
@@ -174,7 +177,7 @@ func TestDrainDeadlineBoundsShutdown(t *testing.T) {
 	go func() { serveErr <- s.Serve(ctx, l) }()
 
 	// A batch job: the fan-out honors cancellation between items (an
-	// estimate job's single MC run would just finish and win), so the
+	// estimate job's single compile would just finish and win), so the
 	// drain deadline demonstrably converts running work into a re-queued
 	// checkpoint.
 	batch := fmt.Sprintf(`{"items":[%s,%s,%s,%s]}`,
@@ -210,8 +213,8 @@ func TestDrainDeadlineBoundsShutdown(t *testing.T) {
 	if err == nil {
 		t.Fatal("Serve returned nil; a forced job drain must be reported")
 	}
-	// The bound: the 100ms deadline plus the tail of the one MC run the
-	// kernel can't be preempted from — far below the job's natural
+	// The bound: the 100ms deadline plus the tail of the compiles already
+	// running, which can't be preempted — far below the job's natural
 	// multi-attempt lifetime, and generous enough for slow CI machines.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("shutdown took %v; DrainTimeout=100ms must bound it", elapsed)

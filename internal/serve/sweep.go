@@ -1,18 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"net/http"
 
 	"vaq/internal/ansatz"
 	"vaq/internal/core"
+	"vaq/internal/device"
 	"vaq/internal/parallel"
 	"vaq/internal/param"
 	"vaq/internal/qasm"
@@ -53,26 +48,13 @@ type SweepRequest struct {
 }
 
 // DecodeSweepRequest parses and validates one /v1/sweep body. Symbol
-// arity is checked later, against the resolved template; everything
-// checkable without compiling is rejected here.
+// arity needs the resolved template, so the sweep plan checks it —
+// still before any compile.
 func DecodeSweepRequest(data []byte) (*SweepRequest, error) {
-	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badReqf("decode: %v", err)
-	}
-	if dec.More() {
-		return nil, badReqf("trailing data after request object")
-	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decode[SweepRequest](data, 0)
 }
 
-func (r *SweepRequest) normalize() {
+func (r *SweepRequest) check(int) error {
 	if r.Policy == "" {
 		r.Policy = DefaultPolicy
 	}
@@ -83,17 +65,8 @@ func (r *SweepRequest) normalize() {
 		seed := int64(DefaultSeed)
 		r.Seed = &seed
 	}
-}
-
-func (r *SweepRequest) validate() error {
-	switch {
-	case r.Ansatz != "" && r.QASM != "":
-		return badReqf("specify either ansatz or qasm, not both")
-	case r.Ansatz == "" && r.QASM == "":
-		return badReqf("specify ansatz or qasm")
-	}
-	if len(r.QASM) > MaxQASMBytes {
-		return badReqf("qasm program is %d bytes (max %d)", len(r.QASM), MaxQASMBytes)
+	if err := checkSource("ansatz", r.Ansatz, r.QASM); err != nil {
+		return err
 	}
 	if _, ok := core.PolicyByName(r.Policy); !ok {
 		return badReqf("unknown policy %q", r.Policy)
@@ -164,62 +137,42 @@ type SweepResult struct {
 // fan-out writes by index, so the body is bit-identical at any count.
 func sweepCacheKey(deviceFP uint64, req *SweepRequest) string {
 	h := fnv.New64a()
-	h.Write([]byte(req.Ansatz))
-	h.Write([]byte{0})
-	h.Write([]byte(req.QASM))
-	var buf [8]byte
-	for _, pt := range req.Points {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(pt)))
-		h.Write(buf[:])
-		for _, v := range pt {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
+	fmt.Fprintf(h, "%q%q%v", req.Ansatz, req.QASM, req.Points)
 	return fmt.Sprintf("/v1/sweep|%016x|%016x|%s|%d|%s",
 		deviceFP, h.Sum64(), req.Policy, *req.Seed, req.Movement)
 }
 
-// sweepCached runs one decoded sweep against the response cache; it is
-// the shared execution path of POST /v1/sweep and sweep jobs. The bool
-// reports whether the result was served from cache.
-func (s *Server) sweepCached(ctx context.Context, req *SweepRequest) ([]byte, bool, error) {
+// sweepPlan plans a sweep. Arity is checked here, against the
+// template's free symbols, so a malformed sweep is a 400 before it
+// costs a cache miss or a compile.
+func (s *Server) sweepPlan(req *SweepRequest) (*plan, error) {
 	pc, err := req.Template()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	d, err := s.lookupDevice(req.Device)
+	d, _, err := s.resolve(req.Device, pc.Circ)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if err := checkFits(d, pc.Circ); err != nil {
-		return nil, false, err
-	}
-	key := sweepCacheKey(d.Fingerprint(), req)
-	if body, ok := s.cache.get(key); ok {
-		s.met.cache(true)
-		s.met.sweep(len(req.Points))
-		return body, true, nil
-	}
-	s.met.cache(false)
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-
-	policy, _ := core.PolicyByName(req.Policy)
-	bound, err := core.CompileParametric(d, pc, core.Options{
-		Policy:   policy,
-		Seed:     *req.Seed,
-		Movement: req.Movement,
-	})
-	if err != nil {
-		return nil, false, err
-	}
+	n := pc.NumParams()
 	for i, pt := range req.Points {
-		if len(pt) != bound.NumParams() {
-			return nil, false, badReqf("point %d has %d values, template has %d free symbols",
-				i, len(pt), bound.NumParams())
+		if len(pt) != n {
+			return nil, badReqf("point %d has %d values, template has %d free symbols", i, len(pt), n)
 		}
+	}
+	return &plan{
+		key: sweepCacheKey(d.Fingerprint(), req),
+		hit: func() { s.met.sweep(len(req.Points)) },
+		run: func(ctx context.Context) (any, error) { return s.runSweep(ctx, d, pc, req) },
+	}, nil
+}
+
+// runSweep compiles the template once and rebinds the mapping per point.
+func (s *Server) runSweep(ctx context.Context, d *device.Device, pc *param.ParametricCircuit, req *SweepRequest) (*SweepResult, error) {
+	policy, _ := core.PolicyByName(req.Policy)
+	bound, err := core.CompileParametric(d, pc, core.Options{Policy: policy, Seed: *req.Seed, Movement: req.Movement})
+	if err != nil {
+		return nil, err
 	}
 
 	// The fan-out: every point is an independent rebind writing its own
@@ -230,76 +183,38 @@ func (s *Server) sweepCached(ctx context.Context, req *SweepRequest) ([]byte, bo
 		if err != nil {
 			return err
 		}
-		h := fnv.New64a()
-		h.Write([]byte(qasm.Serialize(phys)))
 		points[i] = SweepPoint{
 			Index:       i,
 			Values:      req.Points[i],
-			Fingerprint: fmt.Sprintf("%016x", h.Sum64()),
+			Fingerprint: fmt.Sprintf("%016x", progHash(phys)),
 		}
 		return nil
 	})
 	if err != nil {
 		// A sweep is all-or-nothing (unlike a batch, whose items are
 		// independent requests): surface the first point failure.
-		first := unwrapJoined(err)[0]
-		var pe *parallel.Error
-		if errors.As(first, &pe) {
-			return nil, false, fmt.Errorf("point %d: %w", pe.Index, pe.Err)
+		if pe := parallel.Errors(err); len(pe) > 0 {
+			return nil, fmt.Errorf("point %d: %w", pe[0].Index, pe[0].Err)
 		}
-		return nil, false, first
+		return nil, err
 	}
 
 	stats := bound.Compiled.Routed.Physical.Stats()
-	res := SweepResult{
-		Device:    Describe(d),
-		Template:  templateLabel(req),
-		Policy:    req.Policy,
-		NumParams: bound.NumParams(),
-		Symbols:   bound.Symbols(),
-		Physical: PhysicalInfo{
-			Instructions: stats.Total,
-			CNOTs:        stats.CNOTs,
-			Depth:        stats.Depth,
-		},
+	res := &SweepResult{
+		Device:        Describe(d),
+		Template:      req.Ansatz,
+		Policy:        req.Policy,
+		NumParams:     bound.NumParams(),
+		Symbols:       bound.Symbols(),
+		Physical:      PhysicalInfo{Instructions: stats.Total, CNOTs: stats.CNOTs, Depth: stats.Depth},
 		AnalyticPST:   bound.ESP,
 		CompilesSaved: len(req.Points) - 1,
 		Points:        points,
 	}
 	res.Device.Name = req.Device
+	if req.Ansatz == "" {
+		res.Template = "qasm" // an inline program has no name
+	}
 	s.met.sweep(len(req.Points))
-	body, err := json.MarshalIndent(res, "", " ")
-	if err != nil {
-		return nil, false, err
-	}
-	body = append(body, '\n')
-	s.cache.put(key, body)
-	return body, false, nil
-}
-
-// templateLabel names the swept template in responses: the ansatz name
-// or "qasm" for inline programs.
-func templateLabel(req *SweepRequest) string {
-	if req.Ansatz != "" {
-		return req.Ansatz
-	}
-	return "qasm"
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeSweepRequest(data)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	body, hit, err := s.sweepCached(r.Context(), req)
-	if err != nil {
-		writeError(w, errorStatus(err), err.Error())
-		return
-	}
-	writeCachedResult(w, body, hit)
+	return res, nil
 }

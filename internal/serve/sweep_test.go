@@ -178,3 +178,29 @@ func TestSweepMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepArityRejectedBeforeCompile pins where symbol arity is
+// checked: in the sweep plan, against the template's free symbols, so a
+// malformed sweep is a 400 that never reaches the response cache (and
+// so never pays for a compile).
+func TestSweepArityRejectedBeforeCompile(t *testing.T) {
+	_, ts := newTestServer(t)
+	misses := func() string {
+		_, body := get(t, ts.URL+"/metrics")
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, "nisqd_cache_misses_total ") {
+				return line
+			}
+		}
+		t.Fatalf("metrics lack nisqd_cache_misses_total:\n%s", body)
+		return ""
+	}
+	before := misses()
+	resp, data := post(t, ts.URL+"/v1/sweep", `{"ansatz":"qaoa-4","points":[[0.1,0.2],[0.3]]}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "point 1 has 1 values") {
+		t.Fatalf("wrong-arity sweep: status %d: %s", resp.StatusCode, data)
+	}
+	if after := misses(); after != before {
+		t.Errorf("wrong-arity sweep touched the cache: %q -> %q", before, after)
+	}
+}

@@ -62,12 +62,6 @@ const (
 	KernelScalar = "scalar"
 )
 
-// ValidKernel reports whether s names a Monte-Carlo kernel ("" selects
-// the default).
-func ValidKernel(s string) bool {
-	return s == "" || s == KernelPacked || s == KernelScalar
-}
-
 // Config controls a simulation.
 type Config struct {
 	// Trials for the Monte Carlo estimator (default 100000).

@@ -46,6 +46,8 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/qasm
 go test -run '^$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/calib
 go test -run '^$' -fuzz FuzzCompileRequest -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz FuzzPortfolioRequest -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz FuzzSweepRequest -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz FuzzJobRequest -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz FuzzCycleAppend -fuzztime 10s ./internal/caldrift
 go test -run '^$' -fuzz FuzzDriftWindowQuery -fuzztime 10s ./internal/caldrift
 # Durability smoke: kill -9 a daemon mid-job and prove the restarted

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Calibration-drift-plane smoke: boot nisqd with a persistent cycle
-# store and a low drift threshold, register a Q5 device, warm one hot
-# compiled circuit, then append three progressively different
-# calibration cycles. The detector must trigger, the canary recompiler
+# store and a low drift threshold, register a Q5 device, then append
+# three progressively different calibration cycles, each after a
+# request for one hot compiled circuit. The detector must trigger, the canary recompiler
 # must re-run the hot circuit and report a predicted-PST delta, and the
 # drift report, window query, and nisqd_drift_* metrics must all agree
 # — end-to-end through a real process, real HTTP, and a real store
@@ -47,14 +47,17 @@ curl -sf -X POST "$BASE/v1/calibration?name=smoke-q5" \
 	-H 'Content-Type: application/json' \
 	--data-binary @"$WORK/base.json" > /dev/null
 
-curl -sf -X POST "$BASE/v1/compile" \
-	-H 'Content-Type: application/json' \
-	-d '{"workload":"triswap","device":"smoke-q5","policy":"vqa+vqm"}' > /dev/null
-
 # Three drifting cycles: independently seeded archives on the same
 # topology read as large per-link deviations, so the EWMA crosses the
-# low threshold well inside the window.
+# low threshold well inside the window. The hot circuit is requested
+# before every cycle, as live traffic would: an adopted canary
+# invalidates its cached mapping and drops it from the hot set, and
+# only the next request re-registers the fresh mapping as the canary
+# baseline.
 for SEED in 2 3 4; do
+	curl -sf -X POST "$BASE/v1/compile" \
+		-H 'Content-Type: application/json' \
+		-d '{"workload":"triswap","device":"smoke-q5","policy":"vqa+vqm"}' > /dev/null
 	go run ./cmd/calgen -device q5 -seed "$SEED" -days 1 -format json > "$WORK/cycle.json"
 	curl -sf -X POST "$BASE/v1/calibration?name=smoke-q5&append=true" \
 		-H 'Content-Type: application/json' \
