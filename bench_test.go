@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vaq/internal/alloc"
 	"vaq/internal/calib"
 	"vaq/internal/core"
 	"vaq/internal/device"
@@ -251,7 +252,8 @@ func BenchmarkAblationAllocation(b *testing.B) {
 }
 
 // BenchmarkAblationActivityWindow sweeps VQA's first-t-layers activity
-// estimation window.
+// estimation window: the VQA+VQM candidates with every VQA allocator
+// swapped for one with that window.
 func BenchmarkAblationActivityWindow(b *testing.B) {
 	d := benchDevice()
 	prog := workloads.QFT(12)
@@ -260,10 +262,19 @@ func BenchmarkAblationActivityWindow(b *testing.B) {
 		if window > 0 {
 			name = fmt.Sprintf("first-%d", window)
 		}
+		cands, err := core.Candidates(core.Options{Policy: core.VQAVQM})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range cands {
+			if _, ok := cands[i].Alloc.(alloc.VQA); ok {
+				cands[i].Alloc = alloc.VQA{ActivityLayers: window}
+			}
+		}
 		b.Run(name, func(b *testing.B) {
 			var p float64
 			for i := 0; i < b.N; i++ {
-				comp, err := core.Compile(d, prog, core.Options{Policy: core.VQAVQM, ActivityLayers: window})
+				comp, err := core.Best(d, prog, core.VQAVQM, cands)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,15 +286,27 @@ func BenchmarkAblationActivityWindow(b *testing.B) {
 }
 
 // BenchmarkAblationReadoutWeight sweeps the readout-aware VQA extension:
-// weight 0 is the paper-faithful policy.
+// weight 0 is the paper-faithful policy; a positive weight adds the
+// readout-aware VQA allocation under the reliability router as one more
+// VQA+VQM candidate.
 func BenchmarkAblationReadoutWeight(b *testing.B) {
 	d := benchDevice()
 	prog := workloads.BV(16)
 	for _, w := range []float64{0, 0.5, 1, 3} {
+		cands, err := core.Candidates(core.Options{Policy: core.VQAVQM})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if w > 0 {
+			cands = append(cands, core.Candidate{
+				Alloc:  alloc.VQA{ReadoutWeight: w},
+				Router: route.AStar{Cost: route.CostReliability, MAH: -1},
+			})
+		}
 		b.Run(fmt.Sprintf("w=%g", w), func(b *testing.B) {
 			var p float64
 			for i := 0; i < b.N; i++ {
-				comp, err := core.Compile(d, prog, core.Options{Policy: core.VQAVQM, ReadoutWeight: w})
+				comp, err := core.Best(d, prog, core.VQAVQM, cands)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -11,8 +11,8 @@
 //	VQAVQM      — Variation-Aware Qubit Allocation (Algorithm 2) on top of
 //	              VQM movement: the paper's full proposal.
 //
-// Compile is the single entry point; it returns the physical circuit, the
-// mapping trace, and SWAP accounting for one program on one device.
+// A policy is a list of (allocator, router) Candidates; Best compiles
+// them and keeps the highest-scoring one. Compile chains the two.
 package core
 
 import (
@@ -22,6 +22,7 @@ import (
 	"vaq/internal/circuit"
 	"vaq/internal/device"
 	"vaq/internal/route"
+	"vaq/internal/sim"
 	"vaq/internal/transpile"
 )
 
@@ -74,22 +75,15 @@ type Options struct {
 	// MAH is the Maximum Additional Hops for VQMHop (default 4, the
 	// paper's setting). Ignored by other policies.
 	MAH int
-	// ActivityLayers is VQA's activity window t (≤ 0: whole program).
-	ActivityLayers int
-	// ReadoutWeight, when > 0, adds a readout-aware VQA candidate to the
-	// VQAVQM portfolio (an extension beyond the paper; see alloc.VQA).
-	ReadoutWeight float64
 	// Optimize runs the transpile passes (inverse cancellation, rotation
 	// merging) on the program before allocation; the Compiled.Logical
 	// field then holds the optimized circuit.
 	Optimize bool
 	// Seed drives Native's randomized initial mapping.
 	Seed int64
-	// Movement, when non-empty, replaces the policy's routing pass with
-	// the named movement policy (route.MovementNames lists the valid
-	// names; "sabre" is the scalable choice past ~100 qubits). The
-	// policy's allocation behavior is preserved: VQAVQM still picks the
-	// best-scoring allocation candidate, only routed by the override.
+	// Movement, when non-empty, names a movement policy (see
+	// route.MovementNames; "sabre" scales past ~100 qubits) that replaces
+	// the policy's router list but keeps its allocator list.
 	Movement string
 }
 
@@ -108,160 +102,124 @@ type Compiled struct {
 // Swaps returns the number of SWAPs the compilation inserted.
 func (c *Compiled) Swaps() int { return c.Routed.Swaps }
 
-// Compile maps and routes the program onto the device under the policy.
+// Candidate is one (allocator, router) pair a policy tries.
+type Candidate struct {
+	Alloc  alloc.Policy
+	Router route.Router
+}
+
+// Candidates lists the (allocator, router) pairs opts.Policy tries,
+// router-major: every allocator under the first router, then under the
+// next. The order is Best's tie-break.
 //
-// VQAVQM compiles two allocation candidates — the variation-aware
-// subgraph placement and the locality-greedy placement — through the
-// reliability router and keeps the one the analytic reliability model
-// scores higher. The paper reports that VQA+VQM never falls below VQM
-// standalone; candidate selection by predicted fidelity is how that
-// guarantee is realized here (the same move noise-adaptive layout tools
-// make when scoring candidate layouts).
-func Compile(d *device.Device, prog *circuit.Circuit, opts Options) (*Compiled, error) {
-	if opts.Optimize {
-		prog, _ = transpile.Optimize(prog)
+//	native   random           × naive
+//	baseline greedy           × hops
+//	vqm      greedy           × {reliability, hops}
+//	vqm-hop  greedy           × {reliability with MAH, hops}
+//	vqa+vqm  {vqa, greedy}    × {reliability, hops}
+//
+// The hop-cost route with the policy's allocation is always a candidate
+// of the variation-aware policies, which realizes the ≥-baseline
+// property the paper reports (a layer-local reliability search can
+// otherwise lose globally on deep circuits); racing the VQA and greedy
+// allocations is how VQA+VQM never falls below VQM. A non-empty
+// opts.Movement replaces the router list.
+//
+// Stateful allocators (alloc.Random) are constructed fresh per call;
+// the returned candidates must not be compiled concurrently with each
+// other (see the concurrency contract on alloc.Policy).
+func Candidates(opts Options) ([]Candidate, error) {
+	greedy := []alloc.Policy{alloc.Greedy{}}
+	reliability := route.AStar{Cost: route.CostReliability, MAH: -1}
+	hops := route.AStar{Cost: route.CostHops, MAH: -1}
+	var allocs []alloc.Policy
+	var routers []route.Router
+	switch opts.Policy {
+	case Native:
+		allocs, routers = []alloc.Policy{alloc.NewRandom(opts.Seed)}, []route.Router{route.Naive{}}
+	case Baseline:
+		allocs, routers = greedy, []route.Router{hops}
+	case VQM:
+		allocs, routers = greedy, []route.Router{reliability, hops}
+	case VQMHop:
+		if opts.MAH <= 0 {
+			opts.MAH = 4
+		}
+		allocs, routers = greedy, []route.Router{route.AStar{Cost: route.CostReliability, MAH: opts.MAH}, hops}
+	case VQAVQM:
+		allocs, routers = []alloc.Policy{alloc.VQA{}, alloc.Greedy{}}, []route.Router{reliability, hops}
+	default:
+		return nil, fmt.Errorf("core: unknown policy %d", int(opts.Policy))
 	}
 	if opts.Movement != "" {
-		return compileWithMovement(d, prog, opts)
+		r, err := route.ByName(opts.Movement, 0)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		routers = []route.Router{r}
 	}
-	switch opts.Policy {
-	case VQM, VQMHop, VQAVQM:
-		return compileBestCandidate(d, prog, opts)
+	cands := make([]Candidate, 0, len(allocs)*len(routers))
+	for _, r := range routers {
+		for _, a := range allocs {
+			cands = append(cands, Candidate{Alloc: a, Router: r})
+		}
 	}
-	allocator, router, err := components(opts)
+	return cands, nil
+}
+
+// Compile maps and routes prog with this candidate. A candidate does not
+// know its policy, so the result's Policy is zero and errors carry no
+// policy label (Best sets both); the transpile passes are not applied.
+func (c Candidate) Compile(d *device.Device, prog *circuit.Circuit) (*Compiled, error) {
+	m, err := c.Alloc.Allocate(d, prog)
 	if err != nil {
 		return nil, err
 	}
-	return CompileWith(d, prog, opts, allocator, router)
-}
-
-// compileWithMovement routes with an explicit movement-policy override
-// while keeping the policy's allocation behavior: Native keeps its
-// randomized mapping, VQAVQM still races its allocation candidates and
-// keeps the analytic winner, everything else allocates greedily.
-func compileWithMovement(d *device.Device, prog *circuit.Circuit, opts Options) (*Compiled, error) {
-	router, err := route.ByName(opts.Movement, 0)
+	res, err := c.Router.Route(d, prog, m)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	switch opts.Policy {
-	case Native:
-		return CompileWith(d, prog, opts, alloc.NewRandom(opts.Seed), router)
-	case VQAVQM:
-		allocs := []alloc.Policy{alloc.VQA{ActivityLayers: opts.ActivityLayers}, alloc.Greedy{}}
-		if opts.ReadoutWeight > 0 {
-			allocs = append(allocs, alloc.VQA{ActivityLayers: opts.ActivityLayers, ReadoutWeight: opts.ReadoutWeight})
-		}
-		var best *Compiled
-		bestScore := -1.0
-		for _, a := range allocs {
-			c, err := CompileWith(d, prog, opts, a, router)
-			if err != nil {
-				return nil, err
-			}
-			if s := analyticScore(d, c); s > bestScore {
-				best, bestScore = c, s
-			}
-		}
-		best.Policy = opts.Policy
-		return best, nil
-	default:
-		return CompileWith(d, prog, opts, alloc.Greedy{}, router)
-	}
+	return &Compiled{Logical: prog, Routed: res, Allocator: c.Alloc.Name(), Router: c.Router.Name()}, nil
 }
 
-// compileBestCandidate compiles the variation-aware policies. Each policy
-// defines a set of (allocator, router) candidates that all respect its
-// definition; the candidate the analytic reliability model scores highest
-// wins. In particular the hop-cost route with the policy's allocation is
-// always a candidate, which realizes the ≥-baseline property the paper
-// reports (a layer-local reliability search can otherwise lose globally
-// on deep circuits).
-func compileBestCandidate(d *device.Device, prog *circuit.Circuit, opts Options) (*Compiled, error) {
-	mah := opts.MAH
-	if mah <= 0 {
-		mah = 4
-	}
-	type candidate struct {
-		a alloc.Policy
-		r route.Router
-	}
-	reliability := route.AStar{Cost: route.CostReliability, MAH: -1}
-	hopLimited := route.AStar{Cost: route.CostReliability, MAH: mah}
-	hops := route.AStar{Cost: route.CostHops, MAH: -1}
-	var cands []candidate
-	switch opts.Policy {
-	case VQM:
-		cands = []candidate{{alloc.Greedy{}, reliability}, {alloc.Greedy{}, hops}}
-	case VQMHop:
-		cands = []candidate{{alloc.Greedy{}, hopLimited}, {alloc.Greedy{}, hops}}
-	case VQAVQM:
-		vqa := alloc.VQA{ActivityLayers: opts.ActivityLayers}
-		cands = []candidate{
-			{vqa, reliability},
-			{alloc.Greedy{}, reliability},
-			{vqa, hops},
-			{alloc.Greedy{}, hops},
-		}
-		if opts.ReadoutWeight > 0 {
-			vqar := alloc.VQA{ActivityLayers: opts.ActivityLayers, ReadoutWeight: opts.ReadoutWeight}
-			cands = append(cands, candidate{vqar, reliability})
-		}
+// gatesOnly is the scoring model of Best and Bound.ESP: the closed-form
+// product of every gate's and readout's success probability, without
+// the schedule-dependent coherence term.
+var gatesOnly = sim.Config{DisableCoherence: true}
+
+// Best compiles every candidate and returns the one gatesOnly scores
+// highest, labelled with policy; ties keep the earlier candidate. The
+// first failing candidate fails the whole call.
+func Best(d *device.Device, prog *circuit.Circuit, policy Policy, cands []Candidate) (*Compiled, error) {
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("core(%s): no candidates", policy)
 	}
 	var best *Compiled
-	bestScore := -1.0
-	for _, cand := range cands {
-		c, err := CompileWith(d, prog, opts, cand.a, cand.r)
+	bestScore := 0.0
+	for i, cand := range cands {
+		c, err := cand.Compile(d, prog)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core(%s): %w", policy, err)
 		}
-		if s := analyticScore(d, c); s > bestScore {
+		if s := sim.AnalyticPST(d, c.Routed.Physical, gatesOnly); i == 0 || s > bestScore {
 			best, bestScore = c, s
 		}
 	}
-	best.Policy = opts.Policy
+	best.Policy = policy
 	return best, nil
 }
 
-// CompileWith maps and routes prog with an explicit (allocator, router)
-// pair, bypassing the fixed policy definitions. It is the primitive the
-// named policies are assembled from, exported for callers — the
-// portfolio compiler — that enumerate their own candidate grids.
-// opts.Policy only labels the result; opts.Optimize is NOT applied here
-// (grid generators decide per candidate whether to pre-optimize).
-//
-// Stateful allocators (alloc.Random) must not be shared across
-// concurrent CompileWith calls; construct one per call (see the
-// concurrency contract on alloc.Policy).
-func CompileWith(d *device.Device, prog *circuit.Circuit, opts Options, allocator alloc.Policy, router route.Router) (*Compiled, error) {
-	m, err := allocator.Allocate(d, prog)
+// Compile maps and routes the program onto the device under the policy:
+// the optional transpile passes, then Best over the policy's Candidates.
+func Compile(d *device.Device, prog *circuit.Circuit, opts Options) (*Compiled, error) {
+	cands, err := Candidates(opts)
 	if err != nil {
-		return nil, fmt.Errorf("core(%s): %w", opts.Policy, err)
+		return nil, err
 	}
-	res, err := router.Route(d, prog, m)
-	if err != nil {
-		return nil, fmt.Errorf("core(%s): %w", opts.Policy, err)
+	if opts.Optimize {
+		prog, _ = transpile.Optimize(prog)
 	}
-	return &Compiled{
-		Policy:    opts.Policy,
-		Logical:   prog,
-		Routed:    res,
-		Allocator: allocator.Name(),
-		Router:    router.Name(),
-	}, nil
-}
-
-// analyticScore is the closed-form success probability of every gate in
-// the compiled circuit (readout and coherence apply equally to any
-// mapping's measured qubits only through placement, which is part of the
-// score via the per-qubit rates).
-func analyticScore(d *device.Device, c *Compiled) float64 {
-	p := 1.0
-	phys := c.Routed.Physical
-	for _, g := range phys.Gates {
-		p *= d.GateSuccess(g.Kind, g.Qubits)
-	}
-	return p
+	return Best(d, prog, opts.Policy, cands)
 }
 
 // Verify checks the compiled program against the logical circuit (see
@@ -275,17 +233,4 @@ func (c *Compiled) Verify(d *device.Device) error {
 // route.ErrNotClifford for programs outside the stabilizer formalism.
 func (c *Compiled) VerifyClifford(d *device.Device) error {
 	return route.VerifyClifford(d, c.Logical, c.Routed)
-}
-
-// components resolves the single-candidate policies; the variation-aware
-// policies go through compileBestCandidate instead.
-func components(opts Options) (alloc.Policy, route.Router, error) {
-	switch opts.Policy {
-	case Native:
-		return alloc.NewRandom(opts.Seed), route.Naive{}, nil
-	case Baseline:
-		return alloc.Greedy{}, route.AStar{Cost: route.CostHops, MAH: -1}, nil
-	default:
-		return nil, nil, fmt.Errorf("core: unknown policy %d", int(opts.Policy))
-	}
 }

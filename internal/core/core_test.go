@@ -3,11 +3,16 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"vaq/internal/alloc"
 	"vaq/internal/calib"
 	"vaq/internal/circuit"
 	"vaq/internal/device"
+	"vaq/internal/route"
+	"vaq/internal/sim"
 	"vaq/internal/topo"
 )
 
@@ -47,14 +52,6 @@ func randomProgram(seed int64, n, gates int) *circuit.Circuit {
 	return c
 }
 
-func successProduct(d *device.Device, c *circuit.Circuit) float64 {
-	p := 1.0
-	for _, g := range c.Gates {
-		p *= d.GateSuccess(g.Kind, g.Qubits)
-	}
-	return p
-}
-
 func TestPolicyNames(t *testing.T) {
 	for _, p := range AllPolicies() {
 		name := p.String()
@@ -90,8 +87,76 @@ func TestCompileAllPoliciesVerify(t *testing.T) {
 
 func TestCompileUnknownPolicy(t *testing.T) {
 	d := uniformQ20()
-	if _, err := Compile(d, randomProgram(1, 4, 4), Options{Policy: Policy(42)}); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, movement := range []string{"", "sabre"} {
+		_, err := Compile(d, randomProgram(1, 4, 4), Options{Policy: Policy(42), Movement: movement})
+		if err == nil || !strings.Contains(err.Error(), "unknown policy 42") {
+			t.Fatalf("movement %q: err = %v, want unknown policy", movement, err)
+		}
+	}
+}
+
+// TestCandidates pins every policy's candidate list in order. The order
+// is Best's tie-break, so every golden depends on it.
+func TestCandidates(t *testing.T) {
+	const (
+		rel   = "astar-reliability"
+		hops  = "astar-hops"
+		sabre = "sabre-reliability"
+	)
+	type pair struct{ alloc, router string }
+	for _, tc := range []struct {
+		opts Options
+		want []pair
+	}{
+		{Options{Policy: Native}, []pair{{"random", "naive"}}},
+		{Options{Policy: Baseline}, []pair{{"greedy", hops}}},
+		{Options{Policy: VQM}, []pair{{"greedy", rel}, {"greedy", hops}}},
+		{Options{Policy: VQMHop}, []pair{{"greedy", "astar-reliability-mah4"}, {"greedy", hops}}},
+		{Options{Policy: VQMHop, MAH: 2}, []pair{{"greedy", "astar-reliability-mah2"}, {"greedy", hops}}},
+		{Options{Policy: VQAVQM}, []pair{{"vqa", rel}, {"greedy", rel}, {"vqa", hops}, {"greedy", hops}}},
+		{Options{Policy: Native, Movement: "sabre"}, []pair{{"random", sabre}}},
+		{Options{Policy: Baseline, Movement: "sabre"}, []pair{{"greedy", sabre}}},
+		{Options{Policy: VQM, Movement: "sabre"}, []pair{{"greedy", sabre}}},
+		{Options{Policy: VQMHop, Movement: "sabre"}, []pair{{"greedy", sabre}}},
+		{Options{Policy: VQAVQM, Movement: "sabre"}, []pair{{"vqa", sabre}, {"greedy", sabre}}},
+	} {
+		cands, err := Candidates(tc.opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.opts, err)
+		}
+		var got []pair
+		for _, c := range cands {
+			got = append(got, pair{c.Alloc.Name(), c.Router.Name()})
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%+v: candidates %v, want %v", tc.opts, got, tc.want)
+		}
+	}
+	if _, err := Candidates(Options{Policy: VQM, Movement: "nope"}); err == nil {
+		t.Fatal("unknown movement accepted")
+	}
+}
+
+// TestBestTieKeepsEarlier: a program with no two-qubit gates scores the
+// same under every allocation of a uniform device, so the earlier
+// candidate must win whichever it is.
+func TestBestTieKeepsEarlier(t *testing.T) {
+	d := uniformQ20()
+	prog := circuit.New("flat", 3)
+	prog.H(0).X(1).H(2).MeasureAll()
+	hops := route.AStar{Cost: route.CostHops, MAH: -1}
+	vqa, greedy := Candidate{alloc.VQA{}, hops}, Candidate{alloc.Greedy{}, hops}
+	for _, cands := range [][]Candidate{{vqa, greedy}, {greedy, vqa}} {
+		c, err := Best(d, prog, VQAVQM, cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cands[0].Alloc.Name(); c.Allocator != want || c.Policy != VQAVQM {
+			t.Fatalf("winner %s (%v), want the earlier candidate %s (vqa+vqm)", c.Allocator, c.Policy, want)
+		}
+	}
+	if _, err := Best(d, prog, VQM, nil); err == nil {
+		t.Fatal("Best with no candidates returned no error")
 	}
 }
 
@@ -140,9 +205,9 @@ func TestVariationAwarePoliciesWinInAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb := successProduct(d, base.Routed.Physical)
-		ratioVQM += math.Log(successProduct(d, vqm.Routed.Physical) / pb)
-		ratioVQAVQM += math.Log(successProduct(d, full.Routed.Physical) / pb)
+		pb := sim.AnalyticPST(d, base.Routed.Physical, gatesOnly)
+		ratioVQM += math.Log(sim.AnalyticPST(d, vqm.Routed.Physical, gatesOnly) / pb)
+		ratioVQAVQM += math.Log(sim.AnalyticPST(d, full.Routed.Physical, gatesOnly) / pb)
 	}
 	gainVQM := math.Exp(ratioVQM / float64(trials))
 	gainFull := math.Exp(ratioVQAVQM / float64(trials))
@@ -207,13 +272,13 @@ func TestVariationAwareNeverBelowBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb := successProduct(d, base.Routed.Physical)
+		pb := sim.AnalyticPST(d, base.Routed.Physical, gatesOnly)
 		for _, p := range []Policy{VQM, VQMHop, VQAVQM} {
 			c, err := Compile(d, prog, Options{Policy: p})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pc := successProduct(d, c.Routed.Physical); pc < pb-1e-12 {
+			if pc := sim.AnalyticPST(d, c.Routed.Physical, gatesOnly); pc < pb-1e-12 {
 				t.Fatalf("seed %d: %v success %v below baseline %v", seed, p, pc, pb)
 			}
 		}

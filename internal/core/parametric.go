@@ -4,7 +4,7 @@
 // The whole plane rests on one invariant, asserted here and proved by
 // construction everywhere else: the hardware error model is
 // angle-independent. device.GateSuccess keys on (gate kind, operands),
-// never on Gate.Param; analyticScore multiplies those per-gate
+// never on Gate.Param; Best and Bound.ESP multiply those per-gate
 // successes; the Monte-Carlo trial stream draws against the same rates.
 // Allocation, routing and scheduling therefore produce identical
 // results for every binding of one template, and the ESP/PST of a
@@ -28,6 +28,7 @@ import (
 	"vaq/internal/circuit"
 	"vaq/internal/device"
 	"vaq/internal/param"
+	"vaq/internal/sim"
 )
 
 // Bound is a parametric circuit compiled onto a device: the fixed
@@ -100,7 +101,7 @@ func NewBound(d *device.Device, exprs []param.Expr, comp *Compiled) (*Bound, err
 	}
 	b := &Bound{
 		Compiled: comp,
-		ESP:      analyticScore(d, comp),
+		ESP:      sim.AnalyticPST(d, phys, gatesOnly),
 		device:   d,
 		exprs:    exprs,
 		slots:    slots,

@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 
+	"vaq/internal/alloc"
 	"vaq/internal/calib"
 	"vaq/internal/core"
 	"vaq/internal/device"
 	"vaq/internal/metrics"
 	"vaq/internal/parallel"
 	"vaq/internal/qvolume"
+	"vaq/internal/route"
 	"vaq/internal/sim"
 	"vaq/internal/topo"
 	"vaq/internal/transpile"
@@ -108,7 +110,9 @@ type ExtReadoutRow struct {
 }
 
 // ExtReadoutAware evaluates the readout-aware VQA extension on the IBM-Q5
-// kernels: weight 0 is the paper-faithful VQA+VQM.
+// kernels: weight 0 is the paper-faithful VQA+VQM; a positive weight
+// adds one more VQA+VQM candidate, the readout-aware allocation under
+// the reliability router.
 func ExtReadoutAware(cfg Config) ([]ExtReadoutRow, error) {
 	cfg = cfg.withDefaults()
 	d := cfg.q5()
@@ -117,7 +121,17 @@ func ExtReadoutAware(cfg Config) ([]ExtReadoutRow, error) {
 		spec := suite[i]
 		var rows []ExtReadoutRow
 		for _, w := range []float64{0, 1, 3} {
-			comp, err := core.Compile(d, spec.Circuit, core.Options{Policy: core.VQAVQM, ReadoutWeight: w})
+			cands, err := core.Candidates(core.Options{Policy: core.VQAVQM})
+			if err != nil {
+				return nil, err
+			}
+			if w > 0 {
+				cands = append(cands, core.Candidate{
+					Alloc:  alloc.VQA{ReadoutWeight: w},
+					Router: route.AStar{Cost: route.CostReliability, MAH: -1},
+				})
+			}
+			comp, err := core.Best(d, spec.Circuit, core.VQAVQM, cands)
 			if err != nil {
 				return nil, fmt.Errorf("ext-readout %s: %w", spec.Name, err)
 			}

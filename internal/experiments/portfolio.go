@@ -50,9 +50,9 @@ var fixedPolicies = []core.Policy{core.Baseline, core.VQM, core.VQMHop, core.VQA
 // cfg.pst protocol (same simulator seed and analytic fallback) and
 // reports the best. Identical circuits measured identically yield
 // identical PSTs, and every circuit a fixed policy can produce on the
-// reference device is a mean-cycle grid point (see
-// core.compileBestCandidate's candidate sets), so the portfolio column
-// is mathematically ≥ each fixed column.
+// reference device is a mean-cycle grid point (core.Candidates lists
+// them; portfolio's TestGridCoversFixedPolicies pins the cover), so the
+// portfolio column is mathematically ≥ each fixed column.
 func PortfolioPoliciesCtx(r *Runner) ([]PortfolioRow, error) {
 	cfg := r.Config().withDefaults()
 	arch := cfg.archive()

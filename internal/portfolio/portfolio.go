@@ -341,31 +341,28 @@ func (r *Result) ClearTimings() {
 // Tests use it to inject failures into specific grid points.
 var compileHook func(CandidateSpec)
 
-// allocator materializes a candidate's allocation policy. Stateful
-// policies (random) are constructed fresh per candidate, which is what
-// makes the concurrent fan-out race-free (see alloc.Policy).
-func allocator(c CandidateSpec) (alloc.Policy, error) {
+// candidate materializes a grid point as a core.Candidate. Stateful
+// allocators (random) are constructed fresh per candidate, which is what
+// makes the concurrent fan-out race-free (see alloc.Policy); movers
+// resolve through the route registry, so the grid axis and the
+// CLI/service `movement` knob accept exactly the same names.
+func (c CandidateSpec) candidate() (core.Candidate, error) {
+	var a alloc.Policy
 	switch c.Alloc {
 	case AllocGreedy:
-		return alloc.Greedy{}, nil
+		a = alloc.Greedy{}
 	case AllocVQA:
-		return alloc.VQA{}, nil
+		a = alloc.VQA{}
 	case AllocRandom:
-		return alloc.NewRandom(c.Seed), nil
+		a = alloc.NewRandom(c.Seed)
 	default:
-		return nil, fmt.Errorf("portfolio: unknown allocation policy %q", c.Alloc)
+		return core.Candidate{}, fmt.Errorf("portfolio: unknown allocation policy %q", c.Alloc)
 	}
-}
-
-// mover materializes a candidate's movement policy via the route
-// registry, so the grid axis and the CLI/service `movement` knob accept
-// exactly the same names.
-func mover(c CandidateSpec) (route.Router, error) {
 	r, err := route.ByName(c.Mover, 0)
 	if err != nil {
-		return nil, fmt.Errorf("portfolio: %w", err)
+		return core.Candidate{}, fmt.Errorf("portfolio: %w", err)
 	}
-	return r, nil
+	return core.Candidate{Alloc: a, Router: r}, nil
 }
 
 // cycleDevices builds the per-cycle device models the grid references:
@@ -433,16 +430,12 @@ func Run(ctx context.Context, d *device.Device, arch *calib.Archive, prog *circu
 		if cs.Optimize {
 			p = optimized
 		}
-		a, err := allocator(cs)
-		if err != nil {
-			return err
-		}
-		m, err := mover(cs)
+		cand, err := cs.candidate()
 		if err != nil {
 			return err
 		}
 		t0 := time.Now()
-		comp, err := core.CompileWith(cd.dev, p, core.Options{Seed: cs.Seed}, a, m)
+		comp, err := cand.Compile(cd.dev, p)
 		if err != nil {
 			return fmt.Errorf("%s: %w", cs.Label(), err)
 		}

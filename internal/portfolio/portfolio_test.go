@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vaq/internal/calib"
+	"vaq/internal/core"
 	"vaq/internal/device"
 	"vaq/internal/parallel"
 	"vaq/internal/route"
@@ -251,12 +252,50 @@ func TestRunCancelled(t *testing.T) {
 }
 
 // TestRunProgramTooLarge: a program that cannot fit the device fails
-// every candidate with a typed error rather than panicking.
+// every candidate with a typed error rather than panicking, and each
+// failure names its own grid point, not a policy it does not belong to.
 func TestRunProgramTooLarge(t *testing.T) {
 	d, arch := testFixture(t)
-	_, err := Run(context.Background(), d, arch, workloads.BV(64), testSpec(0))
+	res, err := Run(context.Background(), d, arch, workloads.BV(64), testSpec(0))
 	if err == nil {
 		t.Fatal("expected error for oversized program")
+	}
+	if len(res.Failures) == 0 {
+		t.Fatal("no failures recorded")
+	}
+	for _, f := range res.Failures {
+		if !strings.HasPrefix(f.Reason, f.Label()+": alloc: ") || strings.Contains(f.Reason, "core(native)") {
+			t.Fatalf("failure reason %q, want %q-prefixed alloc error", f.Reason, f.Label()+": alloc: ")
+		}
+	}
+}
+
+// TestGridCoversFixedPolicies pins the superset claim the portfolio
+// experiment rests on: every candidate of every deterministic fixed
+// policy is a mean-cycle, non-optimized grid point.
+func TestGridCoversFixedPolicies(t *testing.T) {
+	type pair struct{ alloc, router string }
+	onGrid := map[pair]bool{}
+	for _, cs := range Grid(Spec{}, nil) {
+		if cs.Cycle != MeanCycle || cs.Optimize {
+			continue
+		}
+		c, err := cs.candidate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onGrid[pair{c.Alloc.Name(), c.Router.Name()}] = true
+	}
+	for _, p := range []core.Policy{core.Baseline, core.VQM, core.VQMHop, core.VQAVQM} {
+		cands, err := core.Candidates(core.Options{Policy: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cands {
+			if k := (pair{c.Alloc.Name(), c.Router.Name()}); !onGrid[k] {
+				t.Errorf("%v candidate %v is not a mean-cycle grid point", p, k)
+			}
+		}
 	}
 }
 

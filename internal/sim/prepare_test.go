@@ -4,24 +4,32 @@ import (
 	"math"
 	"testing"
 
+	"vaq/internal/alloc"
 	"vaq/internal/calib"
 	"vaq/internal/circuit"
-	"vaq/internal/core"
 	"vaq/internal/device"
+	"vaq/internal/route"
 	"vaq/internal/workloads"
 )
 
 // q20Compiled returns a realistically deep physical circuit (bv-16 under
-// the baseline policy on the synthetic IBM-Q20) for determinism tests.
+// the baseline policy — its single greedy × hop-cost A* candidate — on
+// the synthetic IBM-Q20) for determinism tests. It calls alloc and route
+// directly: core imports sim, so this internal test cannot import core.
 func q20Compiled(t *testing.T) (*device.Device, *circuit.Circuit) {
 	t.Helper()
 	arch := calib.Generate(calib.DefaultQ20Config(2019))
 	d := device.MustNew(arch.Topo, arch.MustMean())
-	comp, err := core.Compile(d, workloads.BV(16), core.Options{Policy: core.Baseline})
+	prog := workloads.BV(16)
+	m, err := alloc.Greedy{}.Allocate(d, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, comp.Routed.Physical
+	res, err := route.AStar{Cost: route.CostHops, MAH: -1}.Route(d, prog, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, res.Physical
 }
 
 // TestWorkerCountInvariance is the determinism regression test: the same
