@@ -2,16 +2,16 @@ package graphx
 
 // CSR is an immutable compressed-sparse-row snapshot of a Graph: for each
 // node u, its neighbors (ascending) and edge weights live in
-// dst[off[u]:off[u+1]] / wts[off[u]:off[u+1]]. Unlike Graph, whose
-// adjacency maps force a per-visit sort in every traversal, a CSR is
-// built once and then walked with zero allocations — the shape the
-// all-pairs builders in the routing cost tables want. Because it is
-// immutable it is safe to share across goroutines.
+// dst[off[u]:off[u+1]] / wts[off[u]:off[u+1]]. It packs the Graph's
+// per-node sorted slices into three flat arrays with int32 indices, so the
+// all-pairs builders walk contiguous memory with zero allocations;
+// Graph.AllPairsHops and Graph.AllPairsDijkstra delegate here. Because it
+// is immutable it is safe to share across goroutines.
 //
 // The traversal order (neighbors ascending, heap ties broken by node
 // index) matches Graph.Dijkstra and Graph.HopDistances exactly, so the
-// distance matrices computed here are bit-identical to the Graph ones —
-// a property the routing determinism tests rely on.
+// distance matrices computed here are bit-identical to the single-source
+// Graph ones — a property the routing determinism tests rely on.
 type CSR struct {
 	n   int
 	off []int32
@@ -21,17 +21,13 @@ type CSR struct {
 
 // CSR builds the compressed snapshot of the graph's current adjacency.
 func (g *Graph) CSR() *CSR {
-	c := &CSR{
-		n:   g.n,
-		off: make([]int32, g.n+1),
-		dst: make([]int32, 0, 2*g.NumEdges()),
-		wts: make([]float64, 0, 2*g.NumEdges()),
-	}
+	m := 2 * g.NumEdges()
+	c := &CSR{n: g.n, off: make([]int32, g.n+1), dst: make([]int32, 0, m), wts: make([]float64, 0, m)}
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.Neighbors(u) {
+		for _, v := range g.nbr[u] {
 			c.dst = append(c.dst, int32(v))
-			c.wts = append(c.wts, g.adj[u][v])
 		}
+		c.wts = append(c.wts, g.wts[u]...)
 		c.off[u+1] = int32(len(c.dst))
 	}
 	return c
@@ -40,72 +36,19 @@ func (g *Graph) CSR() *CSR {
 // N returns the number of nodes.
 func (c *CSR) N() int { return c.n }
 
-// csrItem is a (dist, node) heap entry; ordering matches graphx.pq with
-// hops fixed at zero: by distance, ties by node index.
-type csrItem struct {
-	dist float64
-	node int32
-}
-
-func csrLess(a, b csrItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.node < b.node
-}
-
-func csrPush(h *[]csrItem, it csrItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !csrLess((*h)[i], (*h)[p]) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func csrPop(h *[]csrItem) csrItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old = old[:n]
-	*h = old
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && csrLess(old[l], old[s]) {
-			s = l
-		}
-		if r < n && csrLess(old[r], old[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		old[i], old[s] = old[s], old[i]
-		i = s
-	}
-	return top
-}
-
 // DijkstraInto computes the minimum total edge weight from src to every
 // node into dist (len N), reusing done and heap as scratch. It performs
 // exactly the relaxations Graph.Dijkstra performs, in the same order.
-func (c *CSR) DijkstraInto(src int, dist []float64, done []bool, h *[]csrItem) {
+func (c *CSR) DijkstraInto(src int, dist []float64, done []bool, h *[]pqItem) {
 	for i := range dist {
 		dist[i] = Inf
 		done[i] = false
 	}
 	dist[src] = 0
 	*h = (*h)[:0]
-	csrPush(h, csrItem{node: int32(src)})
+	pqPush(h, pqItem{node: int32(src)})
 	for len(*h) > 0 {
-		u := csrPop(h).node
+		u := pqPop(h).node
 		if done[u] {
 			continue
 		}
@@ -114,7 +57,7 @@ func (c *CSR) DijkstraInto(src int, dist []float64, done []bool, h *[]csrItem) {
 			v := c.dst[i]
 			if nd := dist[u] + c.wts[i]; nd < dist[v] {
 				dist[v] = nd
-				csrPush(h, csrItem{node: v, dist: nd})
+				pqPush(h, pqItem{node: v, dist: nd})
 			}
 		}
 	}
@@ -125,7 +68,7 @@ func (c *CSR) DijkstraInto(src int, dist []float64, done []bool, h *[]csrItem) {
 func (c *CSR) AllPairsDijkstra() [][]float64 {
 	out, flat := flatMatrix(c.n)
 	done := make([]bool, c.n)
-	h := make([]csrItem, 0, c.n)
+	h := make([]pqItem, 0, c.n)
 	for u := 0; u < c.n; u++ {
 		c.DijkstraInto(u, flat[u*c.n:(u+1)*c.n], done, &h)
 	}

@@ -42,16 +42,18 @@ func TestCSRMatchesGraphDijkstra(t *testing.T) {
 	}
 }
 
-// TestCSRMatchesGraphHops: same contract for the BFS hop matrices.
+// TestCSRMatchesGraphHops: same contract for the BFS hop matrices, against
+// per-source Graph.HopDistances (Graph.AllPairsHops itself delegates to
+// the CSR).
 func TestCSRMatchesGraphHops(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 20, 40} {
 		g := randomConnectedGraph(n, n/2, int64(n)+100)
 		got := g.CSR().AllPairsHops()
-		want := g.AllPairsHops()
 		for u := 0; u < n; u++ {
+			want := g.HopDistances(u)
 			for v := 0; v < n; v++ {
-				if got[u][v] != want[u][v] {
-					t.Fatalf("n=%d hops[%d][%d]: CSR %v, Graph %v", n, u, v, got[u][v], want[u][v])
+				if got[u][v] != want[v] {
+					t.Fatalf("n=%d hops[%d][%d]: CSR %v, Graph %v", n, u, v, got[u][v], want[v])
 				}
 			}
 		}
@@ -66,7 +68,7 @@ func TestCSRScratchReuse(t *testing.T) {
 	c := g.CSR()
 	dist := make([]float64, c.N())
 	done := make([]bool, c.N())
-	h := make([]csrItem, 0, c.N())
+	h := make([]pqItem, 0, c.N())
 	for pass := 0; pass < 2; pass++ { // second pass runs on dirty scratch
 		for src := 0; src < c.N(); src++ {
 			c.DijkstraInto(src, dist, done, &h)

@@ -5,23 +5,31 @@
 // matrices, node strength, k-core decomposition, and search for the
 // connected k-subgraph with the highest aggregate node strength.
 //
-// Graphs are small (NISQ machines have tens of qubits), so the
-// implementations favor clarity and exactness over asymptotic tricks;
-// everything is deterministic.
+// Graphs range from the paper's 5- and 20-qubit machines to zoo lattices
+// of up to 2048 qubits. Adjacency is kept as per-node slices sorted by
+// node id, so traversals walk neighbours in a fixed order without
+// allocating; everything is deterministic, down to the bits of every
+// float sum.
 package graphx
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected graph with float64 edge weights. Nodes are the
 // integers [0, N). Parallel edges are not allowed; re-adding an edge
 // overwrites its weight. The zero Graph is not usable; construct with New.
+//
+// Each node keeps its neighbours in a slice sorted by node id, with the
+// matching edge weights in a parallel slice, so every traversal visits
+// neighbours in ascending order without sorting or allocating, and every
+// float sum over a neighbourhood is taken in one fixed order.
 type Graph struct {
 	n   int
-	adj []map[int]float64 // adj[u][v] = weight
+	nbr [][]int     // nbr[u]: neighbours of u, ascending
+	wts [][]float64 // wts[u][i]: weight of the edge u–nbr[u][i]
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -29,11 +37,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graphx: negative node count %d", n))
 	}
-	adj := make([]map[int]float64, n)
-	for i := range adj {
-		adj[i] = make(map[int]float64)
-	}
-	return &Graph{n: n, adj: adj}
+	return &Graph{n: n, nbr: make([][]int, n), wts: make([][]float64, n)}
 }
 
 // N returns the number of nodes.
@@ -47,24 +51,47 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	if u == v {
 		panic(fmt.Sprintf("graphx: self-loop on node %d", u))
 	}
-	g.adj[u][v] = w
-	g.adj[v][u] = w
+	g.link(u, v, w)
+	g.link(v, u, w)
+}
+
+// link sets the weight of v in u's neighbour list, inserting v in order
+// when absent.
+func (g *Graph) link(u, v int, w float64) {
+	i, ok := slices.BinarySearch(g.nbr[u], v)
+	if ok {
+		g.wts[u][i] = w
+		return
+	}
+	if g.nbr[u] == nil {
+		// Coupling maps rarely exceed degree 8 (IBM-Q20 peaks at 6): one
+		// allocation per slice covers a node instead of growing through
+		// capacities 1, 2, 4 and 8.
+		g.nbr[u], g.wts[u] = make([]int, 0, 8), make([]float64, 0, 8)
+	}
+	g.nbr[u] = slices.Insert(g.nbr[u], i, v)
+	g.wts[u] = slices.Insert(g.wts[u], i, w)
 }
 
 // RemoveEdge deletes the undirected edge u–v if present.
 func (g *Graph) RemoveEdge(u, v int) {
 	g.check(u)
 	g.check(v)
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	g.unlink(u, v)
+	g.unlink(v, u)
+}
+
+// unlink drops v from u's neighbour list if present.
+func (g *Graph) unlink(u, v int) {
+	if i, ok := slices.BinarySearch(g.nbr[u], v); ok {
+		g.nbr[u] = slices.Delete(g.nbr[u], i, i+1)
+		g.wts[u] = slices.Delete(g.wts[u], i, i+1)
+	}
 }
 
 // HasEdge reports whether u–v is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	_, ok := g.adj[u][v]
+	_, ok := g.Weight(u, v)
 	return ok
 }
 
@@ -73,8 +100,10 @@ func (g *Graph) Weight(u, v int) (float64, bool) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return 0, false
 	}
-	w, ok := g.adj[u][v]
-	return w, ok
+	if i, ok := slices.BinarySearch(g.nbr[u], v); ok {
+		return g.wts[u][i], true
+	}
+	return 0, false
 }
 
 // SetWeight is an alias for AddEdge, provided for call-site readability when
@@ -84,19 +113,16 @@ func (g *Graph) SetWeight(u, v int, w float64) { g.AddEdge(u, v, w) }
 // Degree returns the number of edges incident to u.
 func (g *Graph) Degree(u int) int {
 	g.check(u)
-	return len(g.adj[u])
+	return len(g.nbr[u])
 }
 
-// Neighbors returns the neighbors of u in ascending order. The slice is
-// freshly allocated on each call.
+// Neighbors returns the neighbors of u in ascending order. The slice is a
+// read-only view of the graph's own adjacency, valid until the graph is
+// next modified; its capacity is capped, so appending to it copies rather
+// than writing into the graph.
 func (g *Graph) Neighbors(u int) []int {
 	g.check(u)
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return g.nbr[u][:len(g.nbr[u]):len(g.nbr[u])]
 }
 
 // Edge is an undirected edge with U < V and its weight.
@@ -110,58 +136,49 @@ type Edge struct {
 func (g *Graph) Edges() []Edge {
 	var out []Edge
 	for u := 0; u < g.n; u++ {
-		for v, w := range g.adj[u] {
+		for i, v := range g.nbr[u] {
 			if u < v {
-				out = append(out, Edge{U: u, V: v, W: w})
+				out = append(out, Edge{U: u, V: v, W: g.wts[u][i]})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
 	total := 0
-	for u := 0; u < g.n; u++ {
-		total += len(g.adj[u])
+	for _, nb := range g.nbr {
+		total += len(nb)
 	}
 	return total / 2
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v, w := range g.adj[u] {
-			c.adj[u][v] = w
-		}
-	}
-	return c
+	return g.Map(func(w float64) float64 { return w })
 }
 
 // Map returns a new graph with every edge weight replaced by f(w).
 func (g *Graph) Map(f func(w float64) float64) *Graph {
 	c := New(g.n)
 	for u := 0; u < g.n; u++ {
-		for v, w := range g.adj[u] {
-			c.adj[u][v] = f(w)
+		c.nbr[u] = slices.Clone(g.nbr[u])
+		c.wts[u] = make([]float64, len(g.wts[u]))
+		for i, w := range g.wts[u] {
+			c.wts[u][i] = f(w)
 		}
 	}
 	return c
 }
 
 // NodeStrength returns the strength (weighted degree) of node u:
-// the sum of the weights of its incident edges.
+// the sum of the weights of its incident edges, added in ascending
+// neighbour order so the result is the same bits on every call.
 func (g *Graph) NodeStrength(u int) float64 {
 	g.check(u)
 	s := 0.0
-	for _, w := range g.adj[u] {
+	for _, w := range g.wts[u] {
 		s += w
 	}
 	return s
@@ -181,25 +198,20 @@ func (g *Graph) Strengths() []float64 {
 // connected.
 func (g *Graph) Connected(nodes []int) bool {
 	var in []bool
-	var start, want int
-	if nodes == nil {
-		if g.n == 0 {
-			return true
-		}
-		in = nil
-		start = 0
-		want = g.n
-	} else {
-		if len(nodes) == 0 {
-			return true
-		}
+	start, want := 0, g.n
+	if nodes != nil {
 		in = make([]bool, g.n)
 		for _, u := range nodes {
 			g.check(u)
 			in[u] = true
 		}
-		start = nodes[0]
 		want = len(nodes)
+		if want > 0 {
+			start = nodes[0]
+		}
+	}
+	if want == 0 {
+		return true
 	}
 	seen := make([]bool, g.n)
 	stack := []int{start}
@@ -209,7 +221,7 @@ func (g *Graph) Connected(nodes []int) bool {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
-		for v := range g.adj[u] {
+		for _, v := range g.nbr[u] {
 			if seen[v] || (in != nil && !in[v]) {
 				continue
 			}

@@ -402,3 +402,51 @@ func TestShortestPathEndpoints(t *testing.T) {
 		t.Fatalf("trivial path = %v,%v,%v", p, w, ok)
 	}
 }
+
+// TestStrengthSumsAreBitStable: 1 + 1e-16 + 1e-16 rounds to 1 when the 1
+// comes first and to 1+2⁻⁵² when it comes last, so a strength summed in
+// map-iteration order changed bits from call to call. Sums now run in
+// ascending neighbour order and must repeat exactly.
+func TestStrengthSumsAreBitStable(t *testing.T) {
+	g := New(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(0, 2, 1e-16)
+	g.AddEdge(0, 3, 1e-16)
+	all := []int{0, 1, 2, 3}
+	s0, a0 := math.Float64bits(g.NodeStrength(0)), math.Float64bits(g.AggregateNodeStrength(all))
+	for i := 0; i < 500; i++ {
+		if s := math.Float64bits(g.NodeStrength(0)); s != s0 {
+			t.Fatalf("call %d: NodeStrength(0) bits %#x, first call %#x", i, s, s0)
+		}
+		if a := math.Float64bits(g.AggregateNodeStrength(all)); a != a0 {
+			t.Fatalf("call %d: AggregateNodeStrength bits %#x, first call %#x", i, a, a0)
+		}
+	}
+}
+
+// TestNeighborsViewIsReadOnly: Neighbors returns the graph's own sorted
+// adjacency, so appending to the result must copy instead of writing into
+// the graph's spare capacity (where a second view, or the next AddEdge,
+// would see it).
+func TestNeighborsViewIsReadOnly(t *testing.T) {
+	g := New(6)
+	g.AddEdge(2, 4, 1)
+	g.AddEdge(2, 0, 2)
+	g.AddEdge(2, 3, 3) // three inserts leave spare capacity behind
+	before := g.Edges()
+	a := append(g.Neighbors(2), 5)
+	b := append(g.Neighbors(2), 1)
+	if a[3] != 5 || b[3] != 1 {
+		t.Fatalf("appends to two views alias: %v %v", a, b)
+	}
+	if got := g.Neighbors(2); !reflect.DeepEqual(got, []int{0, 3, 4}) {
+		t.Fatalf("Neighbors(2) = %v after appending to views", got)
+	}
+	if got := g.Edges(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("Edges() = %v after appending to views, want %v", got, before)
+	}
+	g.AddEdge(2, 5, 4)
+	if a[3] != 5 || !reflect.DeepEqual(g.Neighbors(2), []int{0, 3, 4, 5}) {
+		t.Fatalf("AddEdge after appends: view %v, Neighbors(2) %v", a, g.Neighbors(2))
+	}
+}

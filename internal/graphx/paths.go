@@ -1,9 +1,6 @@
 package graphx
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // HopDistances returns the minimum hop count from src to every node
 // (breadth-first search). Unreachable nodes get Inf.
@@ -18,7 +15,7 @@ func (g *Graph) HopDistances(src int) []float64 {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
+		for _, v := range g.nbr[u] {
 			if dist[v] == Inf {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -29,42 +26,65 @@ func (g *Graph) HopDistances(src int) []float64 {
 }
 
 // AllPairsHops returns the matrix of minimum hop counts between every pair
-// of nodes.
-func (g *Graph) AllPairsHops() [][]float64 {
-	out := make([][]float64, g.n)
-	for u := 0; u < g.n; u++ {
-		out[u] = g.HopDistances(u)
-	}
-	return out
-}
+// of nodes, computed over the graph's CSR snapshot (rows share one
+// backing array).
+func (g *Graph) AllPairsHops() [][]float64 { return g.CSR().AllPairsHops() }
 
-// pqItem is an entry in the Dijkstra priority queue.
+// pqItem is an entry in the Dijkstra priority queues (Graph and CSR),
+// ordered by distance, then node index, then hop count; hops is 0 outside
+// the hop-constrained search.
 type pqItem struct {
-	node int
-	hops int // used by hop-constrained search; 0 otherwise
-	dist float64
+	dist       float64
+	node, hops int32
 }
 
-type pq []pqItem
-
-func (q pq) Len() int      { return len(q) }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q pq) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
+func pqLess(a, b pqItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	if q[i].node != q[j].node {
-		return q[i].node < q[j].node
+	if a.node != b.node {
+		return a.node < b.node
 	}
-	return q[i].hops < q[j].hops
+	return a.hops < b.hops
 }
-func (q *pq) Push(x any) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+func pqPush(h *[]pqItem, it pqItem) {
+	*h = append(*h, it)
+	i := len(*h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !pqLess((*h)[i], (*h)[p]) {
+			break
+		}
+		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		i = p
+	}
+}
+
+func pqPop(h *[]pqItem) pqItem {
+	old := *h
+	top := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	old = old[:n]
+	*h = old
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < n && pqLess(old[l], old[s]) {
+			s = l
+		}
+		if r < n && pqLess(old[r], old[s]) {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		old[i], old[s] = old[s], old[i]
+		i = s
+	}
+	return top
 }
 
 // Dijkstra returns the minimum total edge weight from src to every node and
@@ -80,37 +100,32 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int) {
 		prev[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		u := it.node
+	q := []pqItem{{node: int32(src)}}
+	for len(q) > 0 {
+		u := int(pqPop(&q).node)
 		if done[u] {
 			continue
 		}
 		done[u] = true
-		for _, v := range g.Neighbors(u) {
-			w := g.adj[u][v]
+		for i, v := range g.nbr[u] {
+			w := g.wts[u][i]
 			if w < 0 {
 				panic(fmt.Sprintf("graphx: negative edge weight %v on %d-%d", w, u, v))
 			}
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
 				prev[v] = u
-				heap.Push(q, pqItem{node: v, dist: nd})
+				pqPush(&q, pqItem{node: int32(v), dist: nd})
 			}
 		}
 	}
 	return dist, prev
 }
 
-// AllPairsDijkstra returns the full weighted distance matrix.
-func (g *Graph) AllPairsDijkstra() [][]float64 {
-	out := make([][]float64, g.n)
-	for u := 0; u < g.n; u++ {
-		out[u], _ = g.Dijkstra(u)
-	}
-	return out
-}
+// AllPairsDijkstra returns the full weighted distance matrix, computed
+// over the graph's CSR snapshot (rows share one backing array). Edge
+// weights must be non-negative; unlike Dijkstra, this does not check.
+func (g *Graph) AllPairsDijkstra() [][]float64 { return g.CSR().AllPairsDijkstra() }
 
 // ShortestPath returns the minimum-weight path from src to dst as a node
 // sequence including both endpoints, and its total weight. ok is false when
@@ -163,22 +178,21 @@ func (g *Graph) ConstrainedDijkstra(src, maxHops int) (dist []float64, paths [][
 		}
 	}
 	best[src][0] = 0
-	q := &pq{{node: src, hops: 0, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		u, h := it.node, it.hops
+	q := []pqItem{{node: int32(src)}}
+	for len(q) > 0 {
+		it := pqPop(&q)
+		u, h := int(it.node), int(it.hops)
 		if it.dist > best[u][h] {
 			continue
 		}
 		if h == maxHops {
 			continue
 		}
-		for _, v := range g.Neighbors(u) {
-			w := g.adj[u][v]
-			if nd := it.dist + w; nd < best[v][h+1] {
+		for i, v := range g.nbr[u] {
+			if nd := it.dist + g.wts[u][i]; nd < best[v][h+1] {
 				best[v][h+1] = nd
 				prevNode[v][h+1] = u
-				heap.Push(q, pqItem{node: v, hops: h + 1, dist: nd})
+				pqPush(&q, pqItem{node: int32(v), hops: int32(h + 1), dist: nd})
 			}
 		}
 	}

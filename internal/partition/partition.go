@@ -7,8 +7,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"vaq/internal/circuit"
@@ -105,7 +106,7 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 	// Two copies: search bipartitions (A gets k..n−k qubits, complement
 	// hosts the other copy), rank by the weaker side's strength, then
 	// compile+simulate the best candidates.
-	cands := rankedBipartitions(d, k, opts.Candidates)
+	cands, sg := rankedBipartitions(d, k, opts.Candidates)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("partition: no connected bipartition of %q supports two %d-qubit copies", d.Topology().Name, k)
 	}
@@ -113,7 +114,7 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 	// (the paper's "pick the most reliable links" region — it need not
 	// leave a usable complement) plus every candidate side.
 	var oneRegions [][]int
-	if sg, _ := d.ReliabilityGraph().StrongestSubgraph(k); sg != nil {
+	if sg != nil {
 		oneRegions = append(oneRegions, sg)
 	}
 	for _, cand := range cands {
@@ -206,11 +207,16 @@ func compileAndSimulate(d *device.Device, prog *circuit.Circuit, opts Options) (
 // strength of the weaker side. Enumeration walks connected k-subsets
 // grown from each seed qubit; for small NISQ machines this covers the
 // useful space without the exponential blowup of the full 2^n family.
-func rankedBipartitions(d *device.Device, k, limit int) [][2][]int {
+// It also returns the unconstrained strongest k-subgraph, the first set
+// it considers, which Evaluate reuses as the single-copy region.
+func rankedBipartitions(d *device.Device, k, limit int) ([][2][]int, []int) {
 	rel := d.ReliabilityGraph()
 	n := d.NumQubits()
 
+	// Sets are deduplicated on an n-bit membership key built before any
+	// sort; only unseen sets are copied, sorted and scored.
 	seen := map[string]bool{}
+	key := make([]byte, (n+7)/8)
 	type scored struct {
 		sides [2][]int
 		score float64
@@ -221,28 +227,27 @@ func rankedBipartitions(d *device.Device, k, limit int) [][2][]int {
 		if len(side) != k {
 			return
 		}
-		sorted := append([]int(nil), side...)
-		sort.Ints(sorted)
-		key := fmt.Sprint(sorted)
-		if seen[key] {
+		clear(key)
+		for _, v := range side {
+			key[v/8] |= 1 << (v % 8)
+		}
+		if seen[string(key)] {
 			return
 		}
-		seen[key] = true
+		seen[string(key)] = true
+		sorted := slices.Clone(side)
+		slices.Sort(sorted)
 		comp := complement(sorted, n)
 		if !rel.Connected(sorted) || !rel.Connected(comp) {
 			return
 		}
-		sA := rel.AggregateNodeStrength(sorted)
-		sB := rel.AggregateNodeStrength(comp)
-		score := sA
-		if sB < score {
-			score = sB
-		}
+		score := min(rel.AggregateNodeStrength(sorted), rel.AggregateNodeStrength(comp))
 		out = append(out, scored{sides: [2][]int{sorted, comp}, score: score})
 	}
 
 	// Greedy strongest subgraph and its complement is always a candidate.
-	if sg, _ := rel.StrongestSubgraph(k); sg != nil {
+	sg, _ := rel.StrongestSubgraph(k)
+	if sg != nil {
 		consider(sg)
 	}
 	// Connected k-subsets grown from every seed by descending-strength
@@ -251,7 +256,7 @@ func rankedBipartitions(d *device.Device, k, limit int) [][2][]int {
 		enumerateConnected(rel, seed, k, 3, consider)
 	}
 
-	sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
+	slices.SortStableFunc(out, func(a, b scored) int { return cmp.Compare(b.score, a.score) })
 	if len(out) > limit {
 		out = out[:limit]
 	}
@@ -259,31 +264,33 @@ func rankedBipartitions(d *device.Device, k, limit int) [][2][]int {
 	for i, s := range out {
 		result[i] = s.sides
 	}
-	return result
+	return result, sg
 }
 
 // enumerateConnected grows connected sets from seed, branching over the
 // `branch` strongest frontier extensions at each step, and calls visit for
 // every k-set reached.
 func enumerateConnected(g *graphx.Graph, seed, k, branch int, visit func([]int)) {
-	var rec func(set []int, in []bool)
-	rec = func(set []int, in []bool) {
+	type ext struct {
+		v    int
+		gain float64
+	}
+	in := make([]bool, g.N())
+	listed := make([]bool, g.N())
+	bufs := make([][]ext, k) // one extension buffer per depth
+	var rec func(set []int)
+	rec = func(set []int) {
 		if len(set) == k {
 			visit(set)
 			return
 		}
-		type ext struct {
-			v    int
-			gain float64
-		}
-		var exts []ext
-		seenExt := map[int]bool{}
+		exts := bufs[len(set)][:0]
 		for _, u := range set {
 			for _, v := range g.Neighbors(u) {
-				if in[v] || seenExt[v] {
+				if in[v] || listed[v] {
 					continue
 				}
-				seenExt[v] = true
+				listed[v] = true
 				gain := 0.0
 				for _, x := range g.Neighbors(v) {
 					if in[x] {
@@ -294,24 +301,22 @@ func enumerateConnected(g *graphx.Graph, seed, k, branch int, visit func([]int))
 				exts = append(exts, ext{v, gain})
 			}
 		}
-		sort.Slice(exts, func(i, j int) bool {
-			if exts[i].gain != exts[j].gain {
-				return exts[i].gain > exts[j].gain
-			}
-			return exts[i].v < exts[j].v
-		})
+		for _, e := range exts {
+			listed[e.v] = false
+		}
+		bufs[len(set)] = exts
+		slices.SortFunc(exts, func(a, b ext) int { return cmp.Or(cmp.Compare(b.gain, a.gain), a.v-b.v) })
 		if len(exts) > branch {
 			exts = exts[:branch]
 		}
 		for _, e := range exts {
 			in[e.v] = true
-			rec(append(set, e.v), in)
+			rec(append(set, e.v))
 			in[e.v] = false
 		}
 	}
-	in := make([]bool, g.N())
 	in[seed] = true
-	rec([]int{seed}, in)
+	rec(append(make([]int, 0, k), seed))
 }
 
 func complement(sorted []int, n int) []int {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestUniformDeviceFavorsTwoCopies(t *testing.T) {
 
 func TestRankedBipartitionsShape(t *testing.T) {
 	d := q20(5)
-	cands := rankedBipartitions(d, 10, 8)
+	cands, _ := rankedBipartitions(d, 10, 8)
 	if len(cands) == 0 {
 		t.Fatal("no bipartitions found on Q20")
 	}
@@ -154,6 +155,35 @@ func TestRankedBipartitionsShape(t *testing.T) {
 		if !rel.Connected(cand[0]) || !rel.Connected(cand[1]) {
 			t.Fatal("disconnected side in candidate bipartition")
 		}
+	}
+}
+
+// TestRankedBipartitionsPinned pins the candidate order on Figure 16's
+// device (the seed-2019 Q20 mean). Sides are scored on strengths summed in
+// a fixed order, so a split and its mirror score identically and keep
+// their visit order under the stable sort; this is one of the orders the
+// map-order sums used to produce at random.
+func TestRankedBipartitionsPinned(t *testing.T) {
+	want := [][2][]int{
+		{[]int{0, 1, 2, 5, 6, 7, 10, 11, 15, 16}, []int{3, 4, 8, 9, 12, 13, 14, 17, 18, 19}},
+		{[]int{3, 4, 8, 9, 12, 13, 14, 17, 18, 19}, []int{0, 1, 2, 5, 6, 7, 10, 11, 15, 16}},
+		{[]int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{[]int{0, 1, 2, 3, 5, 6, 7, 10, 11, 15}, []int{4, 8, 9, 12, 13, 14, 16, 17, 18, 19}},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 10, 11}, []int{8, 9, 12, 13, 14, 15, 16, 17, 18, 19}},
+		{[]int{8, 9, 12, 13, 14, 15, 16, 17, 18, 19}, []int{0, 1, 2, 3, 4, 5, 6, 7, 10, 11}},
+		{[]int{0, 1, 5, 6, 7, 10, 11, 15, 16, 17}, []int{2, 3, 4, 8, 9, 12, 13, 14, 18, 19}},
+		{[]int{2, 3, 4, 8, 9, 12, 13, 14, 18, 19}, []int{0, 1, 5, 6, 7, 10, 11, 15, 16, 17}},
+		{[]int{0, 1, 2, 5, 6, 10, 11, 12, 15, 16}, []int{3, 4, 7, 8, 9, 13, 14, 17, 18, 19}},
+		{[]int{3, 4, 7, 8, 9, 13, 14, 17, 18, 19}, []int{0, 1, 2, 5, 6, 10, 11, 12, 15, 16}},
+	}
+	got, sg := rankedBipartitions(q20(2019), 10, 10)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rankedBipartitions order changed:\n got %v\nwant %v", got, want)
+	}
+	// The unconstrained strongest region Evaluate reuses; its complement
+	// is disconnected, so it is not a candidate.
+	if wantSG := []int{1, 2, 3, 5, 6, 7, 8, 11, 12, 13}; !reflect.DeepEqual(sg, wantSG) {
+		t.Fatalf("strongest subgraph %v, want %v", sg, wantSG)
 	}
 }
 
