@@ -35,9 +35,9 @@ func TestWorkers(t *testing.T) {
 		n  int
 		ok bool
 	}{
-		{0, true},     // one per CPU
-		{-1, true},    // serial
-		{-100, true},  // serial (any negative)
+		{0, true},    // one per CPU
+		{-1, true},   // serial
+		{-100, true}, // serial (any negative)
 		{16, true},
 		{MaxWorkers, true},
 		{MaxWorkers + 1, false},

@@ -39,15 +39,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 			}
 			// Throughput includes draining the queue: the benchmark is done
 			// when every submitted job has reached a terminal state.
-			for {
-				snap := m.Metrics()
-				var done int64
-				for _, n := range snap.Outcomes {
-					done += n
-				}
-				if done >= int64(b.N) {
-					break
-				}
+			for m.pending() > 0 {
 				time.Sleep(50 * time.Microsecond)
 			}
 			b.StopTimer()

@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"vaq/internal/clock"
+	"vaq/internal/metrics"
 	"vaq/internal/parallel"
 )
 
@@ -35,9 +37,6 @@ type Options struct {
 	// Retention caps terminal jobs kept (in memory and on disk);
 	// beyond it the oldest finished jobs are evicted (default 4096).
 	Retention int
-	// AgingInterval is how long a queued job waits to gain one
-	// priority rank (default 30s).
-	AgingInterval time.Duration
 	// Clock is the time source behind admission timestamps, token
 	// buckets, retry scheduling, and the worker loop's backoff timers
 	// (default clock.Real). Tests inject a clock.Fake and Advance it
@@ -57,9 +56,6 @@ func (o Options) withDefaults() Options {
 	o.Quota = o.Quota.withDefaults()
 	if o.Retention <= 0 {
 		o.Retention = 4096
-	}
-	if o.AgingInterval <= 0 {
-		o.AgingInterval = 30 * time.Second
 	}
 	o.Clock = clock.Or(o.Clock)
 	return o
@@ -94,15 +90,9 @@ type Manager struct {
 	terminalOrder []string
 	draining      bool
 
-	// counters (guarded by mu)
-	submitted     map[CounterKey]int64
-	outcomes      map[CounterKey]int64
-	shed          map[string]int64
-	retries       int64
-	interrupted   int64
-	recovered     int64
-	corrupt       int64
-	persistErrors int64
+	reg                                                     metrics.Registry
+	submitted, outcomes, shed                               *metrics.Counter
+	retries, interrupted, recovered, corrupt, persistErrors *metrics.Counter
 
 	wake      chan struct{}
 	stopClaim chan struct{}
@@ -131,20 +121,18 @@ func NewManager(opts Options, be Backend) (*Manager, error) {
 		st:        st,
 		br:        newBroker(),
 		jobs:      make(map[string]*job),
-		q:         newQueue(opts.AgingInterval),
+		q:         &queue{},
 		quotas:    newQuotas(opts.Quota),
 		running:   make(map[string]context.CancelCauseFunc),
-		submitted: make(map[CounterKey]int64),
-		outcomes:  make(map[CounterKey]int64),
-		shed:      make(map[string]int64),
 		wake:      make(chan struct{}, 1),
 		stopClaim: make(chan struct{}),
 	}
+	m.registerMetrics()
 	loaded, corrupt, err := st.load()
 	if err != nil {
 		return nil, err
 	}
-	m.corrupt = int64(corrupt)
+	m.corrupt.Add(float64(corrupt))
 	now := opts.Clock.Now()
 	for _, j := range loaded {
 		if j.Seq > m.seq {
@@ -159,7 +147,7 @@ func NewManager(opts Options, be Backend) (*Manager, error) {
 			// transition; honor it now rather than re-running work the
 			// user disowned.
 			j.State = StateCancelled
-			m.outcomes[CounterKey{State: j.State, Class: j.Class, Tenant: j.Tenant}]++
+			m.outcomes.Add(1, string(j.State), string(j.Class), j.Tenant)
 			m.terminalOrder = append(m.terminalOrder, j.ID)
 			m.persistLocked(j)
 			m.br.Publish(j.ID, Event{Type: EventCancelled, State: StateCancelled, Attempt: j.Attempt})
@@ -171,11 +159,11 @@ func NewManager(opts Options, be Backend) (*Manager, error) {
 					j.Attempt--
 				}
 				j.Interruptions++
-				m.interrupted++
+				m.interrupted.Add(1)
 				j.State = StateQueued
 				m.persistLocked(j)
 			}
-			m.recovered++
+			m.recovered.Add(1)
 			m.quotas.live[j.Tenant]++
 			m.q.push(j, now)
 			m.queued++
@@ -259,12 +247,12 @@ func (m *Manager) Submit(spec Spec) (*View, error) {
 	m.mu.Lock()
 	now := m.opts.Clock.Now()
 	if m.draining {
-		m.shed["draining"]++
+		m.shed.Add(1, "draining")
 		m.mu.Unlock()
 		return nil, &ShedError{Reason: "draining", RetryAfter: 5 * time.Second, Msg: "daemon is draining"}
 	}
 	if m.queued >= m.opts.QueueMax {
-		m.shed["queue_full"]++
+		m.shed.Add(1, "queue_full")
 		m.mu.Unlock()
 		return nil, &ShedError{Reason: "queue_full", RetryAfter: time.Second,
 			Msg: fmt.Sprintf("job queue full (%d queued)", m.opts.QueueMax)}
@@ -272,7 +260,7 @@ func (m *Manager) Submit(spec Spec) (*View, error) {
 	if err := m.quotas.admit(spec.Tenant, now); err != nil {
 		var se *ShedError
 		if errors.As(err, &se) {
-			m.shed[se.Reason]++
+			m.shed.Add(1, se.Reason)
 		}
 		m.mu.Unlock()
 		return nil, err
@@ -295,7 +283,7 @@ func (m *Manager) Submit(spec Spec) (*View, error) {
 		}
 	}
 	m.jobs[j.ID] = j
-	m.submitted[CounterKey{Class: j.Class, Tenant: j.Tenant}]++
+	m.submitted.Add(1, string(j.Class), j.Tenant)
 	m.q.push(j, now)
 	m.queued++
 	v := j.view()
@@ -494,7 +482,7 @@ func (m *Manager) attempt(jctx context.Context, cancel context.CancelCauseFunc, 
 		j.State = StateQueued
 		j.Attempt--
 		j.Interruptions++
-		m.interrupted++
+		m.interrupted.Add(1)
 		m.q.push(j, now)
 		m.queued++
 		m.persistLocked(j)
@@ -509,7 +497,7 @@ func (m *Manager) attempt(jctx context.Context, cancel context.CancelCauseFunc, 
 		delay := m.opts.Retry.Backoff(j.ID, j.Attempt)
 		j.State = StateQueued
 		j.Failure = failureFrom(err, w.Attempt)
-		m.retries++
+		m.retries.Add(1)
 		m.q.pushDelayed(j, now.Add(delay))
 		m.queued++
 		m.persistLocked(j)
@@ -533,7 +521,7 @@ func (m *Manager) attempt(jctx context.Context, cancel context.CancelCauseFunc, 
 // evict beyond retention.
 func (m *Manager) finishLocked(j *job, now time.Time) {
 	m.quotas.release(j.Tenant, now)
-	m.outcomes[CounterKey{State: j.State, Class: j.Class, Tenant: j.Tenant}]++
+	m.outcomes.Add(1, string(j.State), string(j.Class), j.Tenant)
 	m.terminalOrder = append(m.terminalOrder, j.ID)
 	m.persistLocked(j)
 	m.evictLocked()
@@ -541,7 +529,7 @@ func (m *Manager) finishLocked(j *job, now time.Time) {
 
 func (m *Manager) persistLocked(j *job) {
 	if err := m.st.save(j); err != nil {
-		m.persistErrors++
+		m.persistErrors.Add(1)
 	}
 }
 
@@ -566,55 +554,33 @@ func (m *Manager) wakeOne() {
 	}
 }
 
-// CounterKey labels a submission or outcome counter. Submitted
-// counters leave State empty.
-type CounterKey struct {
-	State  State
-	Class  Class
-	Tenant string
+// registerMetrics declares the plane's metric families in exposition
+// order; queued and running are read under mu at scrape time.
+func (m *Manager) registerMetrics() {
+	r := &m.reg
+	r.Func("gauge", "nisqd_jobs_queued", "Jobs waiting in the queue (including backoff delays).", func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return float64(m.queued)
+	})
+	r.Func("gauge", "nisqd_jobs_running", "Jobs currently executing.", func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return float64(len(m.running))
+	})
+	m.submitted = r.Counter("nisqd_jobs_submitted_total", "Jobs accepted, by class and tenant.", "class", "tenant")
+	m.outcomes = r.Counter("nisqd_jobs_outcomes_total", "Jobs finished, by terminal state, class and tenant.", "state", "class", "tenant")
+	m.shed = r.Counter("nisqd_jobs_shed_total", "Submissions refused before admission, by reason.", "reason")
+	m.retries = r.Counter("nisqd_jobs_retries_total", "Attempts re-queued under the backoff policy.")
+	m.interrupted = r.Counter("nisqd_jobs_interrupted_total", "Running jobs re-queued by a drain or crash.")
+	m.recovered = r.Counter("nisqd_jobs_recovered_total", "Jobs recovered from the store at startup.")
+	m.corrupt = r.Counter("nisqd_jobs_store_corrupt_total", "Store files quarantined at startup.")
+	m.persistErrors = r.Counter("nisqd_jobs_persist_errors_total", "Job state transitions that failed to persist.")
 }
 
-// Snapshot is a point-in-time reading of the plane's gauges and
-// counters, rendered by the daemon's /metrics endpoint.
-type Snapshot struct {
-	Queued, Running int
-	Submitted       map[CounterKey]int64
-	Outcomes        map[CounterKey]int64
-	Shed            map[string]int64
-	Retries         int64
-	Interrupted     int64
-	Recovered       int64
-	Corrupt         int64
-	PersistErrors   int64
-}
-
-// Metrics snapshots the plane's counters.
-func (m *Manager) Metrics() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Snapshot{
-		Queued:        m.queued,
-		Running:       len(m.running),
-		Submitted:     make(map[CounterKey]int64, len(m.submitted)),
-		Outcomes:      make(map[CounterKey]int64, len(m.outcomes)),
-		Shed:          make(map[string]int64, len(m.shed)),
-		Retries:       m.retries,
-		Interrupted:   m.interrupted,
-		Recovered:     m.recovered,
-		Corrupt:       m.corrupt,
-		PersistErrors: m.persistErrors,
-	}
-	for k, v := range m.submitted {
-		s.Submitted[k] = v
-	}
-	for k, v := range m.outcomes {
-		s.Outcomes[k] = v
-	}
-	for k, v := range m.shed {
-		s.Shed[k] = v
-	}
-	return s
-}
+// WriteMetrics writes the plane's gauges and counters as Prometheus
+// text exposition.
+func (m *Manager) WriteMetrics(w io.Writer) error { return m.reg.WriteText(w) }
 
 // newID returns a 16-hex-digit random job id.
 func newID() string {

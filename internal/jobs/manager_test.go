@@ -16,6 +16,13 @@ import (
 	"vaq/internal/clock"
 )
 
+// pending counts jobs queued or running.
+func (m *Manager) pending() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.queued + len(m.running)
+}
+
 // echoBackend succeeds immediately, returning the request bytes.
 func echoBackend() Backend {
 	return BackendFunc(func(_ context.Context, w Work, _ func(string)) ([]byte, error) {
@@ -96,9 +103,8 @@ func TestSubmitExecuteResult(t *testing.T) {
 	if !ok || st != StateSucceeded || string(body) != `result:{"x":1}` {
 		t.Fatalf("Result = %q, %s, %v", body, st, ok)
 	}
-	met := m.Metrics()
-	if met.Outcomes[CounterKey{State: StateSucceeded, Class: DefaultClass, Tenant: "anonymous"}] != 1 {
-		t.Fatalf("outcome counter missing: %+v", met.Outcomes)
+	if got := m.outcomes.Value(string(StateSucceeded), string(DefaultClass), "anonymous"); got != 1 {
+		t.Fatalf("outcome counter = %v, want 1", got)
 	}
 }
 
@@ -168,8 +174,8 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 	if final.Attempt != 3 {
 		t.Fatalf("Attempt = %d, want 3", final.Attempt)
 	}
-	if got := m.Metrics().Retries; got != 2 {
-		t.Fatalf("Retries = %d, want 2", got)
+	if got := m.retries.Value(); got != 2 {
+		t.Fatalf("retries = %v, want 2", got)
 	}
 }
 
@@ -290,8 +296,8 @@ func TestQuotaRateShed(t *testing.T) {
 	if !errors.As(err, &se) || se.Reason != "rate" || se.RetryAfter <= 0 {
 		t.Fatalf("second submit err = %v, want rate ShedError with positive RetryAfter", err)
 	}
-	if m.Metrics().Shed["rate"] != 1 {
-		t.Fatalf("shed counter: %+v", m.Metrics().Shed)
+	if got := m.shed.Value("rate"); got != 1 {
+		t.Fatalf("shed{rate} = %v, want 1", got)
 	}
 }
 
@@ -351,8 +357,8 @@ func TestDurabilityAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Metrics().Recovered; got != 1 {
-		t.Fatalf("Recovered = %d, want 1 (the queued job)", got)
+	if got := b.recovered.Value(); got != 1 {
+		t.Fatalf("recovered = %v, want 1 (the queued job)", got)
 	}
 	if v, ok := b.Get(v2.ID); !ok || v.State != StateCancelled {
 		t.Fatalf("cancelled job not retained across restart: %+v ok=%v", v, ok)
@@ -387,8 +393,8 @@ func TestRunningJobRecoveredAsInterrupted(t *testing.T) {
 	if !ok || bv.State != StateQueued || bv.Interruptions != 1 || bv.Attempt != 0 {
 		t.Fatalf("recovered view = %+v, want queued with 1 interruption, attempt reset", bv)
 	}
-	if b.Metrics().Interrupted != 1 {
-		t.Fatalf("Interrupted = %d, want 1", b.Metrics().Interrupted)
+	if got := b.interrupted.Value(); got != 1 {
+		t.Fatalf("interrupted = %v, want 1", got)
 	}
 	b.Start()
 	defer b.Drain(context.Background())
@@ -431,8 +437,8 @@ func TestCorruptStoreFilesQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Metrics().Corrupt; got != 3 {
-		t.Fatalf("Corrupt = %d, want 3", got)
+	if got := b.corrupt.Value(); got != 3 {
+		t.Fatalf("corrupt = %v, want 3", got)
 	}
 	if _, ok := b.Get(v.ID); !ok {
 		t.Fatal("healthy job lost during quarantine")
@@ -447,8 +453,8 @@ func TestCorruptStoreFilesQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Metrics().Corrupt; got != 0 {
-		t.Fatalf("Corrupt after quarantine = %d, want 0", got)
+	if got := c.corrupt.Value(); got != 0 {
+		t.Fatalf("corrupt after quarantine = %v, want 0", got)
 	}
 }
 
@@ -665,13 +671,12 @@ func TestManagerConcurrentMixedClients(t *testing.T) {
 	// Everything settles to a terminal state.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		met := m.Metrics()
-		if met.Queued == 0 && met.Running == 0 {
+		if m.pending() == 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("queue never drained: %+v", m.Metrics())
+	t.Fatalf("queue never drained: %d jobs queued or running", m.pending())
 }
 
 func TestResultBytesRoundTripExactly(t *testing.T) {

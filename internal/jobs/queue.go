@@ -18,15 +18,11 @@ import (
 type queue struct {
 	classes [3][]*job
 	delayed delayedHeap
-	aging   time.Duration
 }
 
-func newQueue(aging time.Duration) *queue {
-	if aging <= 0 {
-		aging = 30 * time.Second
-	}
-	return &queue{aging: aging}
-}
+// agingInterval is how long a queued job waits to gain one priority
+// rank.
+const agingInterval = 30 * time.Second
 
 // push makes j dispatchable now.
 func (q *queue) push(j *job, now time.Time) {
@@ -65,7 +61,7 @@ func (q *queue) pop(now time.Time) (*job, time.Duration) {
 			continue
 		}
 		h := q.classes[r][0]
-		eff := float64(r) - now.Sub(h.enqueuedAt).Seconds()/q.aging.Seconds()
+		eff := float64(r) - now.Sub(h.enqueuedAt).Seconds()/agingInterval.Seconds()
 		if best == nil || eff < bestRank || (eff == bestRank && h.Seq < best.Seq) {
 			best, bestRank = h, eff
 		}
@@ -110,8 +106,8 @@ func (h delayedHeap) Less(a, b int) bool {
 	}
 	return h[a].Seq < h[b].Seq
 }
-func (h delayedHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *delayedHeap) Push(x any)         { *h = append(*h, x.(*job)) }
+func (h delayedHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *delayedHeap) Push(x any)   { *h = append(*h, x.(*job)) }
 func (h *delayedHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -10,7 +10,7 @@ func qjob(seq uint64, class Class) *job {
 }
 
 func TestQueueClassOrder(t *testing.T) {
-	q := newQueue(30 * time.Second)
+	q := &queue{}
 	t0 := time.Unix(1000, 0)
 	bg := qjob(1, ClassBackground)
 	ia := qjob(2, ClassInteractive)
@@ -32,8 +32,8 @@ func TestQueueClassOrder(t *testing.T) {
 }
 
 func TestQueueAgingPreventsStarvation(t *testing.T) {
-	aging := 30 * time.Second
-	q := newQueue(aging)
+	aging := agingInterval
+	q := &queue{}
 	t0 := time.Unix(1000, 0)
 	bg := qjob(1, ClassBackground)
 	q.push(bg, t0)
@@ -60,13 +60,13 @@ func TestQueueAgingPreventsStarvation(t *testing.T) {
 }
 
 func TestQueueTieBreaksOnSeq(t *testing.T) {
-	q := newQueue(30 * time.Second)
+	q := &queue{}
 	t0 := time.Unix(1000, 0)
 	a := qjob(5, ClassBatch)
 	b := qjob(4, ClassInteractive)
 	// Same effective priority: batch that aged exactly one interval vs
 	// fresh interactive. Lower Seq wins.
-	q.push(a, t0.Add(-30*time.Second))
+	q.push(a, t0.Add(-agingInterval))
 	q.push(b, t0)
 	if j, _ := q.pop(t0); j != b {
 		t.Fatalf("tie should break to lower seq, got %+v", j)
@@ -74,7 +74,7 @@ func TestQueueTieBreaksOnSeq(t *testing.T) {
 }
 
 func TestQueueDelayedRelease(t *testing.T) {
-	q := newQueue(30 * time.Second)
+	q := &queue{}
 	t0 := time.Unix(1000, 0)
 	j1 := qjob(1, ClassBatch)
 	q.pushDelayed(j1, t0.Add(50*time.Millisecond))
@@ -90,7 +90,7 @@ func TestQueueDelayedRelease(t *testing.T) {
 }
 
 func TestQueueLazyDiscardCancelled(t *testing.T) {
-	q := newQueue(30 * time.Second)
+	q := &queue{}
 	t0 := time.Unix(1000, 0)
 	dead := qjob(1, ClassBatch)
 	live := qjob(2, ClassBatch)

@@ -13,8 +13,8 @@ type CacheCounters struct {
 
 // Hit, Miss and Evict record one event each; Evict takes a count
 // because bounded caches may drop many entries in one sweep.
-func (c *CacheCounters) Hit()          { c.hits.Add(1) }
-func (c *CacheCounters) Miss()         { c.misses.Add(1) }
+func (c *CacheCounters) Hit()           { c.hits.Add(1) }
+func (c *CacheCounters) Miss()          { c.misses.Add(1) }
 func (c *CacheCounters) Evict(n uint64) { c.evictions.Add(n) }
 
 // CacheSnapshot is a point-in-time reading of a CacheCounters.

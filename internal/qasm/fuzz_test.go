@@ -15,8 +15,8 @@ func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"OPENQASM 2.0;\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\n",
 		"OPENQASM 2.0;\nqreg q[2];\nrz(pi/4) q[1];\nswap q[0],q[1];\n",
-		"qreg q[",       // truncated declaration
-		"h q[0];",       // gate before any register
+		"qreg q[",                   // truncated declaration
+		"h q[0];",                   // gate before any register
 		"qreg q[3];\ncx q[0],q[0];", // two-qubit gate on one qubit
 		"OPENQASM 2.0;\nqreg q[1];\nrz() q[0];",
 		"\x00π->[](;",

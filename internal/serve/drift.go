@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"vaq/internal/circuit"
 	"vaq/internal/clock"
 	"vaq/internal/jobs"
+	"vaq/internal/metrics"
 	"vaq/internal/portfolio"
 )
 
@@ -42,11 +41,8 @@ type driftState struct {
 	// the injected clock, so tests drive it with a fake).
 	lastCanary map[string]time.Time
 
-	cycles     int64
-	triggers   int64
-	canaryRuns int64
-	suppressed int64
-	adoptions  int64
+	reg                                                 metrics.Registry
+	cycles, triggers, canaryRuns, suppressed, adoptions *metrics.Counter
 }
 
 // hotCircuit is one LRU entry of a device's hot set: the logical
@@ -69,7 +65,7 @@ func newDriftState(cfg Config) (*driftState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &driftState{
+	ds := &driftState{
 		store:  store,
 		detect: caldrift.DetectConfig{Threshold: cfg.DriftThreshold},
 		canary: caldrift.CanaryConfig{
@@ -85,7 +81,23 @@ func newDriftState(cfg Config) (*driftState, error) {
 		hot:        make(map[string][]hotCircuit),
 		reports:    make(map[string]*caldrift.Report),
 		lastCanary: make(map[string]time.Time),
-	}, nil
+	}
+	r := &ds.reg
+	ds.cycles = r.Counter("nisqd_drift_cycles_total", "Calibration cycles appended to the drift store.")
+	ds.triggers = r.Counter("nisqd_drift_triggers_total", "Drift detections past threshold.")
+	ds.canaryRuns = r.Counter("nisqd_drift_canary_runs_total", "Canary recompilations executed.")
+	ds.suppressed = r.Counter("nisqd_drift_canary_suppressed_total", "Canary runs skipped by the cooldown.")
+	ds.adoptions = r.Counter("nisqd_drift_adoptions_total", "Stale cached mappings invalidated on canary wins.")
+	r.Func("counter", "nisqd_drift_store_corrupt_total", "Cycle envelopes quarantined at startup.",
+		func() float64 { return float64(store.Corrupt()) })
+	r.FloatGaugeFunc("nisqd_drift_score", "Latest drift score per device.", func(emit func(float64, ...string)) {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
+		for dev, rep := range ds.reports {
+			emit(rep.Score, dev)
+		}
+	}, "device")
+	return ds, nil
 }
 
 // canarySpec keeps the speculative recompile cheap: the full policy
@@ -182,30 +194,6 @@ func (ds *driftState) canaryDue(device string) bool {
 	return true
 }
 
-// driftMetrics is the snapshot handleMetrics renders.
-type driftMetrics struct {
-	cycles, triggers, canaryRuns, suppressed, adoptions, corrupt int64
-	scores                                                       map[string]float64
-}
-
-func (ds *driftState) metrics() driftMetrics {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	m := driftMetrics{
-		cycles:     ds.cycles,
-		triggers:   ds.triggers,
-		canaryRuns: ds.canaryRuns,
-		suppressed: ds.suppressed,
-		adoptions:  ds.adoptions,
-		scores:     make(map[string]float64, len(ds.reports)),
-	}
-	for dev, rep := range ds.reports {
-		m.scores[dev] = rep.Score
-	}
-	m.corrupt = ds.store.Corrupt()
-	return m
-}
-
 // handleCalibrationAppend is the drift plane's ingest path, reached
 // through POST /v1/calibration?append=true: every snapshot in the body
 // becomes one durable cycle in the named device's series
@@ -253,9 +241,7 @@ func (s *Server) handleCalibrationAppend(w http.ResponseWriter, r *http.Request,
 			return
 		}
 		appended = append(appended, cyc)
-		s.drift.mu.Lock()
-		s.drift.cycles++
-		s.drift.mu.Unlock()
+		s.drift.cycles.Add(1)
 		s.drift.events.Publish(name, jobs.Event{
 			Type:    DriftEventCycle,
 			Attempt: cyc,
@@ -287,24 +273,18 @@ func (s *Server) runDrift(ctx context.Context, name string) *caldrift.Report {
 		return nil
 	}
 	if rep.Triggered {
-		s.drift.mu.Lock()
-		s.drift.triggers++
-		s.drift.mu.Unlock()
+		s.drift.triggers.Add(1)
 		if s.drift.canaryDue(name) {
 			if targets := s.drift.targets(name); len(targets) > 0 {
 				canary, err := caldrift.Canary(ctx, window, targets, s.drift.canary)
 				if err == nil {
 					rep.Canary = canary
-					s.drift.mu.Lock()
-					s.drift.canaryRuns++
-					s.drift.mu.Unlock()
+					s.drift.canaryRuns.Add(1)
 					s.adoptCanary(name, canary)
 				}
 			}
 		} else {
-			s.drift.mu.Lock()
-			s.drift.suppressed++
-			s.drift.mu.Unlock()
+			s.drift.suppressed.Add(1)
 		}
 	}
 	s.drift.mu.Lock()
@@ -339,9 +319,7 @@ func (s *Server) adoptCanary(device string, rep *caldrift.CanaryReport) int {
 		adopted++
 	}
 	if adopted > 0 {
-		s.drift.mu.Lock()
-		s.drift.adoptions += int64(adopted)
-		s.drift.mu.Unlock()
+		s.drift.adoptions.Add(float64(adopted))
 		s.drift.events.Publish(device, jobs.Event{
 			Type:    DriftEventAdopted,
 			Message: fmt.Sprintf("adopted %d canary remapping(s): stale cached responses invalidated", adopted),
@@ -392,7 +370,7 @@ func (s *Server) handleDriftReport(w http.ResponseWriter, r *http.Request) {
 // never terminate server-side (calibration keeps arriving); the stream
 // ends when the client goes away or the server drains.
 func (s *Server) handleDriftEvents(w http.ResponseWriter, r *http.Request) {
-	s.met.request("/v1/drift/{device}/events")
+	s.met.requests.Add(1, "/v1/drift/{device}/events")
 	name := r.PathValue("device")
 	if !caldrift.ValidDeviceName(name) {
 		writeError(w, http.StatusBadRequest, "device name must match [a-zA-Z0-9][a-zA-Z0-9_-]{0,63}")
@@ -433,38 +411,5 @@ func (s *Server) handleDriftEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
-	}
-}
-
-// renderDriftMetrics appends the drift plane's counters and per-device
-// scores to the /metrics exposition.
-func renderDriftMetrics(b *strings.Builder, m driftMetrics) {
-	b.WriteString("# HELP nisqd_drift_cycles_total Calibration cycles appended to the drift store.\n")
-	b.WriteString("# TYPE nisqd_drift_cycles_total counter\n")
-	fmt.Fprintf(b, "nisqd_drift_cycles_total %d\n", m.cycles)
-	b.WriteString("# HELP nisqd_drift_triggers_total Drift detections past threshold.\n")
-	b.WriteString("# TYPE nisqd_drift_triggers_total counter\n")
-	fmt.Fprintf(b, "nisqd_drift_triggers_total %d\n", m.triggers)
-	b.WriteString("# HELP nisqd_drift_canary_runs_total Canary recompilations executed.\n")
-	b.WriteString("# TYPE nisqd_drift_canary_runs_total counter\n")
-	fmt.Fprintf(b, "nisqd_drift_canary_runs_total %d\n", m.canaryRuns)
-	b.WriteString("# HELP nisqd_drift_canary_suppressed_total Canary runs skipped by the cooldown.\n")
-	b.WriteString("# TYPE nisqd_drift_canary_suppressed_total counter\n")
-	fmt.Fprintf(b, "nisqd_drift_canary_suppressed_total %d\n", m.suppressed)
-	b.WriteString("# HELP nisqd_drift_adoptions_total Stale cached mappings invalidated on canary wins.\n")
-	b.WriteString("# TYPE nisqd_drift_adoptions_total counter\n")
-	fmt.Fprintf(b, "nisqd_drift_adoptions_total %d\n", m.adoptions)
-	b.WriteString("# HELP nisqd_drift_store_corrupt_total Cycle envelopes quarantined at startup.\n")
-	b.WriteString("# TYPE nisqd_drift_store_corrupt_total counter\n")
-	fmt.Fprintf(b, "nisqd_drift_store_corrupt_total %d\n", m.corrupt)
-	b.WriteString("# HELP nisqd_drift_score Latest drift score per device.\n")
-	b.WriteString("# TYPE nisqd_drift_score gauge\n")
-	devs := make([]string, 0, len(m.scores))
-	for d := range m.scores {
-		devs = append(devs, d)
-	}
-	sort.Strings(devs)
-	for _, d := range devs {
-		fmt.Fprintf(b, "nisqd_drift_score{device=%q} %g\n", d, m.scores[d])
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"vaq/internal/jobs"
@@ -212,7 +210,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // terminal state or the client goes away. Not wrapped in instrumented —
 // a stream's lifetime would drown the latency histogram.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	s.met.request("/v1/jobs/{id}/events")
+	s.met.requests.Add(1, "/v1/jobs/{id}/events")
 	id := r.PathValue("id")
 	history, ch, cancel, err := s.jobs.Subscribe(id)
 	if err != nil {
@@ -250,68 +248,4 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// renderJobsMetrics appends the job plane's gauges and counters to the
-// /metrics exposition, labels sorted for a deterministic scrape.
-func renderJobsMetrics(b *strings.Builder, snap jobs.Snapshot) {
-	b.WriteString("# HELP nisqd_jobs_queued Jobs waiting in the queue (including backoff delays).\n")
-	b.WriteString("# TYPE nisqd_jobs_queued gauge\n")
-	fmt.Fprintf(b, "nisqd_jobs_queued %d\n", snap.Queued)
-	b.WriteString("# HELP nisqd_jobs_running Jobs currently executing.\n")
-	b.WriteString("# TYPE nisqd_jobs_running gauge\n")
-	fmt.Fprintf(b, "nisqd_jobs_running %d\n", snap.Running)
-
-	b.WriteString("# HELP nisqd_jobs_submitted_total Jobs accepted, by class and tenant.\n")
-	b.WriteString("# TYPE nisqd_jobs_submitted_total counter\n")
-	for _, k := range sortedCounterKeys(snap.Submitted) {
-		fmt.Fprintf(b, "nisqd_jobs_submitted_total{class=%q,tenant=%q} %d\n", k.Class, k.Tenant, snap.Submitted[k])
-	}
-	b.WriteString("# HELP nisqd_jobs_outcomes_total Jobs finished, by terminal state, class and tenant.\n")
-	b.WriteString("# TYPE nisqd_jobs_outcomes_total counter\n")
-	for _, k := range sortedCounterKeys(snap.Outcomes) {
-		fmt.Fprintf(b, "nisqd_jobs_outcomes_total{state=%q,class=%q,tenant=%q} %d\n", k.State, k.Class, k.Tenant, snap.Outcomes[k])
-	}
-	b.WriteString("# HELP nisqd_jobs_shed_total Submissions refused before admission, by reason.\n")
-	b.WriteString("# TYPE nisqd_jobs_shed_total counter\n")
-	reasons := make([]string, 0, len(snap.Shed))
-	for r := range snap.Shed {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(b, "nisqd_jobs_shed_total{reason=%q} %d\n", r, snap.Shed[r])
-	}
-	b.WriteString("# HELP nisqd_jobs_retries_total Attempts re-queued under the backoff policy.\n")
-	b.WriteString("# TYPE nisqd_jobs_retries_total counter\n")
-	fmt.Fprintf(b, "nisqd_jobs_retries_total %d\n", snap.Retries)
-	b.WriteString("# HELP nisqd_jobs_interrupted_total Running jobs re-queued by a drain or crash.\n")
-	b.WriteString("# TYPE nisqd_jobs_interrupted_total counter\n")
-	fmt.Fprintf(b, "nisqd_jobs_interrupted_total %d\n", snap.Interrupted)
-	b.WriteString("# HELP nisqd_jobs_recovered_total Jobs recovered from the store at startup.\n")
-	b.WriteString("# TYPE nisqd_jobs_recovered_total counter\n")
-	fmt.Fprintf(b, "nisqd_jobs_recovered_total %d\n", snap.Recovered)
-	b.WriteString("# HELP nisqd_jobs_store_corrupt_total Store files quarantined at startup.\n")
-	b.WriteString("# TYPE nisqd_jobs_store_corrupt_total counter\n")
-	fmt.Fprintf(b, "nisqd_jobs_store_corrupt_total %d\n", snap.Corrupt)
-	b.WriteString("# HELP nisqd_jobs_persist_errors_total Job state transitions that failed to persist.\n")
-	b.WriteString("# TYPE nisqd_jobs_persist_errors_total counter\n")
-	fmt.Fprintf(b, "nisqd_jobs_persist_errors_total %d\n", snap.PersistErrors)
-}
-
-func sortedCounterKeys(m map[jobs.CounterKey]int64) []jobs.CounterKey {
-	keys := make([]jobs.CounterKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].State != keys[b].State {
-			return keys[a].State < keys[b].State
-		}
-		if keys[a].Class != keys[b].Class {
-			return keys[a].Class < keys[b].Class
-		}
-		return keys[a].Tenant < keys[b].Tenant
-	})
-	return keys
 }

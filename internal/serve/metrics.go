@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
+	"vaq/internal/metrics"
 	"vaq/internal/route"
 )
 
@@ -17,182 +13,58 @@ var latencyBounds = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// metricsState holds the daemon's operational counters, rendered by
-// GET /metrics in Prometheus text format. The in-flight gauge is an
-// atomic because the limiter reads it on the hot path; everything else
-// is a small mutex-guarded map updated once per request.
-type metricsState struct {
+// serverMetrics is the serve plane's share of GET /metrics. The
+// in-flight gauge is an atomic the instrumentation updates and the
+// registry reads at scrape time.
+type serverMetrics struct {
+	reg      metrics.Registry
 	inFlight atomic.Int64
 
-	mu        sync.Mutex
-	requests  map[string]int64 // by endpoint
-	responses map[int]int64    // by status code
-	shed      int64            // load-shedding 429s
-	hits      int64            // response-cache hits
-	misses    int64            // response-cache misses
-	buckets   []int64          // latency histogram, one per bound + Inf
-	sumNs     int64
-	count     int64
+	requests, responses, shed, hits, misses *metrics.Counter
 	// Monte-Carlo trial throughput by kernel, counted on cache misses
 	// (cache hits run no trials). trials/seconds is the observed
 	// trials-per-second rate of each kernel.
-	mcTrials  map[string]int64
-	mcSeconds map[string]float64
+	mcTrials, mcSeconds *metrics.Counter
 	// Parameter-sweep throughput: points served and the compilations
 	// the rebind engine avoided (every point after a sweep's first).
-	sweepPoints int64
-	sweepSaved  int64
+	sweepPoints, sweepSaved *metrics.Counter
+	latency                 *metrics.Histogram
 }
 
-func newMetricsState() *metricsState {
-	return &metricsState{
-		requests:  make(map[string]int64),
-		responses: make(map[int]int64),
-		buckets:   make([]int64, len(latencyBounds)+1),
-		mcTrials:  make(map[string]int64),
-		mcSeconds: make(map[string]float64),
-	}
-}
-
-// mc records a freshly computed result's Monte-Carlo work (a no-op for
-// analytic-only results).
-func (m *metricsState) mc(res *Result) {
-	if res == nil || res.MC == nil {
-		return
-	}
-	m.mu.Lock()
-	m.mcTrials[res.MC.Kernel] += int64(res.MC.Trials)
-	m.mcSeconds[res.MC.Kernel] += res.mcElapsed.Seconds()
-	m.mu.Unlock()
-}
-
-func (m *metricsState) request(endpoint string) {
-	m.mu.Lock()
-	m.requests[endpoint]++
-	m.mu.Unlock()
-}
-
-func (m *metricsState) response(code int, elapsed time.Duration) {
-	sec := elapsed.Seconds()
-	i := sort.SearchFloat64s(latencyBounds, sec)
-	m.mu.Lock()
-	m.responses[code]++
-	m.buckets[i]++
-	m.sumNs += int64(elapsed)
-	m.count++
-	m.mu.Unlock()
-}
-
-func (m *metricsState) cache(hit bool) {
-	m.mu.Lock()
-	if hit {
-		m.hits++
-	} else {
-		m.misses++
-	}
-	m.mu.Unlock()
-}
-
-// sweep records one served parameter sweep of n points.
-func (m *metricsState) sweep(n int) {
-	m.mu.Lock()
-	m.sweepPoints += int64(n)
-	if n > 1 {
-		m.sweepSaved += int64(n - 1)
-	}
-	m.mu.Unlock()
-}
-
-func (m *metricsState) droppedRequest() {
-	m.mu.Lock()
-	m.shed++
-	m.mu.Unlock()
-}
-
-// render writes the counters in Prometheus text exposition format.
-func (m *metricsState) render() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	b.WriteString("# HELP nisqd_requests_total Requests received, by endpoint.\n")
-	b.WriteString("# TYPE nisqd_requests_total counter\n")
-	for _, ep := range sortedKeys(m.requests) {
-		fmt.Fprintf(&b, "nisqd_requests_total{endpoint=%q} %d\n", ep, m.requests[ep])
-	}
-	b.WriteString("# HELP nisqd_responses_total Responses sent, by status code.\n")
-	b.WriteString("# TYPE nisqd_responses_total counter\n")
-	codes := make([]int, 0, len(m.responses))
-	for c := range m.responses {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	for _, c := range codes {
-		fmt.Fprintf(&b, "nisqd_responses_total{code=\"%d\"} %d\n", c, m.responses[c])
-	}
-	b.WriteString("# HELP nisqd_load_shed_total Requests refused with 429 by the concurrency limiter.\n")
-	b.WriteString("# TYPE nisqd_load_shed_total counter\n")
-	fmt.Fprintf(&b, "nisqd_load_shed_total %d\n", m.shed)
-	b.WriteString("# HELP nisqd_cache_hits_total Response-cache hits.\n")
-	b.WriteString("# TYPE nisqd_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "nisqd_cache_hits_total %d\n", m.hits)
-	b.WriteString("# HELP nisqd_cache_misses_total Response-cache misses.\n")
-	b.WriteString("# TYPE nisqd_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "nisqd_cache_misses_total %d\n", m.misses)
+func newServerMetrics() *serverMetrics {
+	m := &serverMetrics{}
+	r := &m.reg
+	m.requests = r.Counter("nisqd_requests_total", "Requests received, by endpoint.", "endpoint")
+	m.responses = r.Counter("nisqd_responses_total", "Responses sent, by status code.", "code")
+	m.shed = r.Counter("nisqd_load_shed_total", "Requests refused with 429 by the concurrency limiter.")
+	m.hits = r.Counter("nisqd_cache_hits_total", "Response-cache hits.")
+	m.misses = r.Counter("nisqd_cache_misses_total", "Response-cache misses.")
 	// Route cost-table cache: process-global (package route), not
 	// per-server, so a fleet of synthetic large devices churning the
 	// 1024-entry table shows up here instead of silently rebuilding
 	// O(n²) tables per request.
-	rc := route.CacheStats()
-	b.WriteString("# HELP nisqd_route_cache_hits_total Route cost-table cache hits (process-wide).\n")
-	b.WriteString("# TYPE nisqd_route_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "nisqd_route_cache_hits_total %d\n", rc.Hits)
-	b.WriteString("# HELP nisqd_route_cache_misses_total Route cost-table cache misses (table builds).\n")
-	b.WriteString("# TYPE nisqd_route_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "nisqd_route_cache_misses_total %d\n", rc.Misses)
-	b.WriteString("# HELP nisqd_route_cache_evictions_total Route cost-table entries dropped by the bound sweep.\n")
-	b.WriteString("# TYPE nisqd_route_cache_evictions_total counter\n")
-	fmt.Fprintf(&b, "nisqd_route_cache_evictions_total %d\n", rc.Evictions)
-	b.WriteString("# HELP nisqd_route_cache_entries Route cost-table entries currently cached.\n")
-	b.WriteString("# TYPE nisqd_route_cache_entries gauge\n")
-	fmt.Fprintf(&b, "nisqd_route_cache_entries %d\n", route.CacheLen())
-	b.WriteString("# HELP nisqd_mc_trials_total Monte-Carlo trials simulated, by kernel.\n")
-	b.WriteString("# TYPE nisqd_mc_trials_total counter\n")
-	for _, k := range sortedKeys(m.mcTrials) {
-		fmt.Fprintf(&b, "nisqd_mc_trials_total{kernel=%q} %d\n", k, m.mcTrials[k])
-	}
-	b.WriteString("# HELP nisqd_mc_seconds_total Wall time spent simulating Monte-Carlo trials, by kernel.\n")
-	b.WriteString("# TYPE nisqd_mc_seconds_total counter\n")
-	for _, k := range sortedKeys(m.mcTrials) {
-		fmt.Fprintf(&b, "nisqd_mc_seconds_total{kernel=%q} %g\n", k, m.mcSeconds[k])
-	}
-	b.WriteString("# HELP nisqd_sweep_points_total Parameter-sweep points served.\n")
-	b.WriteString("# TYPE nisqd_sweep_points_total counter\n")
-	fmt.Fprintf(&b, "nisqd_sweep_points_total %d\n", m.sweepPoints)
-	b.WriteString("# HELP nisqd_sweep_compiles_saved_total Compilations avoided by compile-once/rebind-many sweeps.\n")
-	b.WriteString("# TYPE nisqd_sweep_compiles_saved_total counter\n")
-	fmt.Fprintf(&b, "nisqd_sweep_compiles_saved_total %d\n", m.sweepSaved)
-	b.WriteString("# HELP nisqd_in_flight Requests currently being served.\n")
-	b.WriteString("# TYPE nisqd_in_flight gauge\n")
-	fmt.Fprintf(&b, "nisqd_in_flight %d\n", m.inFlight.Load())
-	b.WriteString("# HELP nisqd_request_duration_seconds Request latency histogram.\n")
-	b.WriteString("# TYPE nisqd_request_duration_seconds histogram\n")
-	cum := int64(0)
-	for i, bound := range latencyBounds {
-		cum += m.buckets[i]
-		fmt.Fprintf(&b, "nisqd_request_duration_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.buckets[len(latencyBounds)]
-	fmt.Fprintf(&b, "nisqd_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "nisqd_request_duration_seconds_sum %g\n", float64(m.sumNs)/1e9)
-	fmt.Fprintf(&b, "nisqd_request_duration_seconds_count %d\n", m.count)
-	return b.String()
+	r.Func("counter", "nisqd_route_cache_hits_total", "Route cost-table cache hits (process-wide).",
+		func() float64 { return float64(route.CacheStats().Hits) })
+	r.Func("counter", "nisqd_route_cache_misses_total", "Route cost-table cache misses (table builds).",
+		func() float64 { return float64(route.CacheStats().Misses) })
+	r.Func("counter", "nisqd_route_cache_evictions_total", "Route cost-table entries dropped by the bound sweep.",
+		func() float64 { return float64(route.CacheStats().Evictions) })
+	r.Func("gauge", "nisqd_route_cache_entries", "Route cost-table entries currently cached.",
+		func() float64 { return float64(route.CacheLen()) })
+	m.mcTrials = r.Counter("nisqd_mc_trials_total", "Monte-Carlo trials simulated, by kernel.", "kernel")
+	m.mcSeconds = r.FloatCounter("nisqd_mc_seconds_total", "Wall time spent simulating Monte-Carlo trials, by kernel.", "kernel")
+	m.sweepPoints = r.Counter("nisqd_sweep_points_total", "Parameter-sweep points served.")
+	m.sweepSaved = r.Counter("nisqd_sweep_compiles_saved_total", "Compilations avoided by compile-once/rebind-many sweeps.")
+	r.Func("gauge", "nisqd_in_flight", "Requests currently being served.",
+		func() float64 { return float64(m.inFlight.Load()) })
+	m.latency = r.Histogram("nisqd_request_duration_seconds", "Request latency histogram.", latencyBounds)
+	return m
 }
 
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// sweep records one served parameter sweep of n points.
+func (m *serverMetrics) sweep(n int) {
+	m.sweepPoints.Add(float64(n))
+	if n > 1 {
+		m.sweepSaved.Add(float64(n - 1))
 	}
-	sort.Strings(keys)
-	return keys
 }

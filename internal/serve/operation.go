@@ -107,13 +107,13 @@ func (s *Server) prepare(op operation, data []byte, progress func(string)) (*pla
 func (s *Server) cached(ctx context.Context, p *plan) (body []byte, disposition string, err error) {
 	if p.key != "" {
 		if body, ok := s.cache.get(p.key); ok {
-			s.met.cache(true)
+			s.met.hits.Add(1)
 			if p.hit != nil {
 				p.hit()
 			}
 			return body, "hit", nil
 		}
-		s.met.cache(false)
+		s.met.misses.Add(1)
 		if err := ctx.Err(); err != nil {
 			return nil, "", err
 		}
@@ -208,7 +208,10 @@ func (s *Server) compilePlan(endpoint string, req *CompileRequest, skipMC, batch
 		if err != nil {
 			return nil, err
 		}
-		s.met.mc(res)
+		if res.MC != nil {
+			s.met.mcTrials.Add(float64(res.MC.Trials), res.MC.Kernel)
+			s.met.mcSeconds.Add(res.mcElapsed.Seconds(), res.MC.Kernel)
+		}
 		if !batchItem {
 			// Every served mapping is a canary candidate: if this device
 			// later drifts, the recompiler re-evaluates exactly what the

@@ -137,7 +137,7 @@ type Server struct {
 	mux   *http.ServeMux
 	sem   chan struct{}
 	cache *lruCache
-	met   *metricsState
+	met   *serverMetrics
 	jobs  *jobs.Manager
 	drift *driftState
 
@@ -164,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		cache:    newLRUCache(cfg.CacheEntries),
-		met:      newMetricsState(),
+		met:      newServerMetrics(),
 		devices:  make(map[string]*device.Device),
 		archives: make(map[string]*calib.Archive),
 	}
@@ -288,13 +288,14 @@ func (w *statusWriter) WriteHeader(code int) {
 // instrumented wraps a handler with request/response/latency metrics.
 func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.met.request(endpoint)
+		s.met.requests.Add(1, endpoint)
 		s.met.inFlight.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		s.met.inFlight.Add(-1)
-		s.met.response(sw.code, time.Since(start))
+		s.met.responses.Add(1, strconv.Itoa(sw.code))
+		s.met.latency.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -307,7 +308,7 @@ func (s *Server) limited(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			s.met.droppedRequest()
+			s.met.shed.Add(1)
 			setRetryAfter(w, time.Second)
 			writeError(w, http.StatusTooManyRequests, "server at capacity, retry later")
 			return
@@ -637,9 +638,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	b.WriteString(s.met.render())
-	renderJobsMetrics(&b, s.jobs.Metrics())
-	renderDriftMetrics(&b, s.drift.metrics())
-	io.WriteString(w, b.String())
+	s.met.reg.WriteText(w)
+	s.jobs.WriteMetrics(w)
+	s.drift.reg.WriteText(w)
 }

@@ -197,7 +197,7 @@ func (plan *packedPlan) buildSplits(gateErr []float64, gateClass []gate.ErrorCla
 			if v&(1<<c) == 0 {
 				continue
 			}
-			if (bits.OnesCount8(uint8(s)) - bits.OnesCount8(uint8(v))) % 2 == 0 {
+			if (bits.OnesCount8(uint8(s))-bits.OnesCount8(uint8(v)))%2 == 0 {
 				total += f[v][c]
 			} else {
 				total -= f[v][c]

@@ -1,14 +1,16 @@
 #!/usr/bin/env sh
-# Tier-1 + concurrency gate: vet, then the full test suite under the race
-# detector, which exercises the worker pool (internal/parallel), the
-# block-sharded Monte-Carlo simulator, and the concurrent experiment
-# fan-out. Pass extra go-test flags through, e.g.:
+# Tier-1 + concurrency gate: vet and gofmt, then the full test suite
+# under the race detector, which exercises the worker pool
+# (internal/parallel), the block-sharded Monte-Carlo simulator, and the
+# concurrent experiment fan-out. Pass extra go-test flags through, e.g.:
 #
 #	scripts/check.sh -short       # quick race pass
 #	scripts/check.sh -count=1     # force re-run
 set -eu
 cd "$(dirname "$0")/.."
 go vet ./...
+# Formatting gate: every .go file must be gofmt-clean.
+test -z "$(gofmt -l .)" || { gofmt -l .; echo "FAIL: files above are not gofmt-clean" >&2; exit 1; }
 go test -race "$@" ./...
 # Large-device smoke, kept explicit so even a -short run exercises it:
 # SABRE-route a 60-qubit workload on the 399-qubit heavy-hex fleet under
@@ -50,6 +52,9 @@ go test -run '^$' -fuzz FuzzSweepRequest -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz FuzzJobRequest -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz FuzzCycleAppend -fuzztime 10s ./internal/caldrift
 go test -run '^$' -fuzz FuzzDriftWindowQuery -fuzztime 10s ./internal/caldrift
+# Boot-and-probe smoke: build and boot nisqd, compile over HTTP, check
+# /metrics counted the request, and shut down with SIGTERM.
+scripts/smoke_nisqd.sh
 # Durability smoke: kill -9 a daemon mid-job and prove the restarted
 # daemon resumes it to a byte-identical result (real processes, real
 # SIGKILL — the one scenario in-process tests cannot stage).
