@@ -66,10 +66,7 @@ func main() {
 		jobsW    = flag.Int("job-workers", 0, "worker goroutines executing queued jobs (0: one per CPU, <0: serial)")
 		driftDir = flag.String("drift-dir", "", "calibration cycle-store directory for the drift plane (empty: cycles are in-memory and do not survive restarts)")
 		driftThr = flag.Float64("drift-threshold", 0, "device drift score that triggers a canary recompile (0: detector default)")
-		driftWin = flag.Int("drift-window", 0, "calibration cycles per drift-detection window (0: default 8)")
-		driftHot = flag.Int("drift-hot", 0, "hot compiled circuits tracked per device as canary targets (0: default 8)")
 		driftCD  = flag.Duration("drift-cooldown", 0, "minimum wall-clock spacing between canary recompiles per device (0: no cooldown)")
-		driftAd  = flag.Float64("drift-adopt", 0, "canary-predicted PST gain past which stale cached mappings are invalidated (0: default 0.01, <0: adoption off)")
 	)
 	flag.Parse()
 
@@ -81,8 +78,6 @@ func main() {
 		cliutil.Positive("max-inflight", *inflight),
 		cliutil.NonNegative("cache-entries", *cacheN),
 		cliutil.Workers("job-workers", *jobsW),
-		cliutil.NonNegative("drift-window", *driftWin),
-		cliutil.NonNegative("drift-hot", *driftHot),
 		cliutil.Timeout("drift-cooldown", *driftCD),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "nisqd:", err)
@@ -107,10 +102,7 @@ func main() {
 		},
 		DriftDir:            *driftDir,
 		DriftThreshold:      *driftThr,
-		DriftWindow:         *driftWin,
-		DriftHotCircuits:    *driftHot,
 		DriftCanaryCooldown: *driftCD,
-		DriftAdoptDelta:     *driftAd,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nisqd:", err)

@@ -19,7 +19,7 @@ func BenchmarkDriftDetect(b *testing.B) {
 	window := calib.Generate(cfg).Snapshots
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Detect("q20", window, DetectConfig{}); err != nil {
+		if _, err := Detect("q20", window, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,18 +36,9 @@ type CanaryConfig struct {
 	// Workers bounds the per-target fan-out (0: one per CPU, <0:
 	// serial). Deltas are bit-identical at any setting.
 	Workers int
-	// MaxTargets bounds how many hot circuits one canary run evaluates
-	// (default 8). Targets beyond it are skipped and counted.
-	MaxTargets int
 }
 
-// DefaultMaxTargets bounds a canary run's circuit fan-out.
-const DefaultMaxTargets = 8
-
 func (c CanaryConfig) withDefaults() CanaryConfig {
-	if c.MaxTargets <= 0 {
-		c.MaxTargets = DefaultMaxTargets
-	}
 	if c.Spec.TopK <= 0 {
 		c.Spec.TopK = 1
 	}
@@ -79,9 +70,7 @@ type CanaryDelta struct {
 
 // CanaryReport summarizes one canary run over a device's hot circuits.
 type CanaryReport struct {
-	Targets int `json:"targets"`
-	// Skipped counts hot circuits beyond the MaxTargets cap.
-	Skipped int           `json:"skipped,omitempty"`
+	Targets int           `json:"targets"`
 	Deltas  []CanaryDelta `json:"deltas"`
 	// MeanDelta and MaxDelta aggregate the successful deltas.
 	MeanDelta float64 `json:"mean_delta"`
@@ -90,7 +79,8 @@ type CanaryReport struct {
 
 // Canary speculatively recompiles the hot targets against the drifted
 // calibration window (oldest first; the last cycle is the current
-// calibration) and reports the predicted-PST deltas. Targets keep
+// calibration) and reports the predicted-PST deltas. It evaluates every
+// target it is given; the caller bounds the fan-out. Targets keep
 // their order; a target whose recompile fails carries its error
 // instead of aborting the run. The report is a pure function of
 // (window, targets, cfg) — bit-identical at any worker count.
@@ -106,12 +96,7 @@ func Canary(ctx context.Context, window []*calib.Snapshot, targets []CanaryTarge
 	}
 	arch := &calib.Archive{Topo: current.Topo, Snapshots: window}
 
-	rep := &CanaryReport{}
-	if len(targets) > cfg.MaxTargets {
-		rep.Skipped = len(targets) - cfg.MaxTargets
-		targets = targets[:cfg.MaxTargets]
-	}
-	rep.Targets = len(targets)
+	rep := &CanaryReport{Targets: len(targets)}
 
 	deltas, err := parallel.MapCtx(ctx, cfg.Workers, len(targets), func(i int) (CanaryDelta, error) {
 		t := targets[i]

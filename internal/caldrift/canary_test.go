@@ -93,23 +93,6 @@ func TestCanaryPredictsRecompileGain(t *testing.T) {
 	}
 }
 
-func TestCanaryMaxTargets(t *testing.T) {
-	window, targets := canaryFixture(t)
-	many := make([]CanaryTarget, 5)
-	for i := range many {
-		many[i] = targets[0]
-	}
-	cfg := canarySpec(0)
-	cfg.MaxTargets = 2
-	rep, err := Canary(context.Background(), window, many, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Targets != 2 || rep.Skipped != 3 {
-		t.Fatalf("targets=%d skipped=%d, want 2/3", rep.Targets, rep.Skipped)
-	}
-}
-
 func TestCanaryBadTarget(t *testing.T) {
 	window, _ := canaryFixture(t)
 	rep, err := Canary(context.Background(), window, []CanaryTarget{{Name: "empty"}}, canarySpec(0))
@@ -131,7 +114,7 @@ func TestDriftRecompileDeterminism(t *testing.T) {
 	window, targets := canaryFixture(t)
 	var want []byte
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		rep, err := Detect("q5", window, DetectConfig{Threshold: 0.01})
+		rep, err := Detect("q5", window, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}

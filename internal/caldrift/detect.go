@@ -9,29 +9,11 @@ import (
 	"vaq/internal/calib"
 )
 
-// DetectConfig tunes the drift detector. The zero value is usable:
-// withDefaults fills in the EWMA smoothing, CUSUM slack/decision
-// thresholds, and the device-level trigger.
-type DetectConfig struct {
-	// Lambda is the EWMA smoothing factor in (0, 1]; higher weighs the
-	// newest cycle more. Default 0.3.
-	Lambda float64 `json:"lambda"`
-	// Slack is the CUSUM allowance k: relative deviation below it is
-	// treated as calibration noise, not drift. Default 0.25.
-	Slack float64 `json:"slack"`
-	// Decision is the CUSUM decision interval h: a series alarms when
-	// its one-sided cumulative sum exceeds it. Default 1.5.
-	Decision float64 `json:"decision"`
-	// Threshold is the device-level drift score above which the device
-	// is considered drifted (and the canary recompiler runs). Default
-	// 0.25.
-	Threshold float64 `json:"threshold"`
-	// TopSeries bounds how many per-series rows the report carries,
-	// most-drifted first. Default 16.
-	TopSeries int `json:"top_series,omitempty"`
-}
-
-// Detector defaults.
+// Detector constants: the EWMA smoothing factor (higher weighs the
+// newest cycle more), the CUSUM slack k (relative deviation below it is
+// calibration noise, not drift) and decision interval h (a series
+// alarms when its one-sided cumulative sum exceeds it), the default
+// device-level trigger, and how many per-series rows a report carries.
 const (
 	DefaultLambda    = 0.3
 	DefaultSlack     = 0.25
@@ -39,25 +21,6 @@ const (
 	DefaultThreshold = 0.25
 	DefaultTopSeries = 16
 )
-
-func (c DetectConfig) withDefaults() DetectConfig {
-	if c.Lambda <= 0 || c.Lambda > 1 {
-		c.Lambda = DefaultLambda
-	}
-	if c.Slack <= 0 {
-		c.Slack = DefaultSlack
-	}
-	if c.Decision <= 0 {
-		c.Decision = DefaultDecision
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultThreshold
-	}
-	if c.TopSeries <= 0 {
-		c.TopSeries = DefaultTopSeries
-	}
-	return c
-}
 
 // errFloor keeps relative deviations of near-zero error rates bounded:
 // a link calibrated at 0.1% that moves to 0.4% is a 3x-floor jump, not
@@ -87,7 +50,7 @@ type SeriesDrift struct {
 // Report is the drift verdict for one device: a score in [0, 1]
 // against its baseline cycle, the alarmed series, and — when the score
 // crossed the threshold and a canary ran — the predicted recompilation
-// gains. Reports are pure functions of (baseline, window, config):
+// gains. Reports are pure functions of (baseline, window, threshold):
 // no timestamps, no wall-clock reads, bit-identical on every run.
 type Report struct {
 	Device    string  `json:"device"`
@@ -152,11 +115,14 @@ func deviation(b, x float64, coherence bool) float64 {
 // Detect folds a window of calibration cycles (oldest first) through
 // per-series EWMA and two-sided CUSUM detectors against the window's
 // first cycle as baseline, and scores the device's overall drift as
-// the mean of min(1, |EWMA|) across series. It returns a report with
-// the cfg.TopSeries most-drifted series; Canary is left nil for the
-// caller to fill.
-func Detect(device string, window []*calib.Snapshot, cfg DetectConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
+// the mean of min(1, |EWMA|) across series; the device is triggered
+// when the score exceeds threshold (<= 0: DefaultThreshold). It returns
+// a report with the DefaultTopSeries most-drifted series; Canary is
+// left nil for the caller to fill.
+func Detect(device string, window []*calib.Snapshot, threshold float64) (*Report, error) {
+	if threshold <= 0 {
+		threshold = DefaultThreshold
+	}
 	if len(window) < 2 {
 		return nil, fmt.Errorf("caldrift: detect needs >= 2 cycles, have %d", len(window))
 	}
@@ -174,9 +140,9 @@ func Detect(device string, window []*calib.Snapshot, cfg DetectConfig) (*Report,
 		_, vals, _ := seriesValues(snap)
 		for i := range names {
 			r := deviation(baseVals[i], vals[i], coherence[i])
-			ewma[i] = (1-cfg.Lambda)*ewma[i] + cfg.Lambda*r
-			sPos[i] = math.Max(0, sPos[i]+r-cfg.Slack)
-			sNeg[i] = math.Max(0, sNeg[i]-r-cfg.Slack)
+			ewma[i] = (1-DefaultLambda)*ewma[i] + DefaultLambda*r
+			sPos[i] = math.Max(0, sPos[i]+r-DefaultSlack)
+			sNeg[i] = math.Max(0, sNeg[i]-r-DefaultSlack)
 		}
 		lastVals = vals
 	}
@@ -186,13 +152,13 @@ func Detect(device string, window []*calib.Snapshot, cfg DetectConfig) (*Report,
 		Cycles:    len(window),
 		BaseCycle: base.Cycle,
 		LastCycle: window[len(window)-1].Cycle,
-		Threshold: cfg.Threshold,
+		Threshold: threshold,
 	}
 	rows := make([]SeriesDrift, len(names))
 	var sum float64
 	for i := range names {
 		cusum := math.Max(sPos[i], sNeg[i])
-		alarm := cusum > cfg.Decision
+		alarm := cusum > DefaultDecision
 		if alarm {
 			rep.Alarms++
 		}
@@ -207,7 +173,7 @@ func Detect(device string, window []*calib.Snapshot, cfg DetectConfig) (*Report,
 		}
 	}
 	rep.Score = sum / float64(len(names))
-	rep.Triggered = rep.Score > cfg.Threshold
+	rep.Triggered = rep.Score > threshold
 
 	// Most-drifted first; name breaks ties so the order is total and
 	// the report is byte-stable.
@@ -218,8 +184,8 @@ func Detect(device string, window []*calib.Snapshot, cfg DetectConfig) (*Report,
 		}
 		return rows[i].Name < rows[j].Name
 	})
-	if len(rows) > cfg.TopSeries {
-		rows = rows[:cfg.TopSeries]
+	if len(rows) > DefaultTopSeries {
+		rows = rows[:DefaultTopSeries]
 	}
 	rep.Series = rows
 	return rep, nil

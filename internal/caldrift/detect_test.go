@@ -22,7 +22,7 @@ func steadyWindow(t *testing.T, n int) []*calib.Snapshot {
 }
 
 func TestDetectSteadyDeviceScoresZero(t *testing.T) {
-	rep, err := Detect("q5", steadyWindow(t, 4), DetectConfig{})
+	rep, err := Detect("q5", steadyWindow(t, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDetectDegradedLinkAlarms(t *testing.T) {
 	for _, s := range win[1:] {
 		s.TwoQubit[worst] *= 4
 	}
-	rep, err := Detect("q5", win, DetectConfig{})
+	rep, err := Detect("q5", win, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDetectCoherenceDropReadsAsDegradation(t *testing.T) {
 			s.T2Us[q] *= 0.4
 		}
 	}
-	rep, err := Detect("q5", win, DetectConfig{})
+	rep, err := Detect("q5", win, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDetectImprovementDoesNotTriggerOneSided(t *testing.T) {
 	for _, s := range win[1:] {
 		s.TwoQubit[worst] *= 0.2
 	}
-	rep, err := Detect("q5", win, DetectConfig{})
+	rep, err := Detect("q5", win, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestDetectThresholdGate(t *testing.T) {
 			s.TwoQubit[c] *= 3
 		}
 	}
-	low, err := Detect("q5", win, DetectConfig{Threshold: 0.01})
+	low, err := Detect("q5", win, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !low.Triggered {
 		t.Fatalf("score %v did not trigger threshold 0.01", low.Score)
 	}
-	high, err := Detect("q5", win, DetectConfig{Threshold: 0.99})
+	high, err := Detect("q5", win, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +143,15 @@ func TestDetectThresholdGate(t *testing.T) {
 }
 
 func TestDetectErrors(t *testing.T) {
-	if _, err := Detect("q5", nil, DetectConfig{}); err == nil {
+	if _, err := Detect("q5", nil, 0); err == nil {
 		t.Fatal("empty window accepted")
 	}
-	if _, err := Detect("q5", steadyWindow(t, 1), DetectConfig{}); err == nil {
+	if _, err := Detect("q5", steadyWindow(t, 1), 0); err == nil {
 		t.Fatal("1-cycle window accepted")
 	}
 	mixed := steadyWindow(t, 2)
 	mixed[1] = genCycles(t, 9, 1)[0] // different Topo instance
-	if _, err := Detect("q5", mixed, DetectConfig{}); err == nil {
+	if _, err := Detect("q5", mixed, 0); err == nil {
 		t.Fatal("mixed-topology window accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestDetectDeterministicBytes(t *testing.T) {
 	win := genCycles(t, 2019, 6)
 	var want []byte
 	for i := 0; i < 3; i++ {
-		rep, err := Detect("q5", win, DetectConfig{})
+		rep, err := Detect("q5", win, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,12 +178,14 @@ func TestDetectDeterministicBytes(t *testing.T) {
 
 func TestDetectTopSeriesBound(t *testing.T) {
 	win := genCycles(t, 3, 4)
-	rep, err := Detect("q5", win, DetectConfig{TopSeries: 3})
+	rep, err := Detect("q5", win, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Series) != 3 {
-		t.Fatalf("TopSeries=3 kept %d rows", len(rep.Series))
+	// Q5 tracks 26 series (6 links, then 5 each of sq, ro, t1, t2), so
+	// the bound is what cuts the report short.
+	if len(rep.Series) != DefaultTopSeries {
+		t.Fatalf("report kept %d rows, want %d", len(rep.Series), DefaultTopSeries)
 	}
 	for i := 1; i < len(rep.Series); i++ {
 		if math.Abs(rep.Series[i].EWMA) > math.Abs(rep.Series[i-1].EWMA) {

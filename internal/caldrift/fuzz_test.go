@@ -87,7 +87,7 @@ func FuzzDriftWindowQuery(f *testing.F) {
 			t.Fatalf("Window(%d) returned %d cycles of a %d-cycle series", k, len(w), s.Len("q5"))
 		}
 		if len(w) >= 2 {
-			if _, err := Detect("q5", w, DetectConfig{}); err != nil {
+			if _, err := Detect("q5", w, 0); err != nil {
 				t.Fatalf("Detect over store window failed: %v", err)
 			}
 		}

@@ -64,8 +64,9 @@ type Store struct {
 type series struct {
 	topo  *topo.Topology // canonical topology every appended cycle is rebound to
 	snaps []*calib.Snapshot
-	// next is the on-disk sequence number of the next envelope; it only
-	// grows, so eviction never reuses a filename.
+	// next is the on-disk sequence number of the next envelope, and the
+	// next cycle's number; it only grows, so eviction never reuses a
+	// filename and cycle numbers survive a restart.
 	next int
 }
 
@@ -139,11 +140,9 @@ func (s *Store) loadSeries(device string) error {
 			s.quarantine(path)
 			continue
 		}
-		bound.Cycle = len(ser.snaps)
+		bound.Cycle = seq
 		ser.snaps = append(ser.snaps, bound)
-		if seq >= ser.next {
-			ser.next = seq + 1
-		}
+		ser.next = seq + 1
 	}
 	if len(ser.snaps) > 0 {
 		s.devices[device] = ser
@@ -160,7 +159,7 @@ func (s *Store) quarantine(path string) {
 // device's series, persisting before acknowledging. The snapshot is
 // rebound onto the series' canonical topology (its shape must match:
 // same qubit count, same coupling set). The first cycle appended for a
-// device fixes that topology. Returns the cycle's index in the series.
+// device fixes that topology. Returns the cycle's number.
 func (s *Store) Append(device string, snap *calib.Snapshot) (int, error) {
 	if !ValidDeviceName(device) {
 		return 0, fmt.Errorf("caldrift: invalid device name %q", device)
@@ -183,7 +182,7 @@ func (s *Store) Append(device string, snap *calib.Snapshot) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("caldrift: cycle rejected: %w", err)
 	}
-	bound.Cycle = seriesBase(ser) + len(ser.snaps)
+	bound.Cycle = ser.next
 
 	// Durability before acknowledgement, exactly like the jobs plane:
 	// if the envelope cannot be persisted the append is refused, so an
@@ -209,29 +208,17 @@ func (s *Store) Append(device string, snap *calib.Snapshot) (int, error) {
 	return bound.Cycle, nil
 }
 
-// seriesBase is the cycle index of the series' first retained snapshot
-// (non-zero once eviction has dropped old cycles).
-func seriesBase(ser *series) int {
-	if len(ser.snaps) == 0 {
-		return 0
-	}
-	return ser.snaps[0].Cycle
-}
-
 // evictLocked drops the oldest cycles beyond the per-device cap,
-// removing their envelopes from disk as well.
+// removing their envelopes from disk as well. A cycle's number is its
+// envelope's sequence number, so the file to remove is the dropped
+// cycle's own even when quarantined envelopes left gaps.
 func (s *Store) evictLocked(device string, ser *series) {
 	for len(ser.snaps) > MaxCyclesPerDevice {
 		drop := ser.snaps[0]
 		ser.snaps = ser.snaps[1:]
 		if s.dir != "" {
-			// Envelope sequence numbers are append order, so the oldest
-			// retained cycle's envelope is the smallest sequence still on
-			// disk: next - len(before eviction).
-			seq := ser.next - len(ser.snaps) - 1
-			os.Remove(filepath.Join(s.dir, device, fmt.Sprintf("cycle-%06d.json", seq)))
+			os.Remove(filepath.Join(s.dir, device, fmt.Sprintf("cycle-%06d.json", drop.Cycle)))
 		}
-		_ = drop
 	}
 }
 

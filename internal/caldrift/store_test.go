@@ -1,8 +1,10 @@
 package caldrift
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"vaq/internal/calib"
@@ -181,5 +183,68 @@ func TestStoreArchiveValidates(t *testing.T) {
 	}
 	if _, ok := s.Archive("nope", 0); ok {
 		t.Fatal("Archive for unknown device reported ok")
+	}
+}
+
+// TestStoreRestartAfterEviction pins cycle numbering across a restart:
+// a cycle's number is its envelope's sequence number, so a reopened
+// store reports the same cycles it acknowledged, and eviction removes
+// the dropped cycle's own envelope even after a quarantine left a gap.
+func TestStoreRestartAfterEviction(t *testing.T) {
+	dir := t.TempDir()
+	snaps := genCycles(t, 21, 4)
+	appendN := func(s *Store, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := s.Append("q5", snaps[i%len(snaps)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(s, MaxCyclesPerDevice+3)
+	before := cyclesOf(s.Window("q5", 0))
+	if first, last := before[0], before[len(before)-1]; first != 3 || last != MaxCyclesPerDevice+2 {
+		t.Fatalf("retained cycles %d..%d, want 3..%d", first, last, MaxCyclesPerDevice+2)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := cyclesOf(re.Window("q5", 0)); !slices.Equal(after, before) {
+		t.Fatalf("cycles renumbered across restart: last two %v, want %v",
+			after[len(after)-2:], before[len(before)-2:])
+	}
+
+	victim := before[len(before)/2]
+	path := filepath.Join(dir, "q5", fmt.Sprintf("cycle-%06d.json", victim))
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(re, 5)
+	files, _ := filepath.Glob(filepath.Join(dir, "q5", "cycle-*.json"))
+	onDisk := make([]int, 0, len(files))
+	for _, f := range files {
+		var seq int
+		if _, err := fmt.Sscanf(filepath.Base(f), "cycle-%06d.json", &seq); err != nil {
+			t.Fatalf("unexpected envelope name %s", f)
+		}
+		onDisk = append(onDisk, seq)
+	}
+	slices.Sort(onDisk)
+	kept := cyclesOf(re.Window("q5", 0))
+	for i := range max(len(onDisk), len(kept)) {
+		if i >= len(onDisk) || i >= len(kept) || onDisk[i] != kept[i] {
+			t.Fatalf("envelope sequence numbers diverge from retained cycles at index %d (%d on disk, %d retained)",
+				i, len(onDisk), len(kept))
+		}
 	}
 }

@@ -56,7 +56,7 @@ var (
 	qvtimeDays     = 8 // × ZooCyclesPerDay = 16 cycles
 	qvtimeWidth    = 4
 	qvtimeCircuits = 4
-	qvtimeDetect   = caldrift.DetectConfig{Threshold: 0.10}
+	qvtimeDetect   = 0.10
 )
 
 // QVTimeSweep runs the QV-over-time comparison on every variance tier.

@@ -28,8 +28,6 @@ type Options struct {
 	// QueueMax caps jobs waiting in the queue, across all tenants
 	// (default 1024); beyond it submissions shed.
 	QueueMax int
-	// Timeout is the per-attempt execution deadline (default 10m).
-	Timeout time.Duration
 	// Retry bounds retries of retryable failures.
 	Retry Policy
 	// Quota is the per-tenant admission policy.
@@ -49,9 +47,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueMax <= 0 {
 		o.QueueMax = 1024
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Minute
-	}
 	o.Retry = o.Retry.withDefaults()
 	o.Quota = o.Quota.withDefaults()
 	if o.Retention <= 0 {
@@ -60,6 +55,9 @@ func (o Options) withDefaults() Options {
 	o.Clock = clock.Or(o.Clock)
 	return o
 }
+
+// attemptTimeout is the per-attempt execution deadline.
+const attemptTimeout = 10 * time.Minute
 
 // Cancellation causes, distinguished when an attempt comes back: a
 // user cancel terminates the job, an interruption re-queues it for
@@ -450,7 +448,7 @@ func (m *Manager) worker() {
 // the per-attempt deadline, with panics quarantined by
 // parallel.Protect, then applies the outcome to the state machine.
 func (m *Manager) attempt(jctx context.Context, cancel context.CancelCauseFunc, j *job, w Work) {
-	actx, acancel := context.WithTimeout(jctx, m.opts.Timeout)
+	actx, acancel := context.WithTimeout(jctx, attemptTimeout)
 	var body []byte
 	err := parallel.Protect(func() error {
 		b, e := m.be.Execute(actx, w, func(msg string) {

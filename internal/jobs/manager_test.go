@@ -601,7 +601,7 @@ func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := Policy{Base: 100 * time.Millisecond, Multiplier: 2, Max: 5 * time.Second, JitterFrac: 0.5, MaxAttempts: 10}
+	p := Policy{Base: 100 * time.Millisecond, Max: 5 * time.Second, MaxAttempts: 10}
 	for attempt := 1; attempt <= 8; attempt++ {
 		d1 := p.Backoff("job-x", attempt)
 		d2 := p.Backoff("job-x", attempt)

@@ -17,14 +17,16 @@ type Policy struct {
 	MaxAttempts int
 	// Base is the delay before the first retry (default 100ms).
 	Base time.Duration
-	// Multiplier grows the delay per retry (default 2).
-	Multiplier float64
 	// Max caps the grown delay before jitter (default 5s).
 	Max time.Duration
-	// JitterFrac adds up to this fraction of the delay as jitter
-	// (default 0.5, i.e. delay ∈ [d, 1.5d)).
-	JitterFrac float64
 }
+
+// backoffMultiplier grows the delay per retry; jitterFrac adds up to
+// that fraction of the delay as jitter (delay ∈ [d, 1.5d)).
+const (
+	backoffMultiplier = 2
+	jitterFrac        = 0.5
+)
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
@@ -33,28 +35,20 @@ func (p Policy) withDefaults() Policy {
 	if p.Base <= 0 {
 		p.Base = 100 * time.Millisecond
 	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
 	if p.Max <= 0 {
 		p.Max = 5 * time.Second
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	} else if p.JitterFrac == 0 {
-		p.JitterFrac = 0.5
 	}
 	return p
 }
 
 // Backoff returns the delay before attempt+1 may start, given that
-// 1-based attempt just failed: Base·Multiplier^(attempt−1) capped at
-// Max, plus deterministic jitter in [0, JitterFrac·delay).
+// 1-based attempt just failed: Base·2^(attempt−1) capped at Max, plus
+// deterministic jitter in [0, jitterFrac·delay).
 func (p Policy) Backoff(id string, attempt int) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.Base)
 	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
+		d *= backoffMultiplier
 		if d >= float64(p.Max) {
 			d = float64(p.Max)
 			break
@@ -71,7 +65,7 @@ func (p Policy) Backoff(id string, attempt int) time.Duration {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	u := float64(z>>11) / (1 << 53)
-	return time.Duration(d * (1 + p.JitterFrac*u))
+	return time.Duration(d * (1 + jitterFrac*u))
 }
 
 // Retryable classifies a failed attempt: permanent failures (wrapped

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -24,12 +23,12 @@ import (
 // and the SSE broker drift feeds hang off. All decision paths run on
 // the injected clock; reports carry no wall-clock state.
 type driftState struct {
-	store      *caldrift.Store
-	detect     caldrift.DetectConfig
-	canary     caldrift.CanaryConfig
-	window     int
-	maxHot     int
-	cool       time.Duration
+	store     *caldrift.Store
+	threshold float64
+	canary    caldrift.CanaryConfig
+	cool      time.Duration
+	// adoptDelta is driftAdoptDelta; tests override it to switch
+	// adoption off (+Inf) or adopt any gain.
 	adoptDelta float64
 	clk        clock.Clock
 	events     *jobs.Broker
@@ -53,6 +52,17 @@ type hotCircuit struct {
 	stale *circuit.Circuit
 }
 
+// Drift plane constants. driftWindow is how many recent cycles the
+// detector folds per append, and the canary's calibration window.
+// driftHotCircuits bounds a device's hot set, the only bound on a
+// canary run's fan-out. driftAdoptDelta is the canary-predicted
+// analytic-PST gain past which the server adopts the recompile.
+const (
+	driftWindow      = 8
+	driftHotCircuits = 8
+	driftAdoptDelta  = 0.01
+)
+
 // Drift event types published on the device feeds.
 const (
 	DriftEventCycle     = "cycle"
@@ -66,16 +76,11 @@ func newDriftState(cfg Config) (*driftState, error) {
 		return nil, err
 	}
 	ds := &driftState{
-		store:  store,
-		detect: caldrift.DetectConfig{Threshold: cfg.DriftThreshold},
-		canary: caldrift.CanaryConfig{
-			MaxTargets: cfg.DriftHotCircuits,
-			Spec:       canarySpec(cfg),
-		},
-		window:     cfg.DriftWindow,
-		maxHot:     cfg.DriftHotCircuits,
+		store:      store,
+		threshold:  cfg.DriftThreshold,
+		canary:     caldrift.CanaryConfig{Spec: canarySpec(cfg)},
 		cool:       cfg.DriftCanaryCooldown,
-		adoptDelta: cfg.DriftAdoptDelta,
+		adoptDelta: driftAdoptDelta,
 		clk:        clock.Or(cfg.Clock),
 		events:     jobs.NewBroker(),
 		hot:        make(map[string][]hotCircuit),
@@ -107,7 +112,7 @@ func newDriftState(cfg Config) (*driftState, error) {
 func canarySpec(cfg Config) portfolio.Spec {
 	return portfolio.Spec{
 		RootSeed:     DefaultSeed,
-		Cycles:       cfg.DriftWindow,
+		Cycles:       driftWindow,
 		RandomStarts: -1,
 		TopK:         1,
 		Trials:       2000,
@@ -135,8 +140,8 @@ func (ds *driftState) noteHot(device, key string, prog, stale *circuit.Circuit) 
 		return
 	}
 	set = append(set, hotCircuit{key: key, prog: prog, stale: stale})
-	if len(set) > ds.maxHot {
-		set = set[len(set)-ds.maxHot:]
+	if len(set) > driftHotCircuits {
+		set = set[len(set)-driftHotCircuits:]
 	}
 	ds.hot[device] = set
 }
@@ -264,11 +269,11 @@ func (s *Server) handleCalibrationAppend(w http.ResponseWriter, r *http.Request,
 // resulting report is retained for GET /v1/drift/{device} and
 // published on the device's event feed.
 func (s *Server) runDrift(ctx context.Context, name string) *caldrift.Report {
-	window := s.drift.store.Window(name, s.drift.window)
+	window := s.drift.store.Window(name, driftWindow)
 	if len(window) < 2 {
 		return nil
 	}
-	rep, err := caldrift.Detect(name, window, s.drift.detect)
+	rep, err := caldrift.Detect(name, window, s.drift.threshold)
 	if err != nil {
 		return nil
 	}
@@ -304,11 +309,8 @@ func (s *Server) runDrift(ctx context.Context, name string) *caldrift.Report {
 // recompile gain meets the adoption delta has its cached response
 // invalidated (and its hot-set entry dropped), so the next request for
 // that circuit recompiles against current state instead of being
-// served the stale mapping forever. Returns how many were adopted.
-func (s *Server) adoptCanary(device string, rep *caldrift.CanaryReport) int {
-	if s.drift.adoptDelta < 0 || rep == nil {
-		return 0
-	}
+// served the stale mapping forever.
+func (s *Server) adoptCanary(device string, rep *caldrift.CanaryReport) {
 	adopted := 0
 	for _, d := range rep.Deltas {
 		if d.Err != "" || d.Delta < s.drift.adoptDelta {
@@ -325,7 +327,6 @@ func (s *Server) adoptCanary(device string, rep *caldrift.CanaryReport) int {
 			Message: fmt.Sprintf("adopted %d canary remapping(s): stale cached responses invalidated", adopted),
 		})
 	}
-	return adopted
 }
 
 // handleCalibrationWindow serves GET /v1/calibration/{device}?window=K:
@@ -378,38 +379,5 @@ func (s *Server) handleDriftEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	history, ch, cancel := s.drift.events.Subscribe(name)
 	defer cancel()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// Unlike a job feed, a drift feed may be empty at subscribe time:
-	// flush the headers now so the client sees the stream open instead
-	// of blocking until the first cycle arrives.
-	fl.Flush()
-	write := func(ev jobs.Event) {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-		fl.Flush()
-	}
-	for _, ev := range history {
-		write(ev)
-	}
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			write(ev)
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serveEvents(w, r, history, ch)
 }

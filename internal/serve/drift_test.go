@@ -6,13 +6,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"vaq/internal/caldrift"
 	"vaq/internal/calib"
+	"vaq/internal/circuit"
 	"vaq/internal/clock"
 )
 
@@ -315,10 +318,14 @@ func TestDriftCanaryCooldown(t *testing.T) {
 	cfg := testConfig()
 	cfg.DriftCanaryCooldown = time.Hour
 	cfg.Clock = fake
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Adoption off: a canary win would otherwise drain the hot set and
 	// this test isolates the cooldown, not the adoption loop.
-	cfg.DriftAdoptDelta = -1
-	_, ts := newTestServerConfig(t, cfg)
+	s.drift.adoptDelta = math.Inf(1)
+	ts := startTestServer(t, s)
 	registerQ5(t, ts.URL, "lab-q5")
 	warmHot(t, ts.URL, "lab-q5")
 
@@ -363,8 +370,12 @@ func TestDriftAutoAdopt(t *testing.T) {
 	cfg := testConfig()
 	cfg.DriftCanaryCooldown = time.Hour
 	cfg.Clock = fake
-	cfg.DriftAdoptDelta = 1e-12 // adopt on any predicted gain
-	_, ts := newTestServerConfig(t, cfg)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.drift.adoptDelta = 1e-12 // adopt on any predicted gain
+	ts := startTestServer(t, s)
 	registerQ5(t, ts.URL, "lab-q5")
 
 	compileReq := `{"workload":"triswap","policy":"vqm","device":"lab-q5","trials":2000}`
@@ -475,5 +486,46 @@ func TestDriftStorePersistence(t *testing.T) {
 	}
 	if len(arch.Snapshots) != 3 {
 		t.Fatalf("recovered %d cycles, want 3", len(arch.Snapshots))
+	}
+}
+
+// TestDriftHotSetBound pins the hot set, the only bound on a canary
+// run's fan-out: it keeps the driftHotCircuits most recent keys, hands
+// them out hottest first, and a hit moves a key to the back without
+// adding or replacing its mapping.
+func TestDriftHotSetBound(t *testing.T) {
+	ds, err := newDriftState(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dev = "lab-q5"
+	stale := make(map[string]*circuit.Circuit)
+	for i := 0; i <= driftHotCircuits; i++ {
+		key := fmt.Sprintf("k%d", i)
+		stale[key] = circuit.New(key, 1)
+		ds.noteHot(dev, key, circuit.New(key, 1), stale[key])
+	}
+	names := func() []string {
+		var out []string
+		for _, tg := range ds.targets(dev) {
+			if tg.Stale != stale[tg.Name] {
+				t.Fatalf("target %s carries a replaced mapping", tg.Name)
+			}
+			out = append(out, tg.Name)
+		}
+		return out
+	}
+	want := []string{"k8", "k7", "k6", "k5", "k4", "k3", "k2", "k1"}
+	if got := names(); !slices.Equal(got, want) {
+		t.Fatalf("hot set %v, want %v", got, want)
+	}
+
+	// A hit on a held key refreshes it; a hit on an unknown key (no
+	// mapping) adds nothing.
+	ds.noteHot(dev, "k3", nil, nil)
+	ds.noteHot(dev, "k0", nil, nil)
+	want = []string{"k3", "k8", "k7", "k6", "k5", "k4", "k2", "k1"}
+	if got := names(); !slices.Equal(got, want) {
+		t.Fatalf("after hits: hot set %v, want %v", got, want)
 	}
 }

@@ -205,10 +205,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobEvents streams a job's lifecycle as Server-Sent Events:
-// replayed history first, then live events until the job reaches a
-// terminal state or the client goes away. Not wrapped in instrumented —
-// a stream's lifetime would drown the latency histogram.
+// handleJobEvents streams a job's lifecycle as Server-Sent Events
+// until the job reaches a terminal state or the client goes away. Not
+// wrapped in instrumented — a stream's lifetime would drown the
+// latency histogram.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Add(1, "/v1/jobs/{id}/events")
 	id := r.PathValue("id")
@@ -218,6 +218,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	serveEvents(w, r, history, ch)
+}
+
+// serveEvents writes an event feed as Server-Sent Events: replayed
+// history first, then live events until the feed closes or the client
+// goes away. The headers are flushed at open, so a client sees the
+// stream start even while the feed is still empty.
+func serveEvents(w http.ResponseWriter, r *http.Request, history []jobs.Event, ch <-chan jobs.Event) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -226,6 +234,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	fl.Flush()
 	write := func(ev jobs.Event) {
 		data, err := json.Marshal(ev)
 		if err != nil {

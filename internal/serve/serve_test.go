@@ -36,6 +36,12 @@ func newTestServerConfig(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, startTestServer(t, s)
+}
+
+// startTestServer serves s over httptest, draining it at cleanup.
+func startTestServer(t *testing.T, s *Server) *httptest.Server {
+	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -43,7 +49,7 @@ func newTestServerConfig(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		defer cancel()
 		s.Drain(ctx)
 	})
-	return s, ts
+	return ts
 }
 
 func post(t *testing.T, url, body string) (*http.Response, []byte) {

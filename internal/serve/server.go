@@ -50,9 +50,6 @@ type Config struct {
 	// MaxBodyBytes caps a request body (default 1 MiB — calibration
 	// archives are the largest legitimate payload).
 	MaxBodyBytes int64
-	// MaxDevices caps the registry of uploaded calibrations (default
-	// 64).
-	MaxDevices int
 	// DrainTimeout bounds graceful shutdown: how long Serve waits for
 	// in-flight requests after its context is cancelled (default 30s).
 	// The job plane's drain shares the same bound: jobs still running
@@ -69,21 +66,9 @@ type Config struct {
 	// DriftThreshold is the device drift score past which the canary
 	// recompiler runs (default caldrift.DefaultThreshold).
 	DriftThreshold float64
-	// DriftWindow is how many recent cycles the detector folds per
-	// append (default 8).
-	DriftWindow int
-	// DriftHotCircuits bounds the per-device hot-circuit set the
-	// canary recompiles (default 8).
-	DriftHotCircuits int
 	// DriftCanaryCooldown is the minimum spacing between canary runs
 	// per device, measured on Clock (0 disables the cooldown).
 	DriftCanaryCooldown time.Duration
-	// DriftAdoptDelta is the canary-predicted analytic-PST gain past
-	// which the server adopts the recompile: the stale cached response
-	// is invalidated so the next request recompiles against current
-	// state (0: default 0.01; negative: adoption off, canaries only
-	// report).
-	DriftAdoptDelta float64
 	// Clock is the time source behind the drift plane's canary
 	// cooldown (default clock.Real). Drift reports themselves never
 	// read it — they are pure functions of the calibration data.
@@ -109,20 +94,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxDevices <= 0 {
-		c.MaxDevices = 64
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.DriftWindow <= 0 {
-		c.DriftWindow = 8
-	}
-	if c.DriftHotCircuits <= 0 {
-		c.DriftHotCircuits = 8
-	}
-	if c.DriftAdoptDelta == 0 {
-		c.DriftAdoptDelta = 0.01
 	}
 	return c
 }
@@ -442,8 +415,8 @@ func (s *Server) resolveZoo(name string) (*device.Device, *calib.Archive, error)
 	if existing, ok := s.devices[name]; ok {
 		return existing, s.archives[name], nil
 	}
-	if len(s.devices) >= s.cfg.MaxDevices {
-		return nil, nil, fmt.Errorf("device registry full (%d entries)", s.cfg.MaxDevices)
+	if len(s.devices) >= maxDevices {
+		return nil, nil, fmt.Errorf("device registry full (%d entries)", maxDevices)
 	}
 	s.devices[name] = d
 	s.archives[name] = arch
@@ -474,6 +447,9 @@ type calibrationResponse struct {
 }
 
 var deviceNameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`)
+
+// maxDevices caps the registry of uploaded calibrations.
+const maxDevices = 64
 
 func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 	data, ok := readBody(w, r)
@@ -522,10 +498,10 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("device %q already registered with a different calibration", name))
 		return
 	} else if !ok {
-		if len(s.devices) >= s.cfg.MaxDevices {
+		if len(s.devices) >= maxDevices {
 			s.mu.Unlock()
 			writeError(w, http.StatusConflict,
-				fmt.Sprintf("device registry full (%d entries)", s.cfg.MaxDevices))
+				fmt.Sprintf("device registry full (%d entries)", maxDevices))
 			return
 		}
 		s.devices[name] = d

@@ -9,6 +9,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 go vet ./...
+# perfbench is a nested module (replace vaq => ../), so the commands
+# above never compile it: vet and test it on its own, so a change that
+# removes an API it calls fails here, not at benchmark time.
+(cd perfbench && go vet ./... && go test ./...)
 # Formatting gate: every .go file must be gofmt-clean.
 test -z "$(gofmt -l .)" || { gofmt -l .; echo "FAIL: files above are not gofmt-clean" >&2; exit 1; }
 go test -race "$@" ./...

@@ -27,7 +27,7 @@ cleanup() {
 trap cleanup EXIT
 
 "$BIN" -addr "127.0.0.1:$PORT" -drift-dir "$WORK/drift" \
-	-drift-threshold 0.02 -drift-window 8 >> "$LOG" 2>&1 &
+	-drift-threshold 0.02 >> "$LOG" 2>&1 &
 PID=$!
 i=0
 until curl -sf "$BASE/healthz" > /dev/null 2>&1; do
