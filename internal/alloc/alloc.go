@@ -108,6 +108,18 @@ func (Greedy) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 	inter := c.InteractionCounts()
 	order := qubitOrder(interactionTotals(inter))
 	n := d.NumQubits()
+	hops := d.HopMatrix()
+	// centrality[phys] is phys's mean hop distance to every site: the
+	// score of a program qubit with no placed partners, which prefers
+	// central qubits.
+	centrality := make([]float64, n)
+	for phys, row := range hops {
+		sum := 0.0
+		for _, h := range row {
+			sum += h
+		}
+		centrality[phys] = sum / float64(n)
+	}
 
 	free := make([]bool, n)
 	for i := range free {
@@ -131,14 +143,10 @@ func (Greedy) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 					continue
 				}
 				placedAny = true
-				cost += float64(w) * d.HopDistance(phys, m[q])
+				cost += float64(w) * hops[phys][m[q]]
 			}
 			if !placedAny {
-				// No placed partners: prefer central qubits.
-				for other := 0; other < n; other++ {
-					cost += d.HopDistance(phys, other)
-				}
-				cost /= float64(n)
+				cost = centrality[phys]
 			}
 			if best == -1 || cost < bestCost {
 				best, bestCost = phys, cost
@@ -223,6 +231,7 @@ func (v VQA) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 		}
 	}
 
+	dist := d.CostMatrix()
 	activity := c.ActivityCounts(v.ActivityLayers)
 	order := qubitOrder(activity)
 	inter := c.InteractionCounts()
@@ -255,7 +264,7 @@ func (v VQA) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 				if w == 0 || m[q] == -1 {
 					continue
 				}
-				cost += float64(w) * d.CostDistance(phys, m[q])
+				cost += float64(w) * dist[phys][m[q]]
 			}
 			if v.ReadoutWeight > 0 && measured[p] {
 				cost += v.ReadoutWeight * (1 - d.ReadoutSuccess(phys))

@@ -28,7 +28,7 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 	for _, c := range cases {
 		d := device.MustNew(c.arch.Topo, c.arch.MustMean())
-		d.CostDistance(0, 0) // build the all-pairs cost table outside the timer
+		d.CostMatrix() // build the all-pairs cost table outside the timer
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -143,18 +143,21 @@ func (d *Device) ReliabilityGraph() *graphx.Graph {
 	return g
 }
 
-// HopDistance returns the minimum number of SWAP-capable hops between a
-// and b (the baseline's distance matrix entry).
-func (d *Device) HopDistance(a, b int) float64 {
+// HopMatrix returns the all-pairs minimum number of SWAP-capable hops
+// (the baseline's distance matrix), built once per Device. It is shared
+// by every caller — the baseline allocator and the router's cost tables
+// read the same rows — so it must not be written.
+func (d *Device) HopMatrix() [][]float64 {
 	d.hopDistOnce.Do(func() { d.hopDist = d.HopGraph().AllPairsHops() })
-	return d.hopDist[a][b]
+	return d.hopDist
 }
 
-// CostDistance returns the minimum total SwapCost between a and b (VQM's
-// distance matrix entry, computed with Dijkstra as in Algorithm 1).
-func (d *Device) CostDistance(a, b int) float64 {
+// CostMatrix returns the all-pairs minimum total SwapCost (VQA's
+// reliability distance, computed with Dijkstra as in Algorithm 1), built
+// once per Device. Like HopMatrix it is shared and must not be written.
+func (d *Device) CostMatrix() [][]float64 {
 	d.costDistOnce.Do(func() { d.costDist = d.CostGraph().AllPairsDijkstra() })
-	return d.costDist[a][b]
+	return d.costDist
 }
 
 // Fingerprint returns a 64-bit digest of everything a routing or

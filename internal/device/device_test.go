@@ -114,22 +114,24 @@ func TestCNOTSuccessNonCouplingPanics(t *testing.T) {
 
 func TestHopDistance(t *testing.T) {
 	d := testDevice(t, 0.1)
-	if got := d.HopDistance(0, 3); got != 2 {
-		t.Fatalf("HopDistance(0,3) = %v, want 2", got)
+	hops := d.HopMatrix()
+	if got := hops[0][3]; got != 2 {
+		t.Fatalf("HopMatrix()[0][3] = %v, want 2", got)
 	}
-	if got := d.HopDistance(1, 1); got != 0 {
-		t.Fatalf("HopDistance(1,1) = %v, want 0", got)
+	if got := hops[1][1]; got != 0 {
+		t.Fatalf("HopMatrix()[1][1] = %v, want 0", got)
 	}
 }
 
 func TestCostDistanceUniformMatchesHops(t *testing.T) {
 	d := testDevice(t, 0.1)
 	perSwap := d.SwapCost(0, 1)
+	hops, cost := d.HopMatrix(), d.CostMatrix()
 	for a := 0; a < 5; a++ {
 		for b := 0; b < 5; b++ {
-			want := d.HopDistance(a, b) * perSwap
-			if got := d.CostDistance(a, b); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("CostDistance(%d,%d) = %v, want %v (uniform errors)", a, b, got, want)
+			want := hops[a][b] * perSwap
+			if got := cost[a][b]; math.Abs(got-want) > 1e-9 {
+				t.Fatalf("CostMatrix()[%d][%d] = %v, want %v (uniform errors)", a, b, got, want)
 			}
 		}
 	}
@@ -158,8 +160,8 @@ func TestCostDistancePrefersReliableDetour(t *testing.T) {
 	if detour >= direct {
 		t.Fatal("test setup wrong: detour should be cheaper")
 	}
-	if got := d.CostDistance(0, 2); math.Abs(got-detour) > 1e-9 {
-		t.Fatalf("CostDistance(0,2) = %v, want detour cost %v", got, detour)
+	if got := d.CostMatrix()[0][2]; math.Abs(got-detour) > 1e-9 {
+		t.Fatalf("CostMatrix()[0][2] = %v, want detour cost %v", got, detour)
 	}
 }
 
@@ -182,6 +184,12 @@ func TestGraphCaching(t *testing.T) {
 	}
 	if d.CostGraph() != d.CostGraph() {
 		t.Fatal("CostGraph not cached")
+	}
+	if &d.HopMatrix()[0][0] != &d.HopMatrix()[0][0] {
+		t.Fatal("HopMatrix not cached")
+	}
+	if &d.CostMatrix()[0][0] != &d.CostMatrix()[0][0] {
+		t.Fatal("CostMatrix not cached")
 	}
 }
 

@@ -27,8 +27,12 @@ type costs struct {
 	// instead of rebuilding a graph from edges on every call.
 	graph *graphx.Graph
 	// dist[a][b]: minimum summed SWAP cost to move a qubit from a to b.
+	// Under CostHops every SWAP costs 1, so dist aliases hops (unit-weight
+	// Dijkstra sums are exact integers, bit-identical to the BFS counts).
 	dist [][]float64
 	// hops[a][b]: minimum number of SWAPs to move a qubit from a to b.
+	// It is the device's memoized Device.HopMatrix, shared with the
+	// baseline allocator and with both cost models' tables; read-only.
 	hops [][]float64
 	// adjCost[a][b]: lower-estimate cost to make qubits at a and b
 	// adjacent (each may move): min over coupling (u,v) of
@@ -40,12 +44,11 @@ type costs struct {
 	// so large-device SABRE runs never pay for them.
 	adjCost [][]float64
 	// adjHops[a][b]: same quantity under hop counting — the minimum swaps
-	// needed to make a and b adjacent, used for the MAH budget.
+	// needed to make a and b adjacent, used for the MAH budget. Under
+	// CostHops it aliases adjCost, since dist is hops.
 	adjHops [][]float64
-	// adjOnce guards the lazy adjCost/adjHops build; hopEdges is retained
-	// from construction for it.
-	adjOnce  sync.Once
-	hopEdges []graphx.Edge
+	// adjOnce guards the lazy adjCost/adjHops build.
+	adjOnce sync.Once
 	// coupled is the flat n×n coupling-adjacency table; the satisfied()
 	// goal test consults it instead of scanning the topology's coupling
 	// list per query.
@@ -66,15 +69,18 @@ func newCosts(d *device.Device, model CostModel) *costs {
 		}
 		swapGraph.AddEdge(c.A, c.B, w)
 	}
-	hopGraph := d.HopGraph()
+	hops := d.HopMatrix()
+	dist := hops
+	if model == CostReliability {
+		dist = swapGraph.CSR().AllPairsDijkstra()
+	}
 	cm := &costs{
-		model:    model,
-		n:        n,
-		edges:    swapGraph.Edges(),
-		graph:    swapGraph,
-		dist:     swapGraph.CSR().AllPairsDijkstra(),
-		hops:     hopGraph.CSR().AllPairsHops(),
-		hopEdges: hopGraph.Edges(),
+		model: model,
+		n:     n,
+		edges: swapGraph.Edges(),
+		graph: swapGraph,
+		dist:  dist,
+		hops:  hops,
 	}
 	cm.coupled = make([]bool, n*n)
 	for _, c := range d.Topology().Couplings {
@@ -91,12 +97,16 @@ func newCosts(d *device.Device, model CostModel) *costs {
 func (cm *costs) ensureAdj() {
 	cm.adjOnce.Do(func() {
 		cm.adjCost = adjacencyMatrix(cm.edges, cm.dist, cm.n)
-		cm.adjHops = adjacencyMatrix(cm.hopEdges, cm.hops, cm.n)
+		cm.adjHops = cm.adjCost
+		if cm.model == CostReliability {
+			cm.adjHops = adjacencyMatrix(cm.edges, cm.hops, cm.n)
+		}
 	})
 }
 
 // adjacencyMatrix computes, for every physical pair (a,b), the cheapest
-// way to place them across some coupling link when both may move. The
+// way to place them across some coupling link when both may move. Only
+// the edges' endpoints are read, so either model's edge list serves. The
 // rows share one flat backing array.
 func adjacencyMatrix(edges []graphx.Edge, dist [][]float64, n int) [][]float64 {
 	adj := make([][]float64, n)
@@ -165,9 +175,9 @@ func (cm *costs) minSwapsNeeded(m []int, pairs [][2]int) int {
 // packedKey is a fixed-width encoding of a full program→physical mapping:
 // each entry takes bitsFor(numPhysical) bits, entries never straddle word
 // boundaries. Unlike the string key it replaces it is width-safe for
-// devices with more than 255 physical qubits, comparable (a map key), and
-// derived from the parent state's key in O(1) without materializing the
-// child mapping.
+// devices with more than 255 physical qubits, comparable (a hash-table
+// key), and derived from the parent state's key in O(1) without
+// materializing the child mapping.
 type packedKey [4]uint64
 
 // packer describes the encoding for one search: b bits per entry, epw
@@ -245,8 +255,8 @@ type searchScratch struct {
 	invs   []int // state inverses (physical→program, -1 empty), stride n
 	states []stateRec
 	open   []openItem
-	bestG  map[packedKey]float64
-	bestGS map[string]float64
+	bestG  epochTable[packedKey]
+	bestGS epochTable[string]
 	active []bool // per program qubit: does this layer move it?
 	keyBuf []byte
 	plan   []physPair
@@ -274,24 +284,22 @@ func (sc *searchScratch) setup(numProgram, numPhysical int) {
 		sc.active = make([]bool, numProgram)
 	}
 	sc.active = sc.active[:numProgram]
-	if sc.bestG == nil {
-		sc.bestG = make(map[packedKey]float64, 256)
-	}
-	if !sc.pk.fits && sc.bestGS == nil {
-		sc.bestGS = make(map[string]float64, 256)
+	if sc.bestG.hash == nil {
+		sc.bestG = newEpochTable(hashPacked)
+		sc.bestGS = newEpochTable(hashString)
 	}
 }
 
-// resetSearch clears per-layer state while keeping every capacity.
+// resetSearch clears per-layer state while keeping every capacity. Its
+// cost is O(program qubits): the best-g tables reset by epoch, not by
+// clearing their slots.
 func (sc *searchScratch) resetSearch() {
 	sc.maps = sc.maps[:0]
 	sc.invs = sc.invs[:0]
 	sc.states = sc.states[:0]
 	sc.open = sc.open[:0]
-	clear(sc.bestG)
-	if sc.bestGS != nil {
-		clear(sc.bestGS)
-	}
+	sc.bestG.reset()
+	sc.bestGS.reset()
 	for i := range sc.active {
 		sc.active[i] = false
 	}
@@ -485,10 +493,10 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 	root.parent = -1
 	if sc.pk.fits {
 		root.key = sc.pk.pack(sm)
-		sc.bestG[root.key] = 0
+		sc.bestG.lower(root.key, 0)
 	} else {
 		root.skey = sc.stringKey(sm)
-		sc.bestGS[root.skey] = 0
+		sc.bestGS.lower(root.skey, 0)
 	}
 	sc.pushOpen(openItem{f: cm.heuristic(sm, pairs) + cm.lookahead(sm, future, futureW), seq: 0, si: start})
 	seq := int32(0)
@@ -501,11 +509,11 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 		sc.reserve(len(cm.edges))
 		st := sc.states[it.si]
 		if sc.pk.fits {
-			if g, seen := sc.bestG[st.key]; seen && st.g > g {
+			if g, seen := sc.bestG.get(st.key); seen && st.g > g {
 				continue // stale entry
 			}
 		} else {
-			if g, seen := sc.bestGS[st.skey]; seen && st.g > g {
+			if g, seen := sc.bestGS.get(st.skey); seen && st.g > g {
 				continue
 			}
 		}
@@ -540,20 +548,18 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 				if pv != -1 {
 					sc.pk.set(&ck, pv, e.U)
 				}
-				if prev, seen := sc.bestG[ck]; seen && g >= prev {
+				if !sc.bestG.lower(ck, g) {
 					continue
 				}
-				sc.bestG[ck] = g
 				ci = sc.child(it.si, pu, pv, e)
 				sc.states[ci].key = ck
 			} else {
 				ci = sc.child(it.si, pu, pv, e)
 				ck := sc.stringKey(sc.mapAt(ci))
-				if prev, seen := sc.bestGS[ck]; seen && g >= prev {
+				if !sc.bestGS.lower(ck, g) {
 					sc.dropLast()
 					continue
 				}
-				sc.bestGS[ck] = g
 				sc.states[ci].skey = ck
 			}
 			cs := &sc.states[ci]

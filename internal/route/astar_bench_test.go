@@ -7,9 +7,10 @@ import (
 )
 
 // BenchmarkNewCosts measures a cold cost-table build for the Q20 machine:
-// two all-pairs distance matrices plus the adjacency tables (forced here,
-// since they are otherwise built lazily on first A* use). This is the
-// work the cost cache amortizes away.
+// the reliability all-pairs Dijkstra plus the adjacency tables (forced
+// here, since they are otherwise built lazily on first A* use). The hop
+// matrix is the device's memoized one, so only the first iteration
+// builds it. This is the work the cost cache amortizes away.
 func BenchmarkNewCosts(b *testing.B) {
 	d := goldenQ20()
 	b.ReportAllocs()
@@ -39,6 +40,36 @@ func BenchmarkSearchSwaps(b *testing.B) {
 	defer scratchPool.Put(sc)
 	sc.setup(20, 20)
 	sc.buildLayerPairs(func(int) [][2]int { return pairs }, 1)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, ok := r.searchSwaps(cm, sc, m, pairs, nil, nil, 50000)
+		if !ok || len(plan) == 0 {
+			b.Fatalf("search failed: ok=%v plan=%v", ok, plan)
+		}
+	}
+}
+
+// BenchmarkSearchSwapsAfterWideSearch is BenchmarkSearchSwaps on a
+// scratch that first ran one wide search: ten far-apart pairs on Q20,
+// which grows the best-g table to thousands of entries. Each timed
+// search must reset that table; with a pooled Go map the reset cost the
+// map's peak capacity, so this benchmark ran well behind
+// BenchmarkSearchSwaps. With the epoch-stamped table the two should match.
+func BenchmarkSearchSwapsAfterWideSearch(b *testing.B) {
+	d := goldenQ20()
+	cm := cachedCosts(d, CostReliability)
+	cm.ensureAdj()
+	r := AStar{Cost: CostReliability, MAH: -1}
+	m := identity(20)
+	wide := [][2]int{{0, 19}, {1, 18}, {2, 17}, {3, 16}, {4, 15}, {5, 14}, {6, 13}, {7, 12}, {8, 11}, {9, 10}}
+	pairs := [][2]int{{0, 7}, {5, 12}, {10, 17}, {4, 13}}
+
+	sc := new(searchScratch)
+	sc.setup(20, 20)
+	sc.buildLayerPairs(func(int) [][2]int { return pairs }, 1)
+	r.searchSwaps(cm, sc, m, wide, nil, nil, 50000)
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,9 +7,12 @@ import (
 	"vaq/internal/metrics"
 )
 
-// The cost cache memoizes the per-device search tables (two all-pairs
-// distance matrices plus two adjacency-cost matrices — O(n²·|E|) to
-// build) across Route calls. The experiment harness compiles every
+// The cost cache memoizes the per-device search tables (the model's
+// all-pairs distance matrix, the hop matrix and two adjacency-cost
+// matrices — O(n²·|E|) to build) across Route calls. The hop matrix is
+// the device's own memoized Device.HopMatrix, and under CostHops the
+// distance matrix is that same hop matrix, so only CostReliability runs
+// an all-pairs Dijkstra. The experiment harness compiles every
 // workload across 104 calibration days × several policies × several
 // candidate allocations, and before this cache each of those compiles
 // rebuilt identical tables from scratch; with it, each (calibration,

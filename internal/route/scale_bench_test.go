@@ -79,7 +79,9 @@ func BenchmarkRouteScale(b *testing.B) {
 
 // TestSabre1000UnderOneSecond pins the acceptance bound directly: one
 // SABRE route of a 500-qubit BV program on the 1000-qubit heavy-hex
-// fleet completes in under a second (cost tables warm).
+// fleet completes in under a second (cost tables warm). Under the race
+// detector, which slows the route several-fold, the route and Verify
+// still run but the bound is not asserted.
 func TestSabre1000UnderOneSecond(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-qubit route skipped in -short")
@@ -97,7 +99,7 @@ func TestSabre1000UnderOneSecond(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if elapsed > time.Second {
+	if elapsed > time.Second && !raceEnabled {
 		t.Fatalf("1000-qubit SABRE route took %v, want < 1s", elapsed)
 	}
 	if err := Verify(d, c, res); err != nil {

@@ -90,11 +90,20 @@ trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "${BENCHTIME:-1s}" -count="$COUNT" ./... | tee "$RAW"
 
-awk -v count="$COUNT" '
+# The trailer records the machine next to goos/goarch/count: the CPU
+# model (go test's "cpu:" line), GOMAXPROCS (the -N suffix of a
+# benchmark without sub-benchmarks; go test omits it at 1) and the Go
+# toolchain. Compare mode reads only the per-benchmark rows.
+awk -v count="$COUNT" -v gover="$(go env GOVERSION)" '
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
+/^cpu:/    { cpu = $0; sub(/^cpu: */, "", cpu); gsub(/["\\]/, "", cpu) }
 /^Benchmark/ {
 	name = $1
+	if (procs == "" && name !~ /\//) {
+		procs = 1
+		if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
+	}
 	sub(/-[0-9]+$/, "", name); sub(/#[0-9]+$/, "", name)
 	ns = ""; bop = "0"; aop = "0"; ts = "0"
 	for (i = 2; i <= NF; i++) {
@@ -119,7 +128,8 @@ END {
 		printf("}%s\n", i < n - 1 ? "," : "")
 	}
 	print "  ],"
-	printf("  \"goos\": \"%s\", \"goarch\": \"%s\", \"count\": %s\n", goos, goarch, count)
+	printf("  \"goos\": \"%s\", \"goarch\": \"%s\", \"count\": %s,\n", goos, goarch, count)
+	printf("  \"cpu\": \"%s\", \"gomaxprocs\": %s, \"go_version\": \"%s\"\n", cpu, procs == "" ? 1 : procs, gover)
 	print "}"
 }
 ' "$RAW" > "$OUT.tmp"
