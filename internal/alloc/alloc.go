@@ -112,14 +112,7 @@ func (Greedy) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 	// centrality[phys] is phys's mean hop distance to every site: the
 	// score of a program qubit with no placed partners, which prefers
 	// central qubits.
-	centrality := make([]float64, n)
-	for phys, row := range hops {
-		sum := 0.0
-		for _, h := range row {
-			sum += h
-		}
-		centrality[phys] = sum / float64(n)
-	}
+	centrality := d.HopCentrality()
 
 	free := make([]bool, n)
 	for i := range free {
@@ -130,22 +123,33 @@ func (Greedy) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 		m[i] = -1
 	}
 
+	// partners holds p's placed partners as (weight, hop row from the
+	// partner's site), in ascending partner order. Hop counts are exact
+	// integers and BFS distances symmetric, so reading the partner's row
+	// at phys gives the same bits as phys's row at the partner, and only
+	// the placed sites' rows are ever built.
+	type partner struct {
+		w   float64
+		row []float64
+	}
+	var partners []partner
 	for _, p := range order {
+		partners = partners[:0]
+		for q, w := range inter[p] {
+			if w != 0 && m[q] != -1 {
+				partners = append(partners, partner{float64(w), hops.Row(m[q])})
+			}
+		}
 		best, bestCost := -1, 0.0
 		for phys := 0; phys < n; phys++ {
 			if !free[phys] {
 				continue
 			}
 			cost := 0.0
-			placedAny := false
-			for q, w := range inter[p] {
-				if w == 0 || m[q] == -1 {
-					continue
-				}
-				placedAny = true
-				cost += float64(w) * hops[phys][m[q]]
+			for _, pt := range partners {
+				cost += pt.w * pt.row[phys]
 			}
-			if !placedAny {
+			if len(partners) == 0 {
 				cost = centrality[phys]
 			}
 			if best == -1 || cost < bestCost {
@@ -259,12 +263,18 @@ func (v VQA) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 			// Score: low reliability-distance to placed partners
 			// (weighted by interaction count), tie-broken by site
 			// strength; measured qubits optionally avoid poor readout.
+			// Dijkstra sums are not bitwise symmetric, so read phys's own
+			// row: only the strong subgraph's rows are built.
 			cost := 0.0
+			var row []float64
 			for q, w := range inter[p] {
 				if w == 0 || m[q] == -1 {
 					continue
 				}
-				cost += float64(w) * dist[phys][m[q]]
+				if row == nil {
+					row = dist.Row(phys)
+				}
+				cost += float64(w) * row[m[q]]
 			}
 			if v.ReadoutWeight > 0 && measured[p] {
 				cost += v.ReadoutWeight * (1 - d.ReadoutSuccess(phys))

@@ -128,7 +128,7 @@ func TestGreedyPlacesInteractingQubitsAdjacent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hd := d.HopMatrix()[m[0]][m[1]]; hd != 1 {
+	if hd := d.HopMatrix().Row(m[0])[m[1]]; hd != 1 {
 		t.Fatalf("bell pair placed %v hops apart, want adjacent", hd)
 	}
 }
@@ -143,7 +143,7 @@ func TestGreedyKeepsChainLocal(t *testing.T) {
 	hops := d.HopMatrix()
 	total := 0.0
 	for _, pair := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
-		total += hops[m[pair[0]]][m[pair[1]]]
+		total += hops.Row(m[pair[0]])[m[pair[1]]]
 	}
 	// A good placement keeps each interacting pair within ~1–2 hops.
 	if total > 5 {

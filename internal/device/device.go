@@ -3,7 +3,7 @@
 // SWAP success probabilities, the −log(success) edge weights that turn
 // "maximize route reliability" into a shortest-path problem, and the
 // distance matrices (hop-based for the baseline, reliability-based for
-// VQM) the mappers search over.
+// VQM) the mappers search over, built row by row as they are read.
 package device
 
 import (
@@ -19,24 +19,26 @@ import (
 
 // Device is an immutable pairing of a topology with a calibration
 // snapshot. Construct with New; the accessors lazily build and cache the
-// derived graphs and matrices, so a Device is cheap to create and the
-// expensive all-pairs computations happen at most once. The caches are
+// derived graphs and distance rows, so a Device is cheap to create and
+// each distance row is computed at most once. The caches are
 // sync.Once-guarded, so a Device is safe to share across the concurrent
 // compilations the experiment fan-out performs.
 type Device struct {
 	topo *topo.Topology
 	snap *calib.Snapshot
 
-	hopGraphOnce  sync.Once
-	costGraphOnce sync.Once
-	hopDistOnce   sync.Once
-	costDistOnce  sync.Once
-	fpOnce        sync.Once
-	hopGraph      *graphx.Graph
-	costGraph     *graphx.Graph
-	hopDist       [][]float64
-	costDist      [][]float64
-	fp            uint64
+	hopGraphOnce   sync.Once
+	costGraphOnce  sync.Once
+	hopDistOnce    sync.Once
+	costDistOnce   sync.Once
+	centralityOnce sync.Once
+	fpOnce         sync.Once
+	hopGraph       *graphx.Graph
+	costGraph      *graphx.Graph
+	hopDist        *graphx.Rows
+	costDist       *graphx.Rows
+	centrality     []float64
+	fp             uint64
 }
 
 // New validates the snapshot against the topology and returns a Device.
@@ -143,21 +145,47 @@ func (d *Device) ReliabilityGraph() *graphx.Graph {
 	return g
 }
 
-// HopMatrix returns the all-pairs minimum number of SWAP-capable hops
-// (the baseline's distance matrix), built once per Device. It is shared
-// by every caller — the baseline allocator and the router's cost tables
-// read the same rows — so it must not be written.
-func (d *Device) HopMatrix() [][]float64 {
-	d.hopDistOnce.Do(func() { d.hopDist = d.HopGraph().AllPairsHops() })
+// HopMatrix returns the minimum number of SWAP-capable hops between
+// every pair (the baseline's distance table), one row per source, each
+// row built by BFS on first touch. It is shared by every caller — the
+// baseline allocator and the router's cost tables read the same rows —
+// so its rows must not be written.
+func (d *Device) HopMatrix() *graphx.Rows {
+	d.hopDistOnce.Do(func() { d.hopDist = d.HopGraph().CSR().HopRows() })
 	return d.hopDist
 }
 
-// CostMatrix returns the all-pairs minimum total SwapCost (VQA's
-// reliability distance, computed with Dijkstra as in Algorithm 1), built
-// once per Device. Like HopMatrix it is shared and must not be written.
-func (d *Device) CostMatrix() [][]float64 {
-	d.costDistOnce.Do(func() { d.costDist = d.CostGraph().AllPairsDijkstra() })
+// CostMatrix returns the minimum total SwapCost between every pair
+// (VQA's reliability distance, computed with Dijkstra as in Algorithm
+// 1), each row built on first touch. Like HopMatrix it is shared and
+// its rows must not be written.
+func (d *Device) CostMatrix() *graphx.Rows {
+	d.costDistOnce.Do(func() { d.costDist = d.CostGraph().CSR().DijkstraRows() })
 	return d.costDist
+}
+
+// HopCentrality returns each physical qubit's mean hop distance to every
+// qubit (itself included): the row means of the hop table, summed in
+// ascending column order. It streams one BFS per source through a
+// single buffer, so it costs O(n) memory rather than the n² of the
+// table it summarizes. Built once per Device; must not be written.
+func (d *Device) HopCentrality() []float64 {
+	d.centralityOnce.Do(func() {
+		csr := d.HopGraph().CSR()
+		n := csr.N()
+		row := make([]float64, n)
+		queue := make([]int32, 0, n)
+		d.centrality = make([]float64, n)
+		for src := range d.centrality {
+			csr.HopsInto(src, row, &queue)
+			sum := 0.0
+			for _, h := range row {
+				sum += h
+			}
+			d.centrality[src] = sum / float64(n)
+		}
+	})
+	return d.centrality
 }
 
 // Fingerprint returns a 64-bit digest of everything a routing or

@@ -115,10 +115,10 @@ func TestCNOTSuccessNonCouplingPanics(t *testing.T) {
 func TestHopDistance(t *testing.T) {
 	d := testDevice(t, 0.1)
 	hops := d.HopMatrix()
-	if got := hops[0][3]; got != 2 {
+	if got := hops.Row(0)[3]; got != 2 {
 		t.Fatalf("HopMatrix()[0][3] = %v, want 2", got)
 	}
-	if got := hops[1][1]; got != 0 {
+	if got := hops.Row(1)[1]; got != 0 {
 		t.Fatalf("HopMatrix()[1][1] = %v, want 0", got)
 	}
 }
@@ -129,8 +129,8 @@ func TestCostDistanceUniformMatchesHops(t *testing.T) {
 	hops, cost := d.HopMatrix(), d.CostMatrix()
 	for a := 0; a < 5; a++ {
 		for b := 0; b < 5; b++ {
-			want := hops[a][b] * perSwap
-			if got := cost[a][b]; math.Abs(got-want) > 1e-9 {
+			want := hops.Row(a)[b] * perSwap
+			if got := cost.Row(a)[b]; math.Abs(got-want) > 1e-9 {
 				t.Fatalf("CostMatrix()[%d][%d] = %v, want %v (uniform errors)", a, b, got, want)
 			}
 		}
@@ -160,7 +160,7 @@ func TestCostDistancePrefersReliableDetour(t *testing.T) {
 	if detour >= direct {
 		t.Fatal("test setup wrong: detour should be cheaper")
 	}
-	if got := d.CostMatrix()[0][2]; math.Abs(got-detour) > 1e-9 {
+	if got := d.CostMatrix().Row(0)[2]; math.Abs(got-detour) > 1e-9 {
 		t.Fatalf("CostMatrix()[0][2] = %v, want detour cost %v", got, detour)
 	}
 }
@@ -185,10 +185,10 @@ func TestGraphCaching(t *testing.T) {
 	if d.CostGraph() != d.CostGraph() {
 		t.Fatal("CostGraph not cached")
 	}
-	if &d.HopMatrix()[0][0] != &d.HopMatrix()[0][0] {
+	if d.HopMatrix() != d.HopMatrix() || &d.HopMatrix().Row(0)[0] != &d.HopMatrix().Row(0)[0] {
 		t.Fatal("HopMatrix not cached")
 	}
-	if &d.CostMatrix()[0][0] != &d.CostMatrix()[0][0] {
+	if d.CostMatrix() != d.CostMatrix() || &d.CostMatrix().Row(0)[0] != &d.CostMatrix().Row(0)[0] {
 		t.Fatal("CostMatrix not cached")
 	}
 }

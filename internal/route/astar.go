@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"vaq/internal/alloc"
@@ -10,11 +11,12 @@ import (
 	"vaq/internal/graphx"
 )
 
-// costs caches the per-device matrices the search consults: pairwise
+// costs caches the per-device tables the search consults: pairwise
 // movement costs under the chosen model, pairwise hop counts, and for each
 // physical pair the cheapest cost (and minimum swaps) to make them
-// adjacent. A built costs value is immutable and shared across concurrent
-// Route calls via the fingerprint-keyed cache in cache.go.
+// adjacent. A built costs value is immutable (its distance rows fill
+// under per-row sync.Once) and shared across concurrent Route calls via
+// the fingerprint-keyed cache in cache.go.
 type costs struct {
 	model CostModel
 	n     int // physical qubits
@@ -26,21 +28,22 @@ type costs struct {
 	// pairPlan's greedy fallback runs its path searches on it directly
 	// instead of rebuilding a graph from edges on every call.
 	graph *graphx.Graph
-	// dist[a][b]: minimum summed SWAP cost to move a qubit from a to b.
-	// Under CostHops every SWAP costs 1, so dist aliases hops (unit-weight
-	// Dijkstra sums are exact integers, bit-identical to the BFS counts).
-	dist [][]float64
-	// hops[a][b]: minimum number of SWAPs to move a qubit from a to b.
-	// It is the device's memoized Device.HopMatrix, shared with the
+	// dist.Row(a)[b]: minimum summed SWAP cost to move a qubit from a to
+	// b, each row built on first touch. Under CostHops every SWAP costs
+	// 1, so dist is hops (unit-weight Dijkstra sums are exact integers,
+	// bit-identical to the BFS counts).
+	dist *graphx.Rows
+	// hops.Row(a)[b]: minimum number of SWAPs to move a qubit from a to
+	// b. It is the device's memoized Device.HopMatrix, shared with the
 	// baseline allocator and with both cost models' tables; read-only.
-	hops [][]float64
+	hops *graphx.Rows
 	// adjCost[a][b]: lower-estimate cost to make qubits at a and b
 	// adjacent (each may move): min over coupling (u,v) of
 	// min(dist[a][u]+dist[b][v], dist[a][v]+dist[b][u]).
 	//
 	// adjCost and adjHops are built lazily by ensureAdj: they cost
 	// O(n²·|E|) — minutes of CPU at 1000 qubits — and only the A*
-	// heuristic consults them. Sabre routes off dist/hops/coupled alone,
+	// heuristic consults them. Sabre routes off dist/coupled alone,
 	// so large-device SABRE runs never pay for them.
 	adjCost [][]float64
 	// adjHops[a][b]: same quantity under hop counting — the minimum swaps
@@ -49,10 +52,10 @@ type costs struct {
 	adjHops [][]float64
 	// adjOnce guards the lazy adjCost/adjHops build.
 	adjOnce sync.Once
-	// coupled is the flat n×n coupling-adjacency table; the satisfied()
-	// goal test consults it instead of scanning the topology's coupling
-	// list per query.
-	coupled []bool
+	// coupled is the n×n coupling-adjacency bitset (bit a*n+b); the
+	// satisfied() goal test consults it instead of scanning the
+	// topology's coupling list per query.
+	coupled []uint64
 }
 
 func newCosts(d *device.Device, model CostModel) *costs {
@@ -72,7 +75,7 @@ func newCosts(d *device.Device, model CostModel) *costs {
 	hops := d.HopMatrix()
 	dist := hops
 	if model == CostReliability {
-		dist = swapGraph.CSR().AllPairsDijkstra()
+		dist = swapGraph.CSR().DijkstraRows()
 	}
 	cm := &costs{
 		model: model,
@@ -82,12 +85,19 @@ func newCosts(d *device.Device, model CostModel) *costs {
 		dist:  dist,
 		hops:  hops,
 	}
-	cm.coupled = make([]bool, n*n)
+	cm.coupled = make([]uint64, (n*n+63)/64)
 	for _, c := range d.Topology().Couplings {
-		cm.coupled[c.A*n+c.B] = true
-		cm.coupled[c.B*n+c.A] = true
+		for _, i := range [2]int{c.A*n + c.B, c.B*n + c.A} {
+			cm.coupled[i/64] |= 1 << (i % 64)
+		}
 	}
 	return cm
+}
+
+// isCoupled reports whether physical qubits a and b share a coupling.
+func (cm *costs) isCoupled(a, b int) bool {
+	i := uint(a*cm.n + b)
+	return cm.coupled[i/64]&(1<<(i%64)) != 0
 }
 
 // ensureAdj builds the adjacency-cost matrices on first use. The cached
@@ -108,21 +118,23 @@ func (cm *costs) ensureAdj() {
 // way to place them across some coupling link when both may move. Only
 // the edges' endpoints are read, so either model's edge list serves. The
 // rows share one flat backing array.
-func adjacencyMatrix(edges []graphx.Edge, dist [][]float64, n int) [][]float64 {
+func adjacencyMatrix(edges []graphx.Edge, dist *graphx.Rows, n int) [][]float64 {
 	adj := make([][]float64, n)
 	flat := make([]float64, n*n)
 	for a := 0; a < n; a++ {
 		adj[a] = flat[a*n : (a+1)*n]
+		da := dist.Row(a)
 		for b := 0; b < n; b++ {
 			if a == b {
 				continue // never queried: a gate has distinct operands
 			}
+			db := dist.Row(b)
 			best := math.Inf(1)
 			for _, e := range edges {
-				if c := dist[a][e.U] + dist[b][e.V]; c < best {
+				if c := da[e.U] + db[e.V]; c < best {
 					best = c
 				}
-				if c := dist[a][e.V] + dist[b][e.U]; c < best {
+				if c := da[e.V] + db[e.U]; c < best {
 					best = c
 				}
 			}
@@ -155,7 +167,7 @@ func (cm *costs) lookahead(m []int, future [][2]int, futureW []float64) float64 
 // satisfied reports whether every pair is mapped onto a coupling link.
 func (cm *costs) satisfied(m []int, pairs [][2]int) bool {
 	for _, pr := range pairs {
-		if !cm.coupled[m[pr[0]]*cm.n+m[pr[1]]] {
+		if !cm.isCoupled(m[pr[0]], m[pr[1]]) {
 			return false
 		}
 	}
@@ -215,9 +227,21 @@ func (p packer) pack(m []int) packedKey {
 	return key
 }
 
-// stateRec is one A* node. The mapping and its inverse live in the
-// scratch slabs (stride k and n respectively) at this record's index, so
-// generating a state performs no heap allocation.
+// unpack decodes the whole mapping into m, whose length is the number
+// of entries the key holds.
+func (p packer) unpack(key packedKey, m []int) {
+	mask := uint64(1)<<p.b - 1
+	for i := range m {
+		w := uint32(i) / p.epw
+		sh := (uint32(i) % p.epw) * p.b
+		m[i] = int(key[w] >> sh & mask)
+	}
+}
+
+// stateRec is one A* node. It stores only its mapping's key; the search
+// decodes the popped state's mapping from that key into one per-search
+// buffer, so generating a state copies no mapping and performs no heap
+// allocation.
 type stateRec struct {
 	g      float64
 	key    packedKey // packed mapping (packer path)
@@ -243,20 +267,21 @@ func openLess(a, b openItem) bool {
 }
 
 // searchScratch holds every buffer one Route call needs: the state slab,
-// the open heap, the best-g table, and the per-layer pair lists. It is
-// pooled across Route calls, so a warmed-up compile loop allocates
+// the open heap, the best-g table, the popped state's mapping and
+// inverse, and the per-layer pair lists. It is reused across Route calls
+// (getScratch/putScratch), so a warmed-up compile loop allocates
 // (almost) nothing per circuit.
 type searchScratch struct {
 	k, n int // program qubits, physical qubits
 	pk   packer
 	strW int // bytes per entry of the fallback string key
 
-	maps   []int // state mappings, stride k
-	invs   []int // state inverses (physical→program, -1 empty), stride n
 	states []stateRec
 	open   []openItem
 	bestG  epochTable[packedKey]
 	bestGS epochTable[string]
+	cur    []int  // popped state's mapping (program→physical)
+	inv    []int  // its inverse (physical→program, -1 empty)
 	active []bool // per program qubit: does this layer move it?
 	keyBuf []byte
 	plan   []physPair
@@ -270,7 +295,38 @@ type searchScratch struct {
 	futureW  []float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+// The scratch free list keeps warmed scratches across Route calls. A
+// sync.Pool would drop every scratch at each GC, and with it the grown
+// best-g tables, so a GC-heavy process would regrow them cycle after
+// cycle. The list holds at most GOMAXPROCS scratches, one per goroutine
+// that can be routing at once; surplus scratches are left to the GC.
+var (
+	scratchMu   sync.Mutex
+	scratchFree []*searchScratch
+)
+
+// getScratch takes a scratch off the free list, or makes a new one.
+func getScratch() *searchScratch {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	n := len(scratchFree)
+	if n == 0 {
+		return new(searchScratch)
+	}
+	sc := scratchFree[n-1]
+	scratchFree[n-1] = nil
+	scratchFree = scratchFree[:n-1]
+	return sc
+}
+
+// putScratch returns sc to the free list unless the list is full.
+func putScratch(sc *searchScratch) {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	if len(scratchFree) < runtime.GOMAXPROCS(0) {
+		scratchFree = append(scratchFree, sc)
+	}
+}
 
 // setup sizes the scratch for one Route call.
 func (sc *searchScratch) setup(numProgram, numPhysical int) {
@@ -280,22 +336,28 @@ func (sc *searchScratch) setup(numProgram, numPhysical int) {
 	if numPhysical > 1<<16 {
 		sc.strW = 4
 	}
-	if cap(sc.active) < numProgram {
-		sc.active = make([]bool, numProgram)
-	}
-	sc.active = sc.active[:numProgram]
+	sc.active = resized(sc.active, numProgram)
+	sc.cur = resized(sc.cur, numProgram)
+	sc.inv = resized(sc.inv, numPhysical)
 	if sc.bestG.hash == nil {
 		sc.bestG = newEpochTable(hashPacked)
 		sc.bestGS = newEpochTable(hashString)
 	}
 }
 
+// resized returns s with length n, reallocating only when it lacks the
+// capacity (contents unspecified).
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // resetSearch clears per-layer state while keeping every capacity. Its
 // cost is O(program qubits): the best-g tables reset by epoch, not by
 // clearing their slots.
 func (sc *searchScratch) resetSearch() {
-	sc.maps = sc.maps[:0]
-	sc.invs = sc.invs[:0]
 	sc.states = sc.states[:0]
 	sc.open = sc.open[:0]
 	sc.bestG.reset()
@@ -305,57 +367,21 @@ func (sc *searchScratch) resetSearch() {
 	}
 }
 
-func (sc *searchScratch) mapAt(si int32) []int { return sc.maps[int(si)*sc.k : (int(si)+1)*sc.k] }
-func (sc *searchScratch) invAt(si int32) []int { return sc.invs[int(si)*sc.n : (int(si)+1)*sc.n] }
-
-// addState appends a zeroed state and its (uninitialized) map/inverse
-// slab rows, returning its index.
-func (sc *searchScratch) addState() int32 {
-	si := int32(len(sc.states))
-	sc.states = append(sc.states, stateRec{})
-	sc.maps = growInts(sc.maps, sc.k)
-	sc.invs = growInts(sc.invs, sc.n)
-	return si
-}
-
-// dropLast rolls back the most recent addState (fallback path: the child
-// was materialized to compute its key, then rejected by the best-g table).
-func (sc *searchScratch) dropLast() {
-	sc.states = sc.states[:len(sc.states)-1]
-	sc.maps = sc.maps[:len(sc.maps)-sc.k]
-	sc.invs = sc.invs[:len(sc.invs)-sc.n]
-}
-
-// reserve pre-grows the slabs so the next `extra` addState calls cannot
-// reallocate — required because the expansion loop holds slices into the
-// slabs while appending children.
-func (sc *searchScratch) reserve(extra int) {
-	if need := len(sc.states) + extra; need > cap(sc.states) {
-		ns := make([]stateRec, len(sc.states), grownCap(cap(sc.states), need))
-		copy(ns, sc.states)
-		sc.states = ns
+// load decodes st's mapping into sc.cur and rebuilds its inverse in
+// sc.inv.
+func (sc *searchScratch) load(st *stateRec) {
+	if sc.pk.fits {
+		sc.pk.unpack(st.key, sc.cur)
+	} else {
+		for i := range sc.cur {
+			v := 0
+			for j := 0; j < sc.strW; j++ {
+				v |= int(st.skey[i*sc.strW+j]) << (8 * j)
+			}
+			sc.cur[i] = v
+		}
 	}
-	sc.maps = reserveInts(sc.maps, extra*sc.k)
-	sc.invs = reserveInts(sc.invs, extra*sc.n)
-}
-
-// child materializes the state reached from parent by swapping across
-// edge e: both the mapping and its inverse are copied from the parent and
-// patched in place.
-func (sc *searchScratch) child(parent int32, pu, pv int, e graphx.Edge) int32 {
-	ci := sc.addState()
-	m := sc.mapAt(ci)
-	copy(m, sc.mapAt(parent))
-	inv := sc.invAt(ci)
-	copy(inv, sc.invAt(parent))
-	if pu != -1 {
-		m[pu] = e.V
-	}
-	if pv != -1 {
-		m[pv] = e.U
-	}
-	inv[e.U], inv[e.V] = pv, pu
-	return ci
+	alloc.Mapping(sc.cur).InverseInto(sc.inv)
 }
 
 // stringKey is the width-safe fallback encoding for mappings too long for
@@ -435,33 +461,6 @@ func (sc *searchScratch) layerPairsAt(li int) [][2]int {
 	return sc.pairsBuf[sc.layerOff[li]:sc.layerOff[li+1]]
 }
 
-// growInts extends s by `by` elements (contents unspecified).
-func growInts(s []int, by int) []int {
-	if need := len(s) + by; need > cap(s) {
-		ns := make([]int, len(s), grownCap(cap(s), need))
-		copy(ns, s)
-		s = ns
-	}
-	return s[:len(s)+by]
-}
-
-// reserveInts grows capacity without changing length.
-func reserveInts(s []int, by int) []int {
-	if need := len(s) + by; need > cap(s) {
-		ns := make([]int, len(s), grownCap(cap(s), need))
-		copy(ns, s)
-		return ns
-	}
-	return s
-}
-
-func grownCap(cur, need int) int {
-	if c := 2 * cur; c > need {
-		return c
-	}
-	return need
-}
-
 // searchSwaps finds a SWAP sequence that makes every pair in the layer
 // adjacent simultaneously, minimizing the model's cost plus a decaying
 // lookahead bias toward keeping future layers' partners (future/futureW)
@@ -485,28 +484,22 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 		sc.active[pr[1]] = true
 	}
 
-	start := sc.addState()
-	sm := sc.mapAt(start)
-	copy(sm, m)
-	m.InverseInto(sc.invAt(start))
-	root := &sc.states[start]
-	root.parent = -1
+	root := stateRec{parent: -1}
 	if sc.pk.fits {
-		root.key = sc.pk.pack(sm)
+		root.key = sc.pk.pack(m)
 		sc.bestG.lower(root.key, 0)
 	} else {
-		root.skey = sc.stringKey(sm)
+		root.skey = sc.stringKey(m)
 		sc.bestGS.lower(root.skey, 0)
 	}
-	sc.pushOpen(openItem{f: cm.heuristic(sm, pairs) + cm.lookahead(sm, future, futureW), seq: 0, si: start})
+	sc.states = append(sc.states, root)
+	sc.pushOpen(openItem{f: cm.heuristic(m, pairs) + cm.lookahead(m, future, futureW), seq: 0, si: 0})
 	seq := int32(0)
 	expansions := 0
+	cur, inv := sc.cur, sc.inv
 
 	for len(sc.open) > 0 && expansions < maxExp {
 		it := sc.popOpen()
-		// Growing the slabs mid-expansion would invalidate the slices
-		// taken below, so guarantee room for a full fan-out up front.
-		sc.reserve(len(cm.edges))
 		st := sc.states[it.si]
 		if sc.pk.fits {
 			if g, seen := sc.bestG.get(st.key); seen && st.g > g {
@@ -517,15 +510,14 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 				continue
 			}
 		}
-		stMap := sc.mapAt(it.si)
-		if cm.satisfied(stMap, pairs) {
+		sc.load(&st)
+		if cm.satisfied(cur, pairs) {
 			return sc.extractPlan(it.si), true
 		}
 		expansions++
 		if int(st.swaps) >= budget {
 			continue
 		}
-		inv := sc.invAt(it.si)
 		for _, e := range cm.edges {
 			pu, pv := inv[e.U], inv[e.V]
 			if pu == -1 && pv == -1 {
@@ -536,44 +528,45 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 			if !(pu != -1 && sc.active[pu]) && !(pv != -1 && sc.active[pv]) {
 				continue
 			}
-			g := st.g + e.W
-			var ci int32
+			// Apply the swap to the popped state's mapping to score the
+			// child; it is undone before the next edge.
+			if pu != -1 {
+				cur[pu] = e.V
+			}
+			if pv != -1 {
+				cur[pv] = e.U
+			}
+			child := stateRec{g: st.g + e.W, swaps: st.swaps + 1, parent: it.si, move: physPair{e.U, e.V}}
+			var better bool
 			if sc.pk.fits {
-				// Derive the child key from the parent's without
-				// materializing the child mapping; most children die here.
-				ck := st.key
+				// Derive the child key from the parent's in O(1).
+				child.key = st.key
 				if pu != -1 {
-					sc.pk.set(&ck, pu, e.V)
+					sc.pk.set(&child.key, pu, e.V)
 				}
 				if pv != -1 {
-					sc.pk.set(&ck, pv, e.U)
+					sc.pk.set(&child.key, pv, e.U)
 				}
-				if !sc.bestG.lower(ck, g) {
-					continue
-				}
-				ci = sc.child(it.si, pu, pv, e)
-				sc.states[ci].key = ck
+				better = sc.bestG.lower(child.key, child.g)
 			} else {
-				ci = sc.child(it.si, pu, pv, e)
-				ck := sc.stringKey(sc.mapAt(ci))
-				if !sc.bestGS.lower(ck, g) {
-					sc.dropLast()
-					continue
-				}
-				sc.states[ci].skey = ck
+				child.skey = sc.stringKey(cur)
+				better = sc.bestGS.lower(child.skey, child.g)
 			}
-			cs := &sc.states[ci]
-			cs.g = g
-			cs.swaps = st.swaps + 1
-			cs.parent = it.si
-			cs.move = physPair{e.U, e.V}
-			childMap := sc.mapAt(ci)
-			seq++
-			sc.pushOpen(openItem{
-				f:   g + cm.heuristic(childMap, pairs) + cm.lookahead(childMap, future, futureW),
-				seq: seq,
-				si:  ci,
-			})
+			if better {
+				sc.states = append(sc.states, child)
+				seq++
+				sc.pushOpen(openItem{
+					f:   child.g + cm.heuristic(cur, pairs) + cm.lookahead(cur, future, futureW),
+					seq: seq,
+					si:  int32(len(sc.states) - 1),
+				})
+			}
+			if pu != -1 {
+				cur[pu] = e.U
+			}
+			if pv != -1 {
+				cur[pv] = e.V
+			}
 		}
 	}
 	return nil, false
@@ -597,12 +590,12 @@ func (sc *searchScratch) extractPlan(si int32) []physPair {
 // swap sequence that makes them adjacent. Deterministic; always terminates
 // on a connected machine.
 func (r AStar) pairPlan(cm *costs, src, dst int) []physPair {
-	if cm.coupled[src*cm.n+dst] {
+	if cm.isCoupled(src, dst) {
 		return nil
 	}
 	var path []int
 	if r.MAH >= 0 {
-		maxHops := int(cm.hops[src][dst]) + r.MAH
+		maxHops := int(cm.hops.Row(src)[dst]) + r.MAH
 		_, paths := cm.graph.ConstrainedDijkstra(src, maxHops)
 		path = paths[dst]
 	}

@@ -2,6 +2,7 @@ package route
 
 import (
 	"testing"
+	"unsafe"
 
 	"vaq/internal/workloads"
 )
@@ -36,8 +37,8 @@ func BenchmarkSearchSwaps(b *testing.B) {
 	m := identity(20)
 	pairs := [][2]int{{0, 7}, {5, 12}, {10, 17}, {4, 13}}
 
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	sc.setup(20, 20)
 	sc.buildLayerPairs(func(int) [][2]int { return pairs }, 1)
 
@@ -57,6 +58,8 @@ func BenchmarkSearchSwaps(b *testing.B) {
 // search must reset that table; with a pooled Go map the reset cost the
 // map's peak capacity, so this benchmark ran well behind
 // BenchmarkSearchSwaps. With the epoch-stamped table the two should match.
+// It reports retained-B: the heap the scratch keeps between searches
+// after the wide one, which is what the free list holds per scratch.
 func BenchmarkSearchSwapsAfterWideSearch(b *testing.B) {
 	d := goldenQ20()
 	cm := cachedCosts(d, CostReliability)
@@ -79,6 +82,22 @@ func BenchmarkSearchSwapsAfterWideSearch(b *testing.B) {
 			b.Fatalf("search failed: ok=%v plan=%v", ok, plan)
 		}
 	}
+	b.ReportMetric(float64(sc.retainedBytes()), "retained-B")
+}
+
+// retainedBytes sums the capacity of every buffer the scratch keeps
+// between Route calls, best-g table slots included.
+func (sc *searchScratch) retainedBytes() int {
+	size := func(capacity int, elem uintptr) int { return capacity * int(elem) }
+	return size(cap(sc.states), unsafe.Sizeof(stateRec{})) +
+		size(cap(sc.open), unsafe.Sizeof(openItem{})) +
+		size(cap(sc.bestG.slots), unsafe.Sizeof(epochSlot[packedKey]{})) +
+		size(cap(sc.bestGS.slots), unsafe.Sizeof(epochSlot[string]{})) +
+		size(cap(sc.cur)+cap(sc.inv)+cap(sc.layerOff), unsafe.Sizeof(0)) +
+		size(cap(sc.active)+cap(sc.keyBuf), 1) +
+		size(cap(sc.plan), unsafe.Sizeof(physPair{})) +
+		size(cap(sc.pairsBuf)+cap(sc.future), unsafe.Sizeof([2]int{})) +
+		size(cap(sc.futureW), unsafe.Sizeof(0.0))
 }
 
 // BenchmarkRouteCached routes BV-16 with the cost tables already memoized:

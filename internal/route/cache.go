@@ -8,11 +8,12 @@ import (
 )
 
 // The cost cache memoizes the per-device search tables (the model's
-// all-pairs distance matrix, the hop matrix and two adjacency-cost
-// matrices — O(n²·|E|) to build) across Route calls. The hop matrix is
-// the device's own memoized Device.HopMatrix, and under CostHops the
-// distance matrix is that same hop matrix, so only CostReliability runs
-// an all-pairs Dijkstra. The experiment harness compiles every
+// distance table and the hop table, whose rows are built on first touch,
+// the coupling bitset, and the two adjacency-cost matrices A* builds on
+// first use, O(n²·|E|)) across Route calls. The hop table is the
+// device's own memoized Device.HopMatrix, and under CostHops the
+// distance table is that same hop table, so only CostReliability runs
+// Dijkstra of its own. The experiment harness compiles every
 // workload across 104 calibration days × several policies × several
 // candidate allocations, and before this cache each of those compiles
 // rebuilt identical tables from scratch; with it, each (calibration,
@@ -28,7 +29,9 @@ import (
 // Entries are built under a per-key sync.Once so concurrent Route calls
 // on a new device build the table once and everyone else blocks on that
 // build rather than duplicating it. The finished *costs value is
-// immutable, so sharing it across goroutines is race-free.
+// immutable apart from its lazily filled rows and adjacency matrices,
+// each built under its own sync.Once, so sharing it across goroutines
+// is race-free.
 
 type costKey struct {
 	fp    uint64

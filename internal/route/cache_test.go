@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"vaq/internal/alloc"
 	"vaq/internal/calib"
 	"vaq/internal/device"
 	"vaq/internal/topo"
@@ -235,4 +236,50 @@ func TestCostCacheBounded(t *testing.T) {
 		t.Fatalf("cache grew to %d entries, bound is %d", n, maxCostEntries)
 	}
 	resetCostCache()
+}
+
+// TestLargeDeviceTouchesFewRows: compiling BV-16 onto heavy-hex-1000
+// under baseline allocation with sabre-hops movement, and under vqa+vqm
+// allocation with sabre movement, reads only the distance rows of the
+// qubits it places and scores. Each lazily built table — the device's
+// hop and cost tables and the router's reliability table — must have
+// built fewer than n/4 of its n rows.
+func TestLargeDeviceTouchesFewRows(t *testing.T) {
+	resetCostCache()
+	defer resetCostCache()
+	arch, err := calib.ZooArchive("heavy-hex-1000-mid", 2019)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := device.MustNew(arch.Topo, arch.MustMean())
+	prog := workloads.BV(16)
+	compile := func(a alloc.Policy, r Router) {
+		t.Helper()
+		m, err := a.Allocate(d, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Route(d, prog, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile(alloc.Greedy{}, Sabre{Cost: CostHops})                  // baseline @ sabre-hops
+	for _, a := range []alloc.Policy{alloc.VQA{}, alloc.Greedy{}} { // vqa+vqm @ sabre
+		compile(a, Sabre{Cost: CostReliability})
+	}
+	n := d.NumQubits()
+	for _, tab := range []struct {
+		name   string
+		filled int
+	}{
+		{"Device.HopMatrix", d.HopMatrix().Filled()},
+		{"Device.CostMatrix", d.CostMatrix().Filled()},
+		{"CostReliability dist", cachedCosts(d, CostReliability).dist.Filled()},
+		{"CostHops dist (=hops)", cachedCosts(d, CostHops).dist.Filled()},
+	} {
+		t.Logf("%s: %d of %d rows built", tab.name, tab.filled, n)
+		if tab.filled == 0 || tab.filled >= n/4 {
+			t.Errorf("%s built %d of %d rows, want 0 < rows < %d", tab.name, tab.filled, n, n/4)
+		}
+	}
 }

@@ -161,7 +161,7 @@ func TestEpochTableGrowKeepsOnlyCurrentEpoch(t *testing.T) {
 }
 
 // TestCostTablesShareHopMatrix: both cost models read the device's one
-// memoized hop matrix, and under CostHops dist (and adjHops/adjCost) are
+// memoized hop table, and under CostHops dist (and adjHops/adjCost) are
 // that same memory rather than a second build.
 func TestCostTablesShareHopMatrix(t *testing.T) {
 	d := goldenQ20()
@@ -170,10 +170,10 @@ func TestCostTablesShareHopMatrix(t *testing.T) {
 	same := func(a, b [][]float64) bool { return &a[0][0] == &b[0][0] && &a[n-1][n-1] == &b[n-1][n-1] }
 
 	cmH := newCosts(d, CostHops)
-	if !same(cmH.hops, hops) {
+	if cmH.hops != hops {
 		t.Fatal("CostHops table does not use Device.HopMatrix")
 	}
-	if !same(cmH.dist, cmH.hops) {
+	if cmH.dist != cmH.hops {
 		t.Fatal("CostHops dist does not alias hops")
 	}
 	cmH.ensureAdj()
@@ -182,10 +182,10 @@ func TestCostTablesShareHopMatrix(t *testing.T) {
 	}
 
 	cmR := newCosts(d, CostReliability)
-	if !same(cmR.hops, hops) {
+	if cmR.hops != hops {
 		t.Fatal("CostReliability table does not use Device.HopMatrix")
 	}
-	if same(cmR.dist, cmR.hops) {
+	if cmR.dist == cmR.hops {
 		t.Fatal("CostReliability dist must be its own Dijkstra table")
 	}
 }

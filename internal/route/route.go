@@ -113,7 +113,7 @@ func (r AStar) Name() string {
 // Route compiles c onto d starting from initial.
 //
 // The cost tables are memoized per (device fingerprint, cost model) — see
-// cache.go — and every search buffer comes from a pooled scratch, so in a
+// cache.go — and every search buffer comes from a reused scratch, so in a
 // warmed-up compile loop routing allocates only the output circuit.
 func (r AStar) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping) (*Result, error) {
 	if err := prepare(d, c, initial); err != nil {
@@ -133,8 +133,8 @@ func (r AStar) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping
 	var movement []int
 	var ops opSlab
 
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	sc.setup(c.NumQubits, d.NumQubits())
 
 	layers := c.Layers()

@@ -64,18 +64,23 @@ type sabreState struct {
 	ready  []int   // unretired gates with indeg 0, ascending
 	remain int     // unretired gate count
 
-	decay   []float64 // per physical qubit
-	front   [][2]int  // physical endpoint pairs of blocked front gates
-	extend  [][2]int  // physical endpoint pairs of the extended set
-	active  []bool    // per physical qubit: endpoint of a front gate
-	visited []int     // BFS stamp per gate
-	stamp   int
-	queue   []int
+	decay  []float64 // per physical qubit
+	front  [][2]int  // physical endpoint pairs of blocked front gates
+	extend [][2]int  // physical endpoint pairs of the extended set
+	// frontRow[i] and extendRow[i] are cm.dist's rows at front[i][0]
+	// and extend[i][0], fetched once per swap decision.
+	frontRow  [][]float64
+	extendRow [][]float64
+	active    []bool // per physical qubit: endpoint of a front gate
+	visited   []int  // BFS stamp per gate
+	stamp     int
+	queue     []int
 }
 
 // Route compiles c onto d starting from initial. The cost tables come
 // from the same fingerprint-keyed cache as AStar's, but the adjacency
-// matrices stay unbuilt: SABRE only reads dist, hops and coupled.
+// matrices stay unbuilt: SABRE only reads dist and coupled, and only
+// the dist rows of the qubits it scores are ever built.
 func (r Sabre) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping) (*Result, error) {
 	if err := prepare(d, c, initial); err != nil {
 		return nil, err
@@ -202,7 +207,7 @@ func (st *sabreState) executable(gi int) bool {
 	if !g.Kind.TwoQubit() {
 		return true
 	}
-	return st.cm.coupled[st.m[g.Qubits[0]]*st.cm.n+st.m[g.Qubits[1]]]
+	return st.cm.isCoupled(st.m[g.Qubits[0]], st.m[g.Qubits[1]])
 }
 
 // executeReady emits every currently executable ready gate, in gate
@@ -293,6 +298,14 @@ func (st *sabreState) collectExtended() {
 // and the same scoring is hardware-aware for free.
 func (st *sabreState) bestSwap() (physPair, bool) {
 	cm := st.cm
+	st.frontRow = st.frontRow[:0]
+	for _, f := range st.front {
+		st.frontRow = append(st.frontRow, cm.dist.Row(f[0]))
+	}
+	st.extendRow = st.extendRow[:0]
+	for _, f := range st.extend {
+		st.extendRow = append(st.extendRow, cm.dist.Row(f[0]))
+	}
 	best := physPair{-1, -1}
 	bestScore := 0.0
 	for _, e := range cm.edges {
@@ -309,15 +322,25 @@ func (st *sabreState) bestSwap() (physPair, bool) {
 			}
 			return p
 		}
+		// A pair's distance after the swap: its prefetched row, unless
+		// the swap moves the pair's first qubit.
 		sum := 0.0
-		for _, f := range st.front {
-			sum += cm.dist[pos(f[0])][pos(f[1])]
+		for i, f := range st.front {
+			row := st.frontRow[i]
+			if a := pos(f[0]); a != f[0] {
+				row = cm.dist.Row(a)
+			}
+			sum += row[pos(f[1])]
 		}
 		score := sum / float64(len(st.front))
 		if len(st.extend) > 0 {
 			ext := 0.0
-			for _, f := range st.extend {
-				ext += cm.dist[pos(f[0])][pos(f[1])]
+			for i, f := range st.extend {
+				row := st.extendRow[i]
+				if a := pos(f[0]); a != f[0] {
+					row = cm.dist.Row(a)
+				}
+				ext += row[pos(f[1])]
 			}
 			score += sabreExtendedWeight * ext / float64(len(st.extend))
 		}

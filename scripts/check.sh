@@ -25,7 +25,7 @@ go test -race -count=1 -run 'TestSabreHeavyHex399|TestSabreConcurrentDeterminism
 # BenchmarkMonteCarloScalar the reference path) — so a change that breaks
 # a benchmark body (rather than its performance) fails the gate instead
 # of surfacing at the next scripts/bench.sh run.
-go test -run '^$' -bench 'MonteCarlo|CompilePipeline|Ablation|Route|NewCosts|SearchSwaps|ServeCompile|Portfolio|JobThroughput|DriftDetect|CanaryRecompile|RebindVsRecompile|SweepServe|Allocate|Fig16Partitioning' -benchtime=1x ./...
+go test -run '^$' -bench 'MonteCarlo|CompilePipeline|Ablation|Route|Rows|NewCosts|SearchSwaps|ServeCompile|Portfolio|JobThroughput|DriftDetect|CanaryRecompile|RebindVsRecompile|SweepServe|Allocate|Fig16Partitioning' -benchtime=1x ./...
 # Perf-regression gate: rebench against the newest committed snapshot and
 # fail on big ns/op regressions. Only the stable keys are compared — the
 # compute-bound kernels and routing cores whose timings are reproducible
