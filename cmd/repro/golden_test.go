@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -59,11 +58,7 @@ func TestReproGolden(t *testing.T) {
 func renderText(t *testing.T, cfg experiments.Config, which string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	runner := experiments.NewRunner(context.Background(), cfg, nil)
-	if err := runList(&buf, runner, experimentList(), which, "text"); err != nil {
-		t.Fatal(err)
-	}
-	if err := runner.Report().Err(); err != nil {
+	if err := runList(&buf, cfg, experimentList(), which, "text"); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

@@ -2,13 +2,14 @@ package main
 
 import (
 	"bytes"
-	"context"
+	"encoding/csv"
+	"errors"
+	"io"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"vaq/internal/checkpoint"
 	"vaq/internal/experiments"
+	"vaq/internal/workloads"
 )
 
 func fastCfg() experiments.Config {
@@ -24,25 +25,25 @@ func fastCfg() experiments.Config {
 func TestRunSingleExperiments(t *testing.T) {
 	// The cheap experiments run end to end through the CLI path.
 	for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2", "table3"} {
-		if err := run(name, fastCfg()); err != nil {
+		if err := runList(io.Discard, fastCfg(), experimentList(), name, "text"); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", fastCfg()); err == nil {
+	if err := runList(io.Discard, fastCfg(), experimentList(), "fig99", "text"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestRunFormats(t *testing.T) {
 	for _, format := range []string{"text", "csv", "json"} {
-		if err := runFormat("fig9", fastCfg(), format); err != nil {
+		if err := runList(io.Discard, fastCfg(), experimentList(), "fig9", format); err != nil {
 			t.Errorf("format %s: %v", format, err)
 		}
 	}
-	if err := runFormat("fig9", fastCfg(), "yaml"); err == nil {
+	if err := runList(io.Discard, fastCfg(), experimentList(), "fig9", "yaml"); err == nil {
 		t.Error("unknown format accepted")
 	}
 }
@@ -66,125 +67,6 @@ func TestApplyFullBudgetRespectsExplicitTrials(t *testing.T) {
 	}
 }
 
-// TestInjectedPanicIsolation is the fault-isolation acceptance check: a
-// unit that panics mid-suite must not take down the other experiments —
-// their tables still render, and the failure report names the failed
-// unit with its stack.
-func TestInjectedPanicIsolation(t *testing.T) {
-	list := []experiment{
-		experimentByName(t, "table1"),
-		{"boom", func(r *experiments.Runner) (rendering, error) {
-			_, _ = experiments.RunUnit(r, experiments.UnitKey{Experiment: "boom", Workload: "w", Day: -1},
-				func() (int, error) { panic("injected unit failure") })
-			return rendering{}, nil
-		}},
-		experimentByName(t, "table3"),
-	}
-	var buf bytes.Buffer
-	runner := experiments.NewRunner(context.Background(), fastCfg(), nil)
-	if err := runList(&buf, runner, list, "all", "text"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Table 1: benchmark characteristics") {
-		t.Error("table1 output missing")
-	}
-	if !strings.Contains(out, "Table 3: PST on the IBM-Q5 model") {
-		t.Error("table3 (after the panicking experiment) output missing")
-	}
-	rep := runner.Report()
-	if rep.Empty() {
-		t.Fatal("panicking unit not quarantined")
-	}
-	text := rep.String()
-	if !strings.Contains(text, "boom/w") || !strings.Contains(text, "injected unit failure") {
-		t.Fatalf("report does not name the failed unit:\n%s", text)
-	}
-	if !strings.Contains(text, "main_test.go") {
-		t.Fatalf("report does not carry the panic stack:\n%s", text)
-	}
-}
-
-// TestExperimentLevelPanicIsolation covers panics that escape the unit
-// layer entirely (e.g. archive construction).
-func TestExperimentLevelPanicIsolation(t *testing.T) {
-	list := []experiment{
-		{"explode", func(r *experiments.Runner) (rendering, error) { panic("whole experiment down") }},
-		experimentByName(t, "table1"),
-	}
-	var buf bytes.Buffer
-	runner := experiments.NewRunner(context.Background(), fastCfg(), nil)
-	if err := runList(&buf, runner, list, "all", "text"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Table 1") {
-		t.Error("experiment after the panicking one did not run")
-	}
-	rep := runner.Report()
-	if rep.Empty() || !strings.Contains(rep.String(), "explode") {
-		t.Fatalf("experiment-level panic not quarantined: %s", rep.String())
-	}
-}
-
-// TestKillResumeEquivalence is the resumable-harness acceptance check:
-// a fig13 run interrupted mid-flight and resumed from its checkpoint
-// produces a byte-identical table to an uninterrupted run.
-func TestKillResumeEquivalence(t *testing.T) {
-	cfg := fastCfg()
-	fig13 := []experiment{experimentByName(t, "fig13")}
-
-	// Reference: uninterrupted, no checkpoint.
-	var want bytes.Buffer
-	if err := runList(&want, experiments.NewRunner(context.Background(), cfg, nil), fig13, "fig13", "text"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted run: cancel (the SIGINT path minus the signal) after two
-	// completed units; completed work lands in the checkpoint directory.
-	dir := t.TempDir()
-	store, err := checkpoint.Open(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	interrupted := experiments.NewRunner(ctx, cfg, store)
-	var done atomic.Int64
-	interrupted.OnUnitDone = func(experiments.UnitKey) {
-		if done.Add(1) == 2 {
-			cancel()
-		}
-	}
-	var partial bytes.Buffer
-	if err := runList(&partial, interrupted, fig13, "fig13", "text"); err != nil {
-		t.Fatal(err)
-	}
-	if !interrupted.Report().Empty() {
-		t.Fatalf("interruption quarantined units: %v", interrupted.Report().Err())
-	}
-	_, _, puts, _ := store.Stats()
-	if puts < 2 {
-		t.Fatalf("only %d units checkpointed before the kill", puts)
-	}
-
-	// Resumed run: fresh context, same config, -resume semantics.
-	resumed, err := checkpoint.Open(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := runList(&got, experiments.NewRunner(context.Background(), cfg, resumed), fig13, "fig13", "text"); err != nil {
-		t.Fatal(err)
-	}
-	hits, _, _, _ := resumed.Stats()
-	if hits < 2 {
-		t.Fatalf("resume served only %d units from the checkpoint", hits)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("resumed table differs from uninterrupted run:\n-- want --\n%s\n-- got --\n%s", want.String(), got.String())
-	}
-}
-
 func experimentByName(t *testing.T, name string) experiment {
 	t.Helper()
 	for _, e := range experimentList() {
@@ -194,4 +76,69 @@ func experimentByName(t *testing.T, name string) experiment {
 	}
 	t.Fatalf("experiment %q not in list", name)
 	return experiment{}
+}
+
+// TestUsageErrors pins the flag combinations repro rejects before doing
+// any work: exit status 2 and a message naming the flag.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-experiment", "all", "-format", "csv"}, "-format csv"},
+		{[]string{"-format", "csv"}, "-format csv"},
+		{[]string{"-experiment", "fig9", "-seed", "0"}, "-seed"},
+		{[]string{"-trials", "-1"}, "-trials"},
+		{[]string{"-no-such-flag"}, "no-such-flag"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("%v: stderr %q does not mention %s", tc.args, stderr.String(), tc.msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes of output before rejecting", tc.args, stdout.Len())
+		}
+	}
+}
+
+// TestCSVParses reads a single-experiment CSV back with encoding/csv,
+// which rejects records of differing width.
+func TestCSVParses(t *testing.T) {
+	var out bytes.Buffer
+	if err := runList(&out, fastCfg(), experimentList(), "table1", "csv"); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&out).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1+len(workloads.Table1Suite()) {
+		t.Fatalf("got %d records, want a header and one row per workload", len(recs))
+	}
+}
+
+// TestExperimentErrorStopsRun checks the error contract: the first
+// failing experiment stops the run, later experiments do not start, and
+// the error names the experiment.
+func TestExperimentErrorStopsRun(t *testing.T) {
+	boom := errors.New("injected")
+	list := []experiment{
+		experimentByName(t, "fig9"),
+		{"boom", func(experiments.Config) (rendering, error) { return rendering{}, boom }},
+		{"after", func(experiments.Config) (rendering, error) {
+			t.Error("experiment after the failure ran")
+			return rendering{}, nil
+		}},
+	}
+	var out bytes.Buffer
+	err := runList(&out, fastCfg(), list, "all", "text")
+	if !errors.Is(err, boom) || err.Error() != "boom: injected" {
+		t.Fatalf("err = %v, want boom: injected", err)
+	}
+	if !strings.Contains(out.String(), "Figure 9") {
+		t.Error("table before the failure was not written")
+	}
 }

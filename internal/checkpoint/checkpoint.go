@@ -1,125 +1,18 @@
-// Package checkpoint persists completed experiment-unit results so a
-// cancelled or crashed sweep can resume without recomputing work. Each
-// unit is one JSON file in the store directory, written atomically
-// (write to a temp file in the same directory, fsync, rename), so a
-// SIGINT or power cut can never leave a half-written entry: an entry
-// either exists completely or not at all.
-//
-// Keys are free-form strings; the experiment harness composes them from
-// the unit identity plus everything the result depends on — experiment
-// name, workload/day/policy, seed, trial budgets and the device
-// fingerprint — so a resumed run with a different budget or a
-// recalibrated device can never be served a stale result. File names are
-// the FNV-1a hash of the key; the key itself is stored inside the entry
-// and verified on read, which makes hash collisions and foreign files a
-// miss rather than silent corruption.
+// Package checkpoint holds the one durable-write primitive the job and
+// drift planes share: AtomicWriteFile.
 package checkpoint
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
-// Store is a directory of unit-result entries. The zero value is not
-// usable; construct with Open. A nil *Store is a valid "checkpointing
-// disabled" store: Get always misses and Put is a no-op.
-type Store struct {
-	dir    string
-	resume bool
-
-	mu      sync.Mutex
-	hits    int
-	misses  int
-	puts    int
-	corrupt int
-}
-
-// envelope is the on-disk shape of one entry. Key lets a read verify it
-// got the entry it asked for (the file name is only a hash).
-type envelope struct {
-	Key   string          `json:"key"`
-	Value json.RawMessage `json:"value"`
-}
-
-// Open creates (if needed) the store directory. With resume false the
-// store is write-only: completed units are persisted but never read
-// back, so a fresh run overwrites rather than trusts prior state. With
-// resume true, Get serves previously persisted entries.
-func Open(dir string, resume bool) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("checkpoint: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return &Store{dir: dir, resume: resume}, nil
-}
-
-// Resume reports whether the store serves previously persisted entries.
-func (s *Store) Resume() bool { return s != nil && s.resume }
-
-// Get looks up key and, on a hit, decodes the stored value into v (which
-// must be a pointer). It returns (false, nil) when the store is nil, not
-// in resume mode, or has no usable entry for key; an unreadable or
-// corrupt entry is counted and treated as a miss so the caller simply
-// recomputes. The error return is reserved for a present, well-formed
-// entry whose value cannot be decoded into v — a caller type mismatch
-// worth surfacing.
-func (s *Store) Get(key string, v any) (bool, error) {
-	if s == nil || !s.resume {
-		return false, nil
-	}
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.count(func() { s.misses++ })
-		return false, nil
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Key != key {
-		s.count(func() { s.corrupt++ })
-		return false, nil
-	}
-	if err := json.Unmarshal(env.Value, v); err != nil {
-		s.count(func() { s.corrupt++ })
-		return false, fmt.Errorf("checkpoint: decode %q: %w", key, err)
-	}
-	s.count(func() { s.hits++ })
-	return true, nil
-}
-
-// Put persists v under key with an atomic tmp+rename write. Safe for
-// concurrent use: temp files are unique and rename is atomic, so the
-// last writer wins with no torn state.
-func (s *Store) Put(key string, v any) error {
-	if s == nil {
-		return nil
-	}
-	value, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode %q: %w", key, err)
-	}
-	data, err := json.Marshal(envelope{Key: key, Value: value})
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode %q: %w", key, err)
-	}
-	if err := AtomicWriteFile(s.path(key), data); err != nil {
-		return fmt.Errorf("checkpoint: write %q: %w", key, err)
-	}
-	s.count(func() { s.puts++ })
-	return nil
-}
-
-// AtomicWriteFile writes data to path with the store's durability
-// discipline: write to a unique temp file in the same directory, fsync,
-// then rename over path. A crash or power cut at any point leaves
-// either the old file or the new one, never a torn mix — the invariant
-// every durable artifact in this repository (experiment checkpoints,
-// job-plane state) relies on. Safe for concurrent writers to the same
-// path: temp names are unique and rename is atomic, so the last writer
-// wins cleanly.
+// AtomicWriteFile writes data to path durably: write to a unique temp
+// file in the same directory, fsync, then rename over path. A crash or
+// power cut at any point leaves either the old file or the new one,
+// never a torn mix — the invariant the job queue and the drift store
+// rely on. Safe for concurrent writers to the same path: temp names are
+// unique and rename is atomic, so the last writer wins cleanly.
 func AtomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".atomic-*.tmp")
@@ -142,31 +35,4 @@ func AtomicWriteFile(path string, data []byte) error {
 		return werr
 	}
 	return nil
-}
-
-// Stats reports hit/miss/put/corrupt counters since Open — the harness
-// prints them so a resumed run can show how much work it skipped.
-func (s *Store) Stats() (hits, misses, puts, corrupt int) {
-	if s == nil {
-		return 0, 0, 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses, s.puts, s.corrupt
-}
-
-func (s *Store) count(f func()) {
-	s.mu.Lock()
-	f()
-	s.mu.Unlock()
-}
-
-// path maps a key to its entry file: 64-bit FNV-1a of the key, hex.
-func (s *Store) path(key string) string {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return filepath.Join(s.dir, fmt.Sprintf("%016x.json", h))
 }

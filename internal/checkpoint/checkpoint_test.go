@@ -8,151 +8,6 @@ import (
 	"testing"
 )
 
-type unit struct {
-	Name string
-	PST  float64
-}
-
-func TestPutGetRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := unit{Name: "bv-16", PST: 0.123456789012345}
-	if err := s.Put("fig13/bv-16@seed=1", want); err != nil {
-		t.Fatal(err)
-	}
-	var got unit
-	hit, err := s.Get("fig13/bv-16@seed=1", &got)
-	if err != nil || !hit {
-		t.Fatalf("Get = (%v, %v), want hit", hit, err)
-	}
-	if got != want {
-		t.Fatalf("round trip: got %+v, want %+v (floats must survive bit-exactly)", got, want)
-	}
-}
-
-func TestWriteOnlyModeNeverServes(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", unit{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	var got unit
-	if hit, _ := s.Get("k", &got); hit {
-		t.Fatal("write-only store served an entry")
-	}
-	// The entry is on disk for a later resume run.
-	r, err := Open(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit, _ := r.Get("k", &got); !hit || got.Name != "x" {
-		t.Fatalf("resume store miss: hit=%v got=%+v", hit, got)
-	}
-}
-
-func TestNilStoreIsDisabled(t *testing.T) {
-	var s *Store
-	if err := s.Put("k", 1); err != nil {
-		t.Fatal(err)
-	}
-	var v int
-	if hit, err := s.Get("k", &v); hit || err != nil {
-		t.Fatalf("nil store Get = (%v, %v)", hit, err)
-	}
-	if s.Resume() {
-		t.Fatal("nil store claims resume mode")
-	}
-}
-
-func TestCorruptEntryIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", unit{Name: "good"}); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the entry mid-file, simulating torn non-atomic state.
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("entries = %v, %v", entries, err)
-	}
-	path := filepath.Join(dir, entries[0].Name())
-	if err := os.WriteFile(path, []byte(`{"key":"k","val`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var got unit
-	if hit, err := s.Get("k", &got); hit || err != nil {
-		t.Fatalf("corrupt entry Get = (%v, %v), want clean miss", hit, err)
-	}
-	_, _, _, corrupt := s.Stats()
-	if corrupt != 1 {
-		t.Fatalf("corrupt counter = %d, want 1", corrupt)
-	}
-}
-
-func TestForeignEntryKeyMismatchIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A well-formed entry sitting at the hash slot of a different key
-	// (hash collision / copied-in file) must not be served.
-	if err := os.WriteFile(s.path("wanted"), []byte(`{"key":"other","value":7}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var v int
-	if hit, _ := s.Get("wanted", &v); hit {
-		t.Fatal("served an entry whose stored key does not match")
-	}
-}
-
-// TestDamagedEntriesRecomputedOnResume is the resume contract under
-// every flavor of on-disk damage: a truncated entry, outright garbage,
-// and a wrong-key envelope each read as a clean miss (never a fatal
-// error), the caller recomputes and Puts, and the rewritten entry then
-// serves normally.
-func TestDamagedEntriesRecomputedOnResume(t *testing.T) {
-	damage := map[string][]byte{
-		"truncated": []byte(`{"key":"k","val`),
-		"garbage":   []byte("\x00\x01not json at all"),
-		"wrong-key": []byte(`{"key":"somebody-else","value":{"Name":"evil","PST":1}}`),
-	}
-	for name, bad := range damage {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := Open(dir, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Put("k", unit{Name: "good", PST: 0.5}); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(s.path("k"), bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var got unit
-			if hit, err := s.Get("k", &got); hit || err != nil {
-				t.Fatalf("damaged entry Get = (%v, %v), want clean miss", hit, err)
-			}
-			// The resume loop's reaction to a miss: recompute and Put.
-			if err := s.Put("k", unit{Name: "recomputed", PST: 0.25}); err != nil {
-				t.Fatalf("Put over damaged entry: %v", err)
-			}
-			if hit, err := s.Get("k", &got); !hit || err != nil || got.Name != "recomputed" {
-				t.Fatalf("after recompute: hit=%v err=%v got=%+v", hit, err, got)
-			}
-		})
-	}
-}
-
 func TestAtomicWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
@@ -178,28 +33,11 @@ func TestAtomicWriteFile(t *testing.T) {
 	}
 }
 
-func TestTypeMismatchSurfacesError(t *testing.T) {
-	s, err := Open(t.TempDir(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", unit{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	var wrong []int
-	if _, err := s.Get("k", &wrong); err == nil {
-		t.Fatal("decoding into the wrong type did not error")
-	}
-}
-
 func TestNoTempFilesLeftBehind(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(dir, "k.json")
 	for i := 0; i < 8; i++ {
-		if err := s.Put("k", i); err != nil {
+		if err := AtomicWriteFile(path, []byte{byte('0' + i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,32 +48,35 @@ func TestNoTempFilesLeftBehind(t *testing.T) {
 		}
 	}
 	if len(entries) != 1 {
-		t.Fatalf("%d entries for one key, want 1 (last write wins)", len(entries))
+		t.Fatalf("%d entries for one path, want 1 (last write wins)", len(entries))
 	}
 }
 
-func TestConcurrentPutsSameKey(t *testing.T) {
+// TestConcurrentWritesSamePath races writers on one path: the survivor
+// is one writer's complete payload, never a mix.
+func TestConcurrentWritesSamePath(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(dir, "shared.json")
+	payload := func(i int) string { return strings.Repeat(string(rune('a'+i)), 4096) }
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := s.Put("shared", unit{Name: "w", PST: float64(i)}); err != nil {
+			if err := AtomicWriteFile(path, []byte(payload(i))); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	var got unit
-	if hit, err := s.Get("shared", &got); !hit || err != nil {
-		t.Fatalf("Get after concurrent puts = (%v, %v)", hit, err)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Name != "w" {
-		t.Fatalf("torn entry: %+v", got)
+	for i := 0; i < 16; i++ {
+		if string(got) == payload(i) {
+			return
+		}
 	}
+	t.Fatalf("torn file: %d bytes starting %q", len(got), got[:min(len(got), 16)])
 }

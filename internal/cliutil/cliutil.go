@@ -2,8 +2,8 @@
 // the repository's binaries (repro, nisqc, calgen, nisqd). Before it
 // existed each binary let bad values fall through to confusing
 // downstream behavior: a negative -trials was silently replaced by the
-// simulator's default budget, a negative -timeout produced a context
-// that expired before the first unit started, and a negative -days was
+// simulator's default budget, a negative timeout produced a context
+// that expired before any work started, and a negative -days was
 // silently ignored. Every binary now rejects such values up front with
 // one consistent message.
 package cliutil

@@ -17,6 +17,23 @@
 //	Table2ErrorScaling         — sensitivity to scaled error rates
 //	Table3IBMQ5                — IBM-Q5 kernels (simulated hardware model)
 //	Fig16Partitioning          — two weak copies vs one strong copy (STPT)
+//
+// Beyond the paper:
+//
+//	PortfolioPolicies          — best-of-grid portfolio vs fixed policies
+//	ExtMAHSweep                — full range of the MAH knob
+//	ExtReadoutAware            — readout-error-aware allocation
+//	ExtOptimizer               — classical pre-optimization before mapping
+//	ExtTopology                — cost of restricted connectivity
+//	ExtQuantumVolume           — measured quantum volume by policy
+//	ScaleSweep                 — heavy-hex fleets from 20 to 1000 qubits
+//	QVTimeSweep                — stale mapping vs drift-triggered recompile
+//	VQASweep                   — variational loop, aware vs naive mapping
+//
+// Every experiment is a plain function of its Config. Those that compile
+// or simulate return (rows, error) and fan their rows out with
+// parallel.Map: rows keep item order, the lowest-index error wins, and a
+// panicking row becomes an error.
 package experiments
 
 import (

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"vaq/internal/calib"
+	"vaq/internal/metrics"
 )
 
 // fastCfg keeps experiment tests quick while exercising the full paths.
@@ -197,6 +201,36 @@ func TestFig14Shape(t *testing.T) {
 		if p.LinkErrorCoV <= 0 {
 			t.Fatalf("day %d: zero CoV", p.Day)
 		}
+	}
+}
+
+// TestFig14SkipsEmptyDays drops one day from a six-day archive: the
+// series keeps the other five days, in order, and averages only them.
+func TestFig14SkipsEmptyDays(t *testing.T) {
+	arch := calib.Generate(calib.DefaultQ20Config(2019))
+	var kept []*calib.Snapshot
+	for _, s := range arch.Snapshots {
+		if s.Day < 6 && s.Day != 2 {
+			kept = append(kept, s)
+		}
+	}
+	cfg := fastCfg()
+	cfg.Archive = &calib.Archive{Topo: arch.Topo, Snapshots: kept}
+	r, err := Fig14PerDay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var days []int
+	var rels []float64
+	for _, p := range r.Points {
+		days = append(days, p.Day)
+		rels = append(rels, p.Relative)
+	}
+	if fmt.Sprint(days) != "[0 1 3 4 5]" {
+		t.Fatalf("days = %v, want [0 1 3 4 5]", days)
+	}
+	if r.Average != metrics.Mean(rels) {
+		t.Fatalf("average %v, want the mean of the kept days %v", r.Average, metrics.Mean(rels))
 	}
 }
 

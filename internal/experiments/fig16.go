@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vaq/internal/core"
+	"vaq/internal/parallel"
 	"vaq/internal/partition"
 	"vaq/internal/sim"
 	"vaq/internal/workloads"
@@ -27,13 +28,7 @@ type Fig16Row struct {
 // of two concurrent copies versus one strong copy, for the 10-qubit
 // variants of alu, bv and qft on the IBM-Q20 model.
 func Fig16Partitioning(cfg Config) ([]Fig16Row, error) {
-	return runLegacy(cfg, Fig16PartitioningCtx)
-}
-
-// Fig16PartitioningCtx is Fig16Partitioning decomposed into per-workload
-// units.
-func Fig16PartitioningCtx(r *Runner) ([]Fig16Row, error) {
-	cfg := r.Config().withDefaults()
+	cfg = cfg.withDefaults()
 	d := cfg.meanQ20()
 	opts := partition.Options{
 		Compile:    core.Options{Policy: core.VQAVQM},
@@ -41,33 +36,26 @@ func Fig16PartitioningCtx(r *Runner) ([]Fig16Row, error) {
 		Candidates: 10,
 	}
 	suite := workloads.TenQubitSuite()
-	rows := make([]*Fig16Row, len(suite))
-	err := r.collectUnits(len(suite), func(i int) {
+	return parallel.Map(cfg.Workers, len(suite), func(i int) (Fig16Row, error) {
 		spec := suite[i]
-		key := UnitKey{Experiment: "fig16", Workload: spec.Name, Day: -1, Policy: "stpt"}
-		if row, ok := RunUnit(r, key, func() (Fig16Row, error) {
-			res, err := partition.Evaluate(d, spec.Circuit, opts)
-			if err != nil {
-				return Fig16Row{}, fmt.Errorf("fig16 %s: %w", spec.Name, err)
-			}
-			row := Fig16Row{
-				Name:          spec.Name,
-				TwoCopiesNorm: 1,
-				Winner:        res.Winner,
-				OneSTPT:       res.OneSTPT,
-				TwoSTPT:       res.TwoSTPT,
-				TwoPSTs:       [2]float64{res.Two[0].PST, res.Two[1].PST},
-				OnePST:        res.One.PST,
-			}
-			if res.TwoSTPT > 0 {
-				row.OneStrongNorm = res.OneSTPT / res.TwoSTPT
-			}
-			return row, nil
-		}); ok {
-			rows[i] = &row
+		res, err := partition.Evaluate(d, spec.Circuit, opts)
+		if err != nil {
+			return Fig16Row{}, fmt.Errorf("fig16 %s: %w", spec.Name, err)
 		}
+		row := Fig16Row{
+			Name:          spec.Name,
+			TwoCopiesNorm: 1,
+			Winner:        res.Winner,
+			OneSTPT:       res.OneSTPT,
+			TwoSTPT:       res.TwoSTPT,
+			TwoPSTs:       [2]float64{res.Two[0].PST, res.Two[1].PST},
+			OnePST:        res.One.PST,
+		}
+		if res.TwoSTPT > 0 {
+			row.OneStrongNorm = res.OneSTPT / res.TwoSTPT
+		}
+		return row, nil
 	})
-	return compactRows(rows), err
 }
 
 // Fig16Table renders Figure 16.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -13,31 +12,6 @@ import (
 	"vaq/internal/sim"
 	"vaq/internal/workloads"
 )
-
-// runLegacy adapts a Runner-based experiment to the original
-// (Config) -> (rows, error) signature: no cancellation, no checkpoint,
-// and any quarantined unit surfaces as an error alongside the
-// surviving rows.
-func runLegacy[T any](cfg Config, fn func(*Runner) (T, error)) (T, error) {
-	r := NewRunner(context.Background(), cfg, nil)
-	v, err := fn(r)
-	if err == nil {
-		err = r.Report().Err()
-	}
-	return v, err
-}
-
-// compactRows drops the slots of skipped or quarantined units, keeping
-// the survivors in unit order.
-func compactRows[T any](rows []*T) []T {
-	out := make([]T, 0, len(rows))
-	for _, p := range rows {
-		if p != nil {
-			out = append(out, *p)
-		}
-	}
-	return out
-}
 
 // Table1Row is one benchmark's characteristics (paper Table 1).
 type Table1Row struct {
@@ -52,36 +26,23 @@ type Table1Row struct {
 // instruction count, and the SWAPs the baseline compiler inserts on the
 // IBM-Q20 model.
 func Table1Benchmarks(cfg Config) ([]Table1Row, error) {
-	return runLegacy(cfg, Table1BenchmarksCtx)
-}
-
-// Table1BenchmarksCtx is Table1Benchmarks decomposed into per-workload
-// units under r's cancellation, quarantine, and checkpoint discipline.
-func Table1BenchmarksCtx(r *Runner) ([]Table1Row, error) {
-	cfg := r.Config().withDefaults()
+	cfg = cfg.withDefaults()
 	d := cfg.meanQ20()
 	suite := workloads.Table1Suite()
-	rows := make([]*Table1Row, len(suite))
-	err := r.collectUnits(len(suite), func(i int) {
+	return parallel.Map(cfg.Workers, len(suite), func(i int) (Table1Row, error) {
 		spec := suite[i]
-		key := UnitKey{Experiment: "table1", Workload: spec.Name, Day: -1, Policy: "baseline"}
-		if row, ok := RunUnit(r, key, func() (Table1Row, error) {
-			comp, err := core.Compile(d, spec.Circuit, core.Options{Policy: core.Baseline})
-			if err != nil {
-				return Table1Row{}, fmt.Errorf("table1 %s: %w", spec.Name, err)
-			}
-			return Table1Row{
-				Name:        spec.Name,
-				Description: spec.Description,
-				Qubits:      spec.Circuit.NumQubits,
-				TotalInst:   spec.Circuit.Stats().Total,
-				SwapInst:    comp.Swaps(),
-			}, nil
-		}); ok {
-			rows[i] = &row
+		comp, err := core.Compile(d, spec.Circuit, core.Options{Policy: core.Baseline})
+		if err != nil {
+			return Table1Row{}, fmt.Errorf("table1 %s: %w", spec.Name, err)
 		}
+		return Table1Row{
+			Name:        spec.Name,
+			Description: spec.Description,
+			Qubits:      spec.Circuit.NumQubits,
+			TotalInst:   spec.Circuit.Stats().Total,
+			SwapInst:    comp.Swaps(),
+		}, nil
 	})
-	return compactRows(rows), err
 }
 
 // Table1Table renders Table 1.
@@ -111,42 +72,30 @@ type Fig12Row struct {
 // and its hop-limited variant, normalized to the SWAP-minimizing baseline,
 // over the seven Table 1 workloads on the IBM-Q20 model.
 func Fig12VQM(cfg Config) ([]Fig12Row, error) {
-	return runLegacy(cfg, Fig12VQMCtx)
-}
-
-// Fig12VQMCtx is Fig12VQM decomposed into per-workload units.
-func Fig12VQMCtx(r *Runner) ([]Fig12Row, error) {
-	cfg := r.Config().withDefaults()
+	cfg = cfg.withDefaults()
 	d := cfg.meanQ20()
 	suite := workloads.Table1Suite()
-	rows := make([]*Fig12Row, len(suite))
-	err := r.collectUnits(len(suite), func(i int) {
+	return parallel.Map(cfg.Workers, len(suite), func(i int) (Fig12Row, error) {
 		spec := suite[i]
-		key := UnitKey{Experiment: "fig12", Workload: spec.Name, Day: -1, Policy: "vqm"}
-		if row, ok := RunUnit(r, key, func() (Fig12Row, error) {
-			base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
-			if err != nil {
-				return Fig12Row{}, fmt.Errorf("fig12 %s: %w", spec.Name, err)
-			}
-			vqm, _, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
-			if err != nil {
-				return Fig12Row{}, err
-			}
-			hop, _, err := cfg.pst(d, spec.Circuit, core.VQMHop, cfg.Trials, cfg.Seed)
-			if err != nil {
-				return Fig12Row{}, err
-			}
-			return Fig12Row{
-				Name:        spec.Name,
-				BaselinePST: base,
-				RelVQM:      metrics.Relative(vqm, base),
-				RelVQMHop:   metrics.Relative(hop, base),
-			}, nil
-		}); ok {
-			rows[i] = &row
+		base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
+		if err != nil {
+			return Fig12Row{}, fmt.Errorf("fig12 %s: %w", spec.Name, err)
 		}
+		vqm, _, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
+		if err != nil {
+			return Fig12Row{}, err
+		}
+		hop, _, err := cfg.pst(d, spec.Circuit, core.VQMHop, cfg.Trials, cfg.Seed)
+		if err != nil {
+			return Fig12Row{}, err
+		}
+		return Fig12Row{
+			Name:        spec.Name,
+			BaselinePST: base,
+			RelVQM:      metrics.Relative(vqm, base),
+			RelVQMHop:   metrics.Relative(hop, base),
+		}, nil
 	})
-	return compactRows(rows), err
 }
 
 // Fig12Table renders Figure 12.
@@ -177,58 +126,46 @@ type Fig13Row struct {
 // compiler (32 random configurations; avg and min–max), the baseline, VQM,
 // and VQA+VQM, normalized to the baseline.
 func Fig13Policies(cfg Config) ([]Fig13Row, error) {
-	return runLegacy(cfg, Fig13PoliciesCtx)
-}
-
-// Fig13PoliciesCtx is Fig13Policies decomposed into per-workload units.
-func Fig13PoliciesCtx(r *Runner) ([]Fig13Row, error) {
-	cfg := r.Config().withDefaults()
+	cfg = cfg.withDefaults()
 	d := cfg.meanQ20()
 	suite := workloads.Table1Suite()
-	rows := make([]*Fig13Row, len(suite))
-	err := r.collectUnits(len(suite), func(i int) {
+	return parallel.Map(cfg.Workers, len(suite), func(i int) (Fig13Row, error) {
 		spec := suite[i]
-		key := UnitKey{Experiment: "fig13", Workload: spec.Name, Day: -1, Policy: "all"}
-		if row, ok := RunUnit(r, key, func() (Fig13Row, error) {
-			base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
-			if err != nil {
-				return Fig13Row{}, fmt.Errorf("fig13 %s: %w", spec.Name, err)
-			}
-			vqm, _, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
-			if err != nil {
-				return Fig13Row{}, err
-			}
-			full, _, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Trials, cfg.Seed)
-			if err != nil {
-				return Fig13Row{}, err
-			}
-			// The native comparator's random configurations are independent,
-			// so they fan out too; Map keeps them in configuration order.
-			natives, err := parallel.Map(cfg.Workers, cfg.NativeConfigs, func(n int) (float64, error) {
-				p, _, err := cfg.pst(d, spec.Circuit, core.Native, cfg.NativeTrials, cfg.Seed+int64(n))
-				if err != nil {
-					return 0, err
-				}
-				return metrics.Relative(p, base), nil
-			})
-			if err != nil {
-				return Fig13Row{}, err
-			}
-			lo, hi := metrics.MinMax(natives)
-			return Fig13Row{
-				Name:        spec.Name,
-				BaselinePST: base,
-				NativeAvg:   metrics.Mean(natives),
-				NativeMin:   lo,
-				NativeMax:   hi,
-				RelVQM:      metrics.Relative(vqm, base),
-				RelVQAVQM:   metrics.Relative(full, base),
-			}, nil
-		}); ok {
-			rows[i] = &row
+		base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
+		if err != nil {
+			return Fig13Row{}, fmt.Errorf("fig13 %s: %w", spec.Name, err)
 		}
+		vqm, _, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
+		if err != nil {
+			return Fig13Row{}, err
+		}
+		full, _, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Trials, cfg.Seed)
+		if err != nil {
+			return Fig13Row{}, err
+		}
+		// The native comparator's random configurations are independent,
+		// so they fan out too; Map keeps them in configuration order.
+		natives, err := parallel.Map(cfg.Workers, cfg.NativeConfigs, func(n int) (float64, error) {
+			p, _, err := cfg.pst(d, spec.Circuit, core.Native, cfg.NativeTrials, cfg.Seed+int64(n))
+			if err != nil {
+				return 0, err
+			}
+			return metrics.Relative(p, base), nil
+		})
+		if err != nil {
+			return Fig13Row{}, err
+		}
+		lo, hi := metrics.MinMax(natives)
+		return Fig13Row{
+			Name:        spec.Name,
+			BaselinePST: base,
+			NativeAvg:   metrics.Mean(natives),
+			NativeMin:   lo,
+			NativeMax:   hi,
+			RelVQM:      metrics.Relative(vqm, base),
+			RelVQAVQM:   metrics.Relative(full, base),
+		}, nil
 	})
-	return compactRows(rows), err
 }
 
 // Fig13Table renders Figure 13.
@@ -267,64 +204,52 @@ type Fig14Result struct {
 
 // Fig14PerDay reproduces Figure 14: the relative PST improvement of
 // VQA+VQM for bv-16 recompiled against each day's characterization data.
+//
+// Each day is recompiled independently, so the days fan out; a day
+// with no snapshots is skipped.
 func Fig14PerDay(cfg Config) (Fig14Result, error) {
-	return runLegacy(cfg, Fig14PerDayCtx)
-}
-
-// Fig14PerDayCtx is Fig14PerDay decomposed into per-day units — the
-// widest fan-out in the suite (52 days, each recompiled independently),
-// and the main beneficiary of checkpointed resume.
-func Fig14PerDayCtx(r *Runner) (Fig14Result, error) {
-	cfg := r.Config().withDefaults()
+	cfg = cfg.withDefaults()
 	arch := cfg.archive()
 	prog := workloads.BV(16)
-	trials := cfg.Trials / 4
-	if trials < 20000 {
-		trials = 20000
+	trials := max(cfg.Trials/4, 20000)
+	points, err := parallel.Map(cfg.Workers, arch.Days(), func(day int) (*Fig14Point, error) {
+		snaps := arch.DaySnapshots(day)
+		if len(snaps) == 0 {
+			return nil, nil
+		}
+		d, err := device.New(arch.Topo, snaps[0])
+		if err != nil {
+			return nil, err
+		}
+		base, _, err := cfg.pst(d, prog, core.Baseline, trials, cfg.Seed+int64(day))
+		if err != nil {
+			return nil, fmt.Errorf("fig14 day %d: %w", day, err)
+		}
+		full, _, err := cfg.pst(d, prog, core.VQAVQM, trials, cfg.Seed+int64(day))
+		if err != nil {
+			return nil, err
+		}
+		return &Fig14Point{
+			Day:          day,
+			BaselinePST:  base,
+			VQAVQMPST:    full,
+			Relative:     metrics.Relative(full, base),
+			LinkErrorCoV: summaryOfLinkRates(snaps[0].LinkRates()),
+		}, nil
+	})
+	if err != nil {
+		return Fig14Result{}, err
 	}
 	var res Fig14Result
-	points := make([]*Fig14Point, arch.Days())
-	err := r.collectUnits(arch.Days(), func(day int) {
-		key := UnitKey{Experiment: "fig14", Workload: "bv-16", Day: day, Policy: "vqa+vqm"}
-		if p, ok := RunUnit(r, key, func() (*Fig14Point, error) {
-			snaps := arch.DaySnapshots(day)
-			if len(snaps) == 0 {
-				return nil, nil
-			}
-			d, err := device.New(arch.Topo, snaps[0])
-			if err != nil {
-				return nil, err
-			}
-			base, _, err := cfg.pst(d, prog, core.Baseline, trials, cfg.Seed+int64(day))
-			if err != nil {
-				return nil, fmt.Errorf("fig14 day %d: %w", day, err)
-			}
-			full, _, err := cfg.pst(d, prog, core.VQAVQM, trials, cfg.Seed+int64(day))
-			if err != nil {
-				return nil, err
-			}
-			return &Fig14Point{
-				Day:          day,
-				BaselinePST:  base,
-				VQAVQMPST:    full,
-				Relative:     metrics.Relative(full, base),
-				LinkErrorCoV: summaryOfLinkRates(snaps[0].LinkRates()),
-			}, nil
-		}); ok {
-			points[day] = p
-		}
-	})
+	var rels []float64
 	for _, p := range points {
 		if p != nil {
 			res.Points = append(res.Points, *p)
+			rels = append(rels, p.Relative)
 		}
 	}
-	rels := make([]float64, len(res.Points))
-	for i, p := range res.Points {
-		rels[i] = p.Relative
-	}
 	res.Average = metrics.Mean(rels)
-	return res, err
+	return res, nil
 }
 
 func summaryOfLinkRates(rates []float64) float64 {
@@ -377,14 +302,7 @@ type Table2Row struct {
 // row is the geometric mean over several archive seeds, because a single
 // archive realization does not expose the variation trend.
 func Table2ErrorScaling(cfg Config) ([]Table2Row, error) {
-	return runLegacy(cfg, Table2ErrorScalingCtx)
-}
-
-// Table2ErrorScalingCtx is Table2ErrorScaling decomposed into one unit
-// per scaling configuration (the unit's scope spans its seven archive
-// realizations).
-func Table2ErrorScalingCtx(r *Runner) ([]Table2Row, error) {
-	cfg := r.Config().withDefaults()
+	cfg = cfg.withDefaults()
 	prog := workloads.BV(16)
 	configs := []Table2Row{
 		{Label: "1x, Cov-Base", MeanFactor: 1, CovFactor: 1},
@@ -393,41 +311,34 @@ func Table2ErrorScalingCtx(r *Runner) ([]Table2Row, error) {
 	}
 	const archives = 7
 	scfg := sim.Config{DisableCoherence: true}
-	rows := make([]*Table2Row, len(configs))
-	err := r.collectUnits(len(configs), func(i int) {
-		key := UnitKey{Experiment: "table2", Workload: "bv-16", Day: -1, Policy: configs[i].Label}
-		if rel, ok := RunUnit(r, key, func() (float64, error) {
-			// The archive realizations are independent; fan them out and keep
-			// seed order so the geomean sees a stable sequence.
-			rels, err := parallel.Map(cfg.Workers, archives, func(a int) (float64, error) {
-				arch := calib.Generate(calib.DefaultQ20Config(cfg.Seed + int64(a)))
-				d := device.MustNew(arch.Topo, arch.MustMean())
-				if configs[i].MeanFactor != 1 || configs[i].CovFactor != 1 {
-					d = d.Scale(configs[i].MeanFactor, configs[i].CovFactor)
-				}
-				baseComp, err := core.Compile(d, prog, core.Options{Policy: core.Baseline})
-				if err != nil {
-					return 0, fmt.Errorf("table2 %s: %w", configs[i].Label, err)
-				}
-				fullComp, err := core.Compile(d, prog, core.Options{Policy: core.VQAVQM})
-				if err != nil {
-					return 0, err
-				}
-				basePST := sim.AnalyticPST(d, baseComp.Routed.Physical, scfg)
-				fullPST := sim.AnalyticPST(d, fullComp.Routed.Physical, scfg)
-				return metrics.Relative(fullPST, basePST), nil
-			})
+	return parallel.Map(cfg.Workers, len(configs), func(i int) (Table2Row, error) {
+		row := configs[i]
+		// The archive realizations are independent; fan them out and keep
+		// seed order so the geomean sees a stable sequence.
+		rels, err := parallel.Map(cfg.Workers, archives, func(a int) (float64, error) {
+			arch := calib.Generate(calib.DefaultQ20Config(cfg.Seed + int64(a)))
+			d := device.MustNew(arch.Topo, arch.MustMean())
+			if row.MeanFactor != 1 || row.CovFactor != 1 {
+				d = d.Scale(row.MeanFactor, row.CovFactor)
+			}
+			baseComp, err := core.Compile(d, prog, core.Options{Policy: core.Baseline})
+			if err != nil {
+				return 0, fmt.Errorf("table2 %s: %w", row.Label, err)
+			}
+			fullComp, err := core.Compile(d, prog, core.Options{Policy: core.VQAVQM})
 			if err != nil {
 				return 0, err
 			}
-			return metrics.GeoMean(rels), nil
-		}); ok {
-			row := configs[i]
-			row.Relative = rel
-			rows[i] = &row
+			basePST := sim.AnalyticPST(d, baseComp.Routed.Physical, scfg)
+			fullPST := sim.AnalyticPST(d, fullComp.Routed.Physical, scfg)
+			return metrics.Relative(fullPST, basePST), nil
+		})
+		if err != nil {
+			return Table2Row{}, err
 		}
+		row.Relative = metrics.GeoMean(rels)
+		return row, nil
 	})
-	return compactRows(rows), err
 }
 
 // Table2Table renders Table 2.
@@ -462,43 +373,32 @@ type Table3Result struct {
 // with the Tenerife topology and the paper's quoted error figures (mean 2Q
 // error 4.2%, worst link 12%), 4096 trials per program as in the paper.
 func Table3IBMQ5(cfg Config) (Table3Result, error) {
-	return runLegacy(cfg, Table3IBMQ5Ctx)
-}
-
-// Table3IBMQ5Ctx is Table3IBMQ5 decomposed into per-kernel units.
-func Table3IBMQ5Ctx(r *Runner) (Table3Result, error) {
-	cfg := r.Config().withDefaults()
+	cfg = cfg.withDefaults()
 	d := cfg.q5()
-	var res Table3Result
 	suite := workloads.Q5Suite()
-	rows := make([]*Table3Row, len(suite))
-	err := r.collectUnits(len(suite), func(i int) {
+	rows, err := parallel.Map(cfg.Workers, len(suite), func(i int) (Table3Row, error) {
 		spec := suite[i]
-		key := UnitKey{Experiment: "table3", Workload: spec.Name, Day: -1, Policy: "vqa+vqm"}
-		if row, ok := RunUnit(r, key, func() (Table3Row, error) {
-			base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Q5Trials, cfg.Seed)
-			if err != nil {
-				return Table3Row{}, fmt.Errorf("table3 %s: %w", spec.Name, err)
-			}
-			full, _, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Q5Trials, cfg.Seed)
-			if err != nil {
-				return Table3Row{}, err
-			}
-			return Table3Row{
-				Name: spec.Name, BaselinePST: base, VQAVQMPST: full,
-				Relative: metrics.Relative(full, base),
-			}, nil
-		}); ok {
-			rows[i] = &row
+		base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Q5Trials, cfg.Seed)
+		if err != nil {
+			return Table3Row{}, fmt.Errorf("table3 %s: %w", spec.Name, err)
 		}
+		full, _, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Q5Trials, cfg.Seed)
+		if err != nil {
+			return Table3Row{}, err
+		}
+		return Table3Row{
+			Name: spec.Name, BaselinePST: base, VQAVQMPST: full,
+			Relative: metrics.Relative(full, base),
+		}, nil
 	})
-	res.Rows = compactRows(rows)
-	rels := make([]float64, len(res.Rows))
-	for i, row := range res.Rows {
+	if err != nil {
+		return Table3Result{}, err
+	}
+	rels := make([]float64, len(rows))
+	for i, row := range rows {
 		rels[i] = row.Relative
 	}
-	res.GeoMean = metrics.GeoMean(rels)
-	return res, err
+	return Table3Result{Rows: rows, GeoMean: metrics.GeoMean(rels)}, nil
 }
 
 // Table3Table renders Table 3.

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"vaq/internal/core"
 	"vaq/internal/metrics"
+	"vaq/internal/parallel"
 	"vaq/internal/portfolio"
 	"vaq/internal/workloads"
 )
@@ -29,20 +31,14 @@ type PortfolioRow struct {
 	Headroom float64
 }
 
-// PortfolioPolicies runs the portfolio-vs-fixed-policies comparison over
-// the Table 1 suite.
-func PortfolioPolicies(cfg Config) ([]PortfolioRow, error) {
-	return runLegacy(cfg, PortfolioPoliciesCtx)
-}
-
 // fixedPolicies are the deterministic single-policy columns the
 // portfolio is compared against (Native is excluded: its randomized
 // mappings are a distribution, not a fixed comparator, and Figure 13
 // already shows it far below the baseline).
 var fixedPolicies = []core.Policy{core.Baseline, core.VQM, core.VQMHop, core.VQAVQM}
 
-// PortfolioPoliciesCtx is PortfolioPolicies decomposed into per-workload
-// units under r's cancellation, quarantine, and checkpoint discipline.
+// PortfolioPolicies runs the portfolio-vs-fixed-policies comparison over
+// the Table 1 suite.
 //
 // Methodology: the fixed columns use cfg.pst. The portfolio column runs
 // the speculative grid, then re-measures its leaders — the analytic
@@ -53,56 +49,49 @@ var fixedPolicies = []core.Policy{core.Baseline, core.VQM, core.VQMHop, core.VQA
 // reference device is a mean-cycle grid point (core.Candidates lists
 // them; portfolio's TestGridCoversFixedPolicies pins the cover), so the
 // portfolio column is mathematically ≥ each fixed column.
-func PortfolioPoliciesCtx(r *Runner) ([]PortfolioRow, error) {
-	cfg := r.Config().withDefaults()
+func PortfolioPolicies(cfg Config) ([]PortfolioRow, error) {
+	cfg = cfg.withDefaults()
 	arch := cfg.archive()
 	d := cfg.meanQ20()
 	suite := workloads.Table1Suite()
-	rows := make([]*PortfolioRow, len(suite))
-	err := r.collectUnits(len(suite), func(i int) {
+	return parallel.Map(cfg.Workers, len(suite), func(i int) (PortfolioRow, error) {
 		spec := suite[i]
-		key := UnitKey{Experiment: "portfolio", Workload: spec.Name, Day: -1, Policy: "portfolio"}
-		if row, ok := RunUnit(r, key, func() (PortfolioRow, error) {
-			fixed := make([]float64, len(fixedPolicies))
-			for j, p := range fixedPolicies {
-				pst, _, err := cfg.pst(d, spec.Circuit, p, cfg.Trials, cfg.Seed)
-				if err != nil {
-					return PortfolioRow{}, fmt.Errorf("portfolio %s/%s: %w", spec.Name, p, err)
-				}
-				fixed[j] = pst
-			}
-			pspec := portfolio.Spec{RootSeed: cfg.Seed, Workers: cfg.Workers}
-			res, err := portfolio.Run(r.Context(), d, arch, spec.Circuit, pspec)
+		fixed := make([]float64, len(fixedPolicies))
+		for j, p := range fixedPolicies {
+			pst, _, err := cfg.pst(d, spec.Circuit, p, cfg.Trials, cfg.Seed)
 			if err != nil {
-				return PortfolioRow{}, fmt.Errorf("portfolio %s: %w", spec.Name, err)
+				return PortfolioRow{}, fmt.Errorf("portfolio %s/%s: %w", spec.Name, p, err)
 			}
-			best, winner := math.Inf(-1), ""
-			for idx := range res.Candidates {
-				c := &res.Candidates[idx]
-				if idx >= portfolio.DefaultTopK && !fixedEquivalent(c.CandidateSpec) {
-					continue
-				}
-				pst := cfg.measure(d, c.Compiled.Routed.Physical, cfg.Trials, cfg.Seed)
-				if pst > best {
-					best, winner = pst, c.Label()
-				}
-			}
-			_, bestFixed := metrics.MinMax(fixed)
-			return PortfolioRow{
-				Name:         spec.Name,
-				BaselinePST:  fixed[0],
-				VQMPST:       fixed[1],
-				VQMHopPST:    fixed[2],
-				VQAVQMPST:    fixed[3],
-				PortfolioPST: best,
-				Winner:       winner,
-				Headroom:     metrics.Relative(best, bestFixed),
-			}, nil
-		}); ok {
-			rows[i] = &row
+			fixed[j] = pst
 		}
+		pspec := portfolio.Spec{RootSeed: cfg.Seed, Workers: cfg.Workers}
+		res, err := portfolio.Run(context.TODO(), d, arch, spec.Circuit, pspec)
+		if err != nil {
+			return PortfolioRow{}, fmt.Errorf("portfolio %s: %w", spec.Name, err)
+		}
+		best, winner := math.Inf(-1), ""
+		for idx := range res.Candidates {
+			c := &res.Candidates[idx]
+			if idx >= portfolio.DefaultTopK && !fixedEquivalent(c.CandidateSpec) {
+				continue
+			}
+			pst := cfg.measure(d, c.Compiled.Routed.Physical, cfg.Trials, cfg.Seed)
+			if pst > best {
+				best, winner = pst, c.Label()
+			}
+		}
+		_, bestFixed := metrics.MinMax(fixed)
+		return PortfolioRow{
+			Name:         spec.Name,
+			BaselinePST:  fixed[0],
+			VQMPST:       fixed[1],
+			VQMHopPST:    fixed[2],
+			VQAVQMPST:    fixed[3],
+			PortfolioPST: best,
+			Winner:       winner,
+			Headroom:     metrics.Relative(best, bestFixed),
+		}, nil
 	})
-	return compactRows(rows), err
 }
 
 // fixedEquivalent reports whether a grid point covers a circuit one of

@@ -2,7 +2,7 @@
 // persistent, priority-aware work queue that converts the daemon from
 // request/response to a production control plane. A submitted job is
 // persisted atomically before it is acknowledged (the same
-// tmp+fsync+rename envelope discipline package checkpoint uses), so a
+// tmp+fsync+rename discipline of checkpoint.AtomicWriteFile), so a
 // daemon crash can never lose an accepted job; on restart the queue is
 // recovered from disk and interrupted jobs re-execute, and because every
 // pipeline in this repository is deterministic (seeded Monte-Carlo

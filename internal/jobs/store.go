@@ -14,7 +14,7 @@ import (
 // store persists one file per job under dir, written atomically via
 // checkpoint.AtomicWriteFile, so an accepted job survives any crash:
 // the file either holds the previous consistent state or the new one.
-// Like checkpoint entries, each file carries its own key (the job id)
+// Each file carries its own key (the job id)
 // inside an envelope and is verified on load — a renamed, truncated or
 // foreign file is quarantined (renamed aside with a .corrupt suffix),
 // never fatal and never silently trusted.

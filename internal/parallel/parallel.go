@@ -9,15 +9,15 @@
 // Two failure disciplines are offered. ForEach/ForEachCtx/Map/MapCtx
 // abort on the first observed failure and return the failure with the
 // lowest item index — the right contract when any failure invalidates
-// the whole batch. Collect runs every item to completion regardless of
-// failures and returns all of them joined (errors.Join) in index order —
-// the contract the fault-isolated experiment harness needs, where one
-// bad unit must not discard its siblings' results.
+// the whole batch, as in every experiment. Collect runs every item to
+// completion regardless of failures and returns all of them joined
+// (errors.Join) in index order — the contract of the serve batch and
+// sweep handlers and of the portfolio compiler, where one bad item must
+// not discard its siblings' results.
 //
 // The context-aware variants stop claiming new items once the context is
 // cancelled; items already started always run to completion (work is
-// never preempted mid-item, which is what keeps completed results valid
-// for checkpointing).
+// never preempted mid-item).
 package parallel
 
 import (

@@ -20,6 +20,11 @@ go test -race "$@" ./...
 # SABRE-route a 60-qubit workload on the 399-qubit heavy-hex fleet under
 # the race detector (the A* router cannot attempt this size at all).
 go test -race -count=1 -run 'TestSabreHeavyHex399|TestSabreConcurrentDeterminism' ./internal/route
+# Full paper-table golden, kept explicit because -short pins only the
+# cheap experiments: every table and chart of `repro -experiment all` at
+# seed 2019, byte-compared serially and at one worker per CPU (without
+# -race it takes a few seconds; with it, about half a minute).
+go test -count=1 -run 'TestReproGolden' ./cmd/repro
 # Benchmark smoke: one iteration of every tracked benchmark — including
 # the packed Monte-Carlo kernel benches (BenchmarkMonteCarlo runs packed,
 # BenchmarkMonteCarloScalar the reference path) — so a change that breaks
