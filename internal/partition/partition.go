@@ -73,6 +73,9 @@ type Result struct {
 func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, error) {
 	k := prog.NumQubits
 	n := d.NumQubits()
+	if k == 0 {
+		return nil, fmt.Errorf("partition: program %q uses no qubits", prog.Name)
+	}
 	if 2*k > n {
 		return nil, fmt.Errorf("partition: program needs %d qubits, two copies exceed machine size %d", k, n)
 	}
@@ -124,18 +127,38 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 			}
 		}
 	}
-	for _, qubits := range oneRegions {
+	// Each region is compiled and simulated once per call: the two-copy
+	// loop below asks again for every k-qubit side this loop scores (a
+	// bipartition is ranked next to its mirror). The key is the exact
+	// slice handed to Restrict, so a hit returns what a recompile would.
+	type outcome struct {
+		pst float64
+		lat time.Duration
+		err error
+	}
+	scored := map[string]outcome{}
+	score := func(qubits []int) outcome {
+		key := fmt.Sprint(qubits)
+		if o, ok := scored[key]; ok {
+			return o
+		}
+		var o outcome
 		sub, _, err := d.Restrict(qubits)
-		if err != nil {
+		if err == nil {
+			o.pst, o.lat, err = compileAndSimulate(sub, prog, opts)
+		}
+		o.err = err
+		scored[key] = o
+		return o
+	}
+	for _, qubits := range oneRegions {
+		o := score(qubits)
+		if o.err != nil {
 			continue
 		}
-		pst, lat, err := compileAndSimulate(sub, prog, opts)
-		if err != nil {
-			continue
-		}
-		if stpt := metrics.STPT(pst, lat); stpt > res.OneSTPT {
+		if stpt := metrics.STPT(o.pst, o.lat); stpt > res.OneSTPT {
 			res.OneSTPT = stpt
-			res.One = CopyOutcome{Qubits: qubits, PST: pst}
+			res.One = CopyOutcome{Qubits: qubits, PST: o.pst}
 		}
 	}
 
@@ -145,20 +168,13 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 		var latency time.Duration
 		ok := true
 		for side, qubits := range cand {
-			sub, _, err := d.Restrict(qubits)
-			if err != nil {
+			o := score(qubits)
+			if o.err != nil {
 				ok = false
 				break
 			}
-			pst, lat, err := compileAndSimulate(sub, prog, opts)
-			if err != nil {
-				ok = false
-				break
-			}
-			psts[side] = pst
-			if lat > latency {
-				latency = lat
-			}
+			psts[side] = o.pst
+			latency = max(latency, o.lat)
 		}
 		if !ok || latency <= 0 {
 			continue
@@ -189,6 +205,9 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 // success probabilities (errors are independent), the analytic value is
 // used whenever too few successes were observed.
 func compileAndSimulate(d *device.Device, prog *circuit.Circuit, opts Options) (pst float64, latency time.Duration, err error) {
+	if compileHook != nil {
+		compileHook(d)
+	}
 	comp, err := core.Compile(d, prog, opts.Compile)
 	if err != nil {
 		return 0, 0, err
@@ -201,6 +220,10 @@ func compileAndSimulate(d *device.Device, prog *circuit.Circuit, opts Options) (
 	return pst, out.TrialLatency, nil
 }
 
+// compileHook, when set, observes every device compileAndSimulate is
+// about to compile for. Tests use it to count the work Evaluate does.
+var compileHook func(*device.Device)
+
 // rankedBipartitions enumerates connected splits (A, B) of the machine
 // with |A| = k (copy 1's region) and |B| = n−k, both connected, and
 // returns the top `limit` by the proxy score: the aggregate CNOT success
@@ -210,6 +233,13 @@ func compileAndSimulate(d *device.Device, prog *circuit.Circuit, opts Options) (
 // It also returns the unconstrained strongest k-subgraph, the first set
 // it considers, which Evaluate reuses as the single-copy region.
 func rankedBipartitions(d *device.Device, k, limit int) ([][2][]int, []int) {
+	return rankBipartitions(d, k, limit, enumerateConnected)
+}
+
+// rankBipartitions is rankedBipartitions over a given connected-set
+// enumerator; tests rank with an unpruned reference to check that the
+// pruned search is exact.
+func rankBipartitions(d *device.Device, k, limit int, enumerate func(g *graphx.Graph, k, branch int, visit func([]int))) ([][2][]int, []int) {
 	rel := d.ReliabilityGraph()
 	n := d.NumQubits()
 
@@ -252,9 +282,7 @@ func rankedBipartitions(d *device.Device, k, limit int) ([][2][]int, []int) {
 	}
 	// Connected k-subsets grown from every seed by descending-strength
 	// expansion with limited branching.
-	for seed := 0; seed < n; seed++ {
-		enumerateConnected(rel, seed, k, 3, consider)
-	}
+	enumerate(rel, k, 3, consider)
 
 	slices.SortStableFunc(out, func(a, b scored) int { return cmp.Compare(b.score, a.score) })
 	if len(out) > limit {
@@ -267,16 +295,33 @@ func rankedBipartitions(d *device.Device, k, limit int) ([][2][]int, []int) {
 	return result, sg
 }
 
-// enumerateConnected grows connected sets from seed, branching over the
-// `branch` strongest frontier extensions at each step, and calls visit for
-// every k-set reached.
-func enumerateConnected(g *graphx.Graph, seed, k, branch int, visit func([]int)) {
+// enumerateConnected grows connected sets from every seed qubit in turn,
+// branching over the `branch` strongest frontier extensions at each step,
+// and calls visit for every k-set reached.
+//
+// An internal set is expanded at most once, across all seeds. This is
+// exact: a set's subtree depends only on its membership (each gain sums
+// the weights to members in neighbour order, and the extensions are
+// sorted by the total order gain desc, v asc), and a repeat is met only
+// after the first expansion has finished, so every k-set below it has
+// already been visited. The first-visit order of k-sets, which is all the
+// ranking sees, is the unpruned search's.
+func enumerateConnected(g *graphx.Graph, k, branch int, visit func([]int)) {
 	type ext struct {
 		v    int
 		gain float64
 	}
-	in := make([]bool, g.N())
-	listed := make([]bool, g.N())
+	n := g.N()
+	// in and key both hold the current set's membership, as flags and as
+	// the n-bit key of expanded, the sets already expanded.
+	in := make([]bool, n)
+	key := make([]byte, (n+7)/8)
+	flip := func(v int) {
+		in[v] = !in[v]
+		key[v/8] ^= 1 << (v % 8)
+	}
+	expanded := map[string]bool{}
+	listed := make([]bool, n)
 	bufs := make([][]ext, k) // one extension buffer per depth
 	var rec func(set []int)
 	rec = func(set []int) {
@@ -284,6 +329,10 @@ func enumerateConnected(g *graphx.Graph, seed, k, branch int, visit func([]int))
 			visit(set)
 			return
 		}
+		if expanded[string(key)] {
+			return
+		}
+		expanded[string(key)] = true
 		exts := bufs[len(set)][:0]
 		for _, u := range set {
 			for _, v := range g.Neighbors(u) {
@@ -310,13 +359,18 @@ func enumerateConnected(g *graphx.Graph, seed, k, branch int, visit func([]int))
 			exts = exts[:branch]
 		}
 		for _, e := range exts {
-			in[e.v] = true
+			flip(e.v)
 			rec(append(set, e.v))
-			in[e.v] = false
+			flip(e.v)
 		}
 	}
-	in[seed] = true
-	rec(append(make([]int, 0, k), seed))
+	set := make([]int, 1, k)
+	for seed := range n {
+		set[0] = seed
+		flip(seed)
+		rec(set)
+		flip(seed)
+	}
 }
 
 func complement(sorted []int, n int) []int {

@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"cmp"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"vaq/internal/circuit"
 	"vaq/internal/core"
 	"vaq/internal/device"
+	"vaq/internal/graphx"
 	"vaq/internal/sim"
 	"vaq/internal/topo"
 	"vaq/internal/workloads"
@@ -32,6 +36,51 @@ func TestEvaluateRejectsOversizedProgram(t *testing.T) {
 	prog := circuit.New("big", 11) // two copies need 22 > 20
 	if _, err := Evaluate(d, prog, fastOpts()); err == nil {
 		t.Fatal("11-qubit program accepted for two-copy study on Q20")
+	}
+}
+
+func TestEvaluateRejectsEmptyProgram(t *testing.T) {
+	if _, err := Evaluate(q20(1), circuit.New("empty", 0), fastOpts()); err == nil {
+		t.Fatal("0-qubit program accepted for two-copy study")
+	}
+}
+
+// TestEvaluateScoresEachRegionOnce counts compileAndSimulate calls on
+// Figure 16's device: one for the full machine and one per distinct
+// ordered region among the single-copy regions and the candidate sides,
+// although each candidate's mirror asks for the same regions again.
+func TestEvaluateScoresEachRegionOnce(t *testing.T) {
+	d := q20(2019)
+	opts := fastOpts()
+	opts.Candidates = 10
+	var full, calls int
+	compileHook = func(sub *device.Device) {
+		calls++
+		if sub == d {
+			full++
+		}
+	}
+	defer func() { compileHook = nil }()
+	if _, err := Evaluate(d, workloads.BV(10), opts); err != nil {
+		t.Fatal(err)
+	}
+
+	cands, sg := rankedBipartitions(d, 10, opts.Candidates)
+	regions := map[string]bool{}
+	asked := 0
+	if sg != nil {
+		regions[fmt.Sprint(sg)] = true
+		asked++
+	}
+	for _, cand := range cands {
+		for _, side := range cand {
+			regions[fmt.Sprint(side)] = true
+			asked += 2 // once as a single-copy region, once as a copy
+		}
+	}
+	if full != 1 || calls != 1+len(regions) {
+		t.Fatalf("%d compiles (%d of the full machine), want 1 + %d distinct regions (%d asked for)",
+			calls, full, len(regions), asked)
 	}
 }
 
@@ -190,5 +239,97 @@ func TestRankedBipartitionsPinned(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if OneStrongCopy.String() != "one-strong-copy" || TwoCopies.String() != "two-copies" {
 		t.Fatal("mode strings wrong")
+	}
+}
+
+// unprunedEnumerate is the connected-set search without the
+// expanded-set pruning: every seed regrows every subtree. It is the
+// reference TestRankedBipartitionsMatchesUnprunedSearch holds
+// enumerateConnected to.
+func unprunedEnumerate(g *graphx.Graph, k, branch int, visit func([]int)) {
+	type ext struct {
+		v    int
+		gain float64
+	}
+	for seed := range g.N() {
+		in := make([]bool, g.N())
+		var rec func(set []int)
+		rec = func(set []int) {
+			if len(set) == k {
+				visit(set)
+				return
+			}
+			var exts []ext
+			listed := make([]bool, g.N())
+			for _, u := range set {
+				for _, v := range g.Neighbors(u) {
+					if in[v] || listed[v] {
+						continue
+					}
+					listed[v] = true
+					gain := 0.0
+					for _, x := range g.Neighbors(v) {
+						if in[x] {
+							w, _ := g.Weight(v, x)
+							gain += w
+						}
+					}
+					exts = append(exts, ext{v, gain})
+				}
+			}
+			slices.SortFunc(exts, func(a, b ext) int { return cmp.Or(cmp.Compare(b.gain, a.gain), a.v-b.v) })
+			if len(exts) > branch {
+				exts = exts[:branch]
+			}
+			for _, e := range exts {
+				in[e.v] = true
+				rec(append(slices.Clip(set), e.v))
+				in[e.v] = false
+			}
+		}
+		in[seed] = true
+		rec([]int{seed})
+	}
+}
+
+// TestRankedBipartitionsMatchesUnprunedSearch checks that pruning
+// repeated sets changes nothing: with a limit above the number of splits
+// found, the whole ranked list matches the unpruned search's in content
+// and order.
+func TestRankedBipartitionsMatchesUnprunedSearch(t *testing.T) {
+	type tc struct {
+		name string
+		d    *device.Device
+		k    int
+	}
+	q16 := calib.Generate(calib.DefaultQ16Config(2019))
+	cases := []tc{{"ibmq16", device.MustNew(q16.Topo, q16.MustMean()), 8}}
+	for _, seed := range []int64{2019, 5, 7} {
+		for _, k := range []int{4, 6, 10} {
+			cases = append(cases, tc{fmt.Sprintf("q20-seed%d", seed), q20(seed), k})
+		}
+	}
+	const limit = 1 << 20
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/k=%d", c.name, c.k), func(t *testing.T) {
+			got, gotSG := rankedBipartitions(c.d, c.k, limit)
+			want, wantSG := rankBipartitions(c.d, c.k, limit, unprunedEnumerate)
+			if len(want) == 0 {
+				t.Fatal("reference search found no bipartitions")
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotSG, wantSG) {
+				t.Fatalf("pruned search ranks %d splits, unpruned %d; lists differ", len(got), len(want))
+			}
+		})
+	}
+}
+
+// BenchmarkRankedBipartitions ranks Figure 16's bipartitions: the
+// seed-2019 Q20 mean, 10-qubit sides, top 10.
+func BenchmarkRankedBipartitions(b *testing.B) {
+	d := q20(2019)
+	b.ReportAllocs()
+	for b.Loop() {
+		rankedBipartitions(d, 10, 10)
 	}
 }
