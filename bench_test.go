@@ -346,8 +346,9 @@ func mcCompiled(b *testing.B) (*device.Device, *sim.Prepared) {
 }
 
 // reportTrials attaches the uniform MC throughput metric: real trials/sec
-// from the measured elapsed time. Every MC benchmark reports it so the
-// BENCH snapshots stay comparable across kernels and worker counts.
+// from the measured elapsed time. Every MC benchmark reports it (as does
+// internal/sim's BenchmarkMonteCarloScalar) so the BENCH snapshots stay
+// comparable across kernels and worker counts.
 func reportTrials(b *testing.B, trials int) {
 	b.Helper()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
@@ -365,19 +366,6 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prep.Run(sim.Config{Trials: trials, Seed: int64(i), Workers: -1})
-	}
-	reportTrials(b, trials)
-}
-
-// BenchmarkMonteCarloScalar measures the scalar reference kernel on the
-// identical workload — the packed/scalar ratio in a BENCH snapshot is the
-// bit-parallel speedup on that machine.
-func BenchmarkMonteCarloScalar(b *testing.B) {
-	_, prep := mcCompiled(b)
-	const trials = 10000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prep.Run(sim.Config{Trials: trials, Seed: int64(i), Workers: -1, Kernel: sim.KernelScalar})
 	}
 	reportTrials(b, trials)
 }

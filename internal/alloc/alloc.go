@@ -166,7 +166,7 @@ func (Greedy) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error) {
 //
 //  1. Find the k-node connected subgraph with the highest aggregate node
 //     strength on the CNOT-reliability graph (k = number of program
-//     qubits), seeded by the k-core structure of the machine.
+//     qubits), grown greedily from every physical qubit as a seed.
 //  2. Rank program qubits by activity (two-qubit gate participation) over
 //     the first ActivityLayers dependency layers.
 //  3. Place high-activity program qubits on the strong subgraph,

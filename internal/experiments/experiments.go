@@ -131,49 +131,24 @@ func (c Config) q5() *device.Device {
 	return device.MustNew(s.Topo, s)
 }
 
-// pst compiles prog under the policy and estimates its PST with the Monte
-// Carlo fault injector. Deep circuits (qft-14, rnd-LD) have PSTs of 1e-4
-// and below, where a finite trial budget observes a handful of successes
-// or none; since the MC converges to the analytic product-of-successes
-// estimate by construction (errors are independent events), the harness
-// switches to the analytic value whenever fewer than minMCSuccesses
-// successes were observed, keeping relative-PST ratios well-defined.
-func (c Config) pst(d *device.Device, prog *circuit.Circuit, policy core.Policy, trials int, seed int64) (float64, *core.Compiled, error) {
-	return c.pstWith(d, prog, core.Options{Policy: policy, Seed: seed}, sim.Config{Trials: trials, Seed: seed + 7777})
+// pst compiles prog under the policy and estimates its PST with measure.
+func (c Config) pst(d *device.Device, prog *circuit.Circuit, policy core.Policy, trials int, seed int64) (float64, error) {
+	comp, err := core.Compile(d, prog, core.Options{Policy: policy, Seed: seed})
+	if err != nil {
+		return 0, err
+	}
+	return c.measure(d, comp.Routed.Physical, trials, seed), nil
 }
 
-const minMCSuccesses = 50
-
-// measure estimates the PST of an already-compiled physical circuit
-// under the exact protocol of cfg.pst — same simulator seed derivation,
-// same analytic fallback — so a circuit measured here compares exactly
-// with one measured through cfg.pst. The portfolio experiment relies on
-// this: identical circuits must yield identical PSTs for its ≥-fixed
-// guarantee to hold.
+// measure estimates the PST of a compiled physical circuit with the Monte
+// Carlo fault injector, reporting sim's analytic fallback for deep
+// circuits (see sim.Prepared.Estimate). The simulator seed derives from
+// seed alone, so identical circuits yield identical PSTs — the portfolio
+// experiment's ≥-fixed guarantee relies on this.
 func (c Config) measure(d *device.Device, phys *circuit.Circuit, trials int, seed int64) float64 {
 	scfg := sim.Config{Trials: trials, Seed: seed + 7777, Workers: c.Workers}
-	prep := sim.Prepare(d, phys, scfg)
-	out := prep.Run(scfg)
-	if out.Successes < minMCSuccesses {
-		return prep.AnalyticPST()
-	}
-	return out.PST
-}
-
-func (c Config) pstWith(d *device.Device, prog *circuit.Circuit, copts core.Options, scfg sim.Config) (float64, *core.Compiled, error) {
-	if scfg.Workers == 0 {
-		scfg.Workers = c.Workers
-	}
-	comp, err := core.Compile(d, prog, copts)
-	if err != nil {
-		return 0, nil, err
-	}
-	prep := sim.Prepare(d, comp.Routed.Physical, scfg)
-	out := prep.Run(scfg)
-	if out.Successes < minMCSuccesses {
-		return prep.AnalyticPST(), comp, nil
-	}
-	return out.PST, comp, nil
+	pst, _ := sim.Prepare(d, phys, scfg).Estimate(scfg)
+	return pst
 }
 
 // Table renders rows with aligned columns for terminal output.

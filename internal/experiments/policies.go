@@ -77,15 +77,15 @@ func Fig12VQM(cfg Config) ([]Fig12Row, error) {
 	suite := workloads.Table1Suite()
 	return parallel.Map(cfg.Workers, len(suite), func(i int) (Fig12Row, error) {
 		spec := suite[i]
-		base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
+		base, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
 		if err != nil {
 			return Fig12Row{}, fmt.Errorf("fig12 %s: %w", spec.Name, err)
 		}
-		vqm, _, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
+		vqm, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
 		if err != nil {
 			return Fig12Row{}, err
 		}
-		hop, _, err := cfg.pst(d, spec.Circuit, core.VQMHop, cfg.Trials, cfg.Seed)
+		hop, err := cfg.pst(d, spec.Circuit, core.VQMHop, cfg.Trials, cfg.Seed)
 		if err != nil {
 			return Fig12Row{}, err
 		}
@@ -131,22 +131,22 @@ func Fig13Policies(cfg Config) ([]Fig13Row, error) {
 	suite := workloads.Table1Suite()
 	return parallel.Map(cfg.Workers, len(suite), func(i int) (Fig13Row, error) {
 		spec := suite[i]
-		base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
+		base, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Trials, cfg.Seed)
 		if err != nil {
 			return Fig13Row{}, fmt.Errorf("fig13 %s: %w", spec.Name, err)
 		}
-		vqm, _, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
+		vqm, err := cfg.pst(d, spec.Circuit, core.VQM, cfg.Trials, cfg.Seed)
 		if err != nil {
 			return Fig13Row{}, err
 		}
-		full, _, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Trials, cfg.Seed)
+		full, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Trials, cfg.Seed)
 		if err != nil {
 			return Fig13Row{}, err
 		}
 		// The native comparator's random configurations are independent,
 		// so they fan out too; Map keeps them in configuration order.
 		natives, err := parallel.Map(cfg.Workers, cfg.NativeConfigs, func(n int) (float64, error) {
-			p, _, err := cfg.pst(d, spec.Circuit, core.Native, cfg.NativeTrials, cfg.Seed+int64(n))
+			p, err := cfg.pst(d, spec.Circuit, core.Native, cfg.NativeTrials, cfg.Seed+int64(n))
 			if err != nil {
 				return 0, err
 			}
@@ -221,11 +221,11 @@ func Fig14PerDay(cfg Config) (Fig14Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, _, err := cfg.pst(d, prog, core.Baseline, trials, cfg.Seed+int64(day))
+		base, err := cfg.pst(d, prog, core.Baseline, trials, cfg.Seed+int64(day))
 		if err != nil {
 			return nil, fmt.Errorf("fig14 day %d: %w", day, err)
 		}
-		full, _, err := cfg.pst(d, prog, core.VQAVQM, trials, cfg.Seed+int64(day))
+		full, err := cfg.pst(d, prog, core.VQAVQM, trials, cfg.Seed+int64(day))
 		if err != nil {
 			return nil, err
 		}
@@ -378,11 +378,11 @@ func Table3IBMQ5(cfg Config) (Table3Result, error) {
 	suite := workloads.Q5Suite()
 	rows, err := parallel.Map(cfg.Workers, len(suite), func(i int) (Table3Row, error) {
 		spec := suite[i]
-		base, _, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Q5Trials, cfg.Seed)
+		base, err := cfg.pst(d, spec.Circuit, core.Baseline, cfg.Q5Trials, cfg.Seed)
 		if err != nil {
 			return Table3Row{}, fmt.Errorf("table3 %s: %w", spec.Name, err)
 		}
-		full, _, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Q5Trials, cfg.Seed)
+		full, err := cfg.pst(d, spec.Circuit, core.VQAVQM, cfg.Q5Trials, cfg.Seed)
 		if err != nil {
 			return Table3Row{}, err
 		}

@@ -42,9 +42,9 @@ var fixedPolicies = []core.Policy{core.Baseline, core.VQM, core.VQMHop, core.VQA
 //
 // Methodology: the fixed columns use cfg.pst. The portfolio column runs
 // the speculative grid, then re-measures its leaders — the analytic
-// top-k plus every fixed-equivalent grid point — under the exact
-// cfg.pst protocol (same simulator seed and analytic fallback) and
-// reports the best. Identical circuits measured identically yield
+// top-k plus every fixed-equivalent grid point — with cfg.measure, the
+// protocol behind cfg.pst (same simulator seed and analytic fallback),
+// and reports the best. Identical circuits measured identically yield
 // identical PSTs, and every circuit a fixed policy can produce on the
 // reference device is a mean-cycle grid point (core.Candidates lists
 // them; portfolio's TestGridCoversFixedPolicies pins the cover), so the
@@ -58,7 +58,7 @@ func PortfolioPolicies(cfg Config) ([]PortfolioRow, error) {
 		spec := suite[i]
 		fixed := make([]float64, len(fixedPolicies))
 		for j, p := range fixedPolicies {
-			pst, _, err := cfg.pst(d, spec.Circuit, p, cfg.Trials, cfg.Seed)
+			pst, err := cfg.pst(d, spec.Circuit, p, cfg.Trials, cfg.Seed)
 			if err != nil {
 				return PortfolioRow{}, fmt.Errorf("portfolio %s/%s: %w", spec.Name, p, err)
 			}

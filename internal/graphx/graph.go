@@ -2,8 +2,8 @@
 // qubit-allocation and qubit-movement policy in this repository: shortest
 // paths by hop count and by arbitrary edge weight, hop-constrained shortest
 // paths (for the Maximum Additional Hops limit of VQM), all-pairs distance
-// matrices, node strength, k-core decomposition, and search for the
-// connected k-subgraph with the highest aggregate node strength.
+// matrices, node strength, and search for the connected k-subgraph with
+// the highest aggregate node strength.
 //
 // Graphs range from the paper's 5- and 20-qubit machines to zoo lattices
 // of up to 2048 qubits. Adjacency is kept as per-node slices sorted by

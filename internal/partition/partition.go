@@ -201,9 +201,7 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 
 // compileAndSimulate estimates one copy's PST. Deep workloads (qft-10,
 // alu) have PSTs near 1e-4 where a bounded trial budget observes almost no
-// successes; because the Monte-Carlo converges to the analytic product of
-// success probabilities (errors are independent), the analytic value is
-// used whenever too few successes were observed.
+// successes; sim's Estimate then reports the analytic value.
 func compileAndSimulate(d *device.Device, prog *circuit.Circuit, opts Options) (pst float64, latency time.Duration, err error) {
 	if compileHook != nil {
 		compileHook(d)
@@ -212,11 +210,7 @@ func compileAndSimulate(d *device.Device, prog *circuit.Circuit, opts Options) (
 	if err != nil {
 		return 0, 0, err
 	}
-	out := sim.Run(d, comp.Routed.Physical, opts.Sim)
-	pst = out.PST
-	if out.Successes < 50 {
-		pst = sim.AnalyticPST(d, comp.Routed.Physical, opts.Sim)
-	}
+	pst, out := sim.Prepare(d, comp.Routed.Physical, opts.Sim).Estimate(opts.Sim)
 	return pst, out.TrialLatency, nil
 }
 

@@ -178,8 +178,8 @@ func (c CandidateSpec) Label() string {
 // Grid enumerates the deterministic candidate grid for spec over the
 // archive's calibration window: cycle (reference first, then the K most
 // recent cycles oldest-first) × allocation (greedy, vqa, then the
-// random starts) × movement (baseline, vqm, vqm-hop) × optimize (off,
-// on). arch may be nil, which restricts the grid to the reference
+// random starts) × movement (baseline, vqm, vqm-hop, sabre) × optimize
+// (off, on). arch may be nil, which restricts the grid to the reference
 // device. Candidate seeds derive SplitMix64-style from spec.RootSeed
 // and the candidate ID.
 func Grid(spec Spec, arch *calib.Archive) []CandidateSpec {

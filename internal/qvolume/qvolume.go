@@ -128,6 +128,9 @@ func (c Config) circuits() int {
 // compilation policy.
 func Evaluate(d *device.Device, m int, cfg Config) (Result, error) {
 	res := Result{M: m, Circuits: cfg.circuits()}
+	if m < 2 {
+		return res, fmt.Errorf("qvolume: width %d below the 2-qubit minimum", m)
+	}
 	if m > d.NumQubits() {
 		return res, fmt.Errorf("qvolume: width %d exceeds device size %d", m, d.NumQubits())
 	}
@@ -147,15 +150,11 @@ func Evaluate(d *device.Device, m int, cfg Config) (Result, error) {
 		if err != nil {
 			return sample{}, err
 		}
-		var pst float64
+		scfg := sim.Config{Trials: cfg.Trials, Seed: cfg.Seed + int64(i), Workers: cfg.Workers}
+		prep := sim.Prepare(d, comp.Routed.Physical, scfg)
+		pst := prep.AnalyticPST()
 		if cfg.Trials > 0 {
-			out := sim.Run(d, comp.Routed.Physical, sim.Config{Trials: cfg.Trials, Seed: cfg.Seed + int64(i), Workers: cfg.Workers})
-			pst = out.PST
-			if out.Successes < 50 {
-				pst = sim.AnalyticPST(d, comp.Routed.Physical, sim.Config{})
-			}
-		} else {
-			pst = sim.AnalyticPST(d, comp.Routed.Physical, sim.Config{})
+			pst, _ = prep.Estimate(scfg)
 		}
 		return sample{pst: pst, idealHOP: idealHOP}, nil
 	})

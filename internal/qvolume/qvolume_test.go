@@ -1,6 +1,7 @@
 package qvolume
 
 import (
+	"strings"
 	"testing"
 
 	"vaq/internal/calib"
@@ -120,6 +121,22 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 	if _, err := Evaluate(d, 15, Config{}); err == nil {
 		t.Fatal("width beyond simulation budget accepted")
+	}
+}
+
+// TestEvaluateRejectsNarrowWidth checks that widths below the 2-qubit
+// model-circuit minimum come back as a plain error before any work,
+// rather than a panic from ModelCircuit inside the worker pool.
+func TestEvaluateRejectsNarrowWidth(t *testing.T) {
+	d := uniformQ20(0.01)
+	for _, m := range []int{-1, 0, 1} {
+		_, err := Evaluate(d, m, Config{Circuits: 2})
+		if err == nil {
+			t.Fatalf("width %d accepted", m)
+		}
+		if strings.Contains(err.Error(), "panic") {
+			t.Fatalf("width %d: %v", m, err)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ type MCInfo struct {
 	StdErr float64 `json:"std_err"`
 	Trials int     `json:"trials"`
 	// Kernel is the Monte-Carlo kernel that produced the estimate
-	// ("packed" or "scalar").
+	// (always sim.KernelPacked, "packed").
 	Kernel string `json:"kernel"`
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // Portfolio request limits. The grid bound is the one that matters: a
-// portfolio compiles (1+cycles)×(2+starts)×6 candidates, so the axis
-// caps alone would admit over a thousand compilations per request.
+// portfolio compiles (1+cycles)×(2+starts)×8 candidates (4 movers × 2
+// optimize points), so the axis caps alone would admit over a thousand
+// compilations per request.
 const (
 	// MaxPortfolioCycles bounds the calibration-cycle window.
 	MaxPortfolioCycles = 16

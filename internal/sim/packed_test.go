@@ -52,8 +52,9 @@ func checkWithin3SE(t *testing.T, label string, got, trials int, want float64) {
 func checkKernelAgreement(t *testing.T, label string, p *Prepared, trials int, seed int64) {
 	t.Helper()
 	gateP, readP, cohP := firstFaultClassProbs(p)
-	for _, kernel := range []string{KernelPacked, KernelScalar} {
-		out := p.Run(Config{Trials: trials, Seed: seed, Kernel: kernel})
+	runs := map[string]func(Config) Outcome{KernelPacked: p.Run, kernelScalar: p.runScalar}
+	for _, kernel := range []string{KernelPacked, kernelScalar} {
+		out := runs[kernel](Config{Trials: trials, Seed: seed})
 		if out.Kernel != kernel {
 			t.Fatalf("%s/%s: Outcome.Kernel = %q", label, kernel, out.Kernel)
 		}
@@ -206,14 +207,14 @@ func TestPackedWorkerDeterminismGolden(t *testing.T) {
 // trial streams byte-identical.
 func TestScalarGoldenUnchanged(t *testing.T) {
 	d, phys := q20Compiled(t)
-	out := Run(d, phys, Config{Trials: 50000, Seed: 99, Kernel: KernelScalar})
+	out := Prepare(d, phys, Config{}).runScalar(Config{Trials: 50000, Seed: 99})
 	want := Outcome{
 		Trials:            50000,
 		Successes:         2721,
 		GateFailures:      33116,
 		ReadoutFailures:   13681,
 		CoherenceFailures: 482,
-		Kernel:            KernelScalar,
+		Kernel:            kernelScalar,
 	}
 	out.PST, out.StdErr = 0, 0
 	out.Duration, out.TrialLatency, out.SuccessesPerSecond = 0, 0, 0

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"vaq/internal/circuit"
@@ -29,8 +28,8 @@ type Prepared struct {
 }
 
 // Prepare validates the circuit against the device and precomputes the
-// error model under cfg's DisableCoherence / CoherenceDuty settings
-// (cfg's trial, seed, and worker fields are read later, by Run).
+// error model under cfg's DisableCoherence setting (cfg's trial, seed,
+// and worker fields are read later, by Run).
 func Prepare(d *device.Device, phys *circuit.Circuit, cfg Config) *Prepared {
 	if phys.NumQubits > d.NumQubits() {
 		panic(fmt.Sprintf("sim: circuit uses %d qubits, device has %d", phys.NumQubits, d.NumQubits()))
@@ -46,7 +45,7 @@ func Prepare(d *device.Device, phys *circuit.Circuit, cfg Config) *Prepared {
 	sched := schedule.ASAP(phys)
 	p.duration = sched.Makespan
 	if !cfg.DisableCoherence {
-		p.coh = coherenceErrorsFromIdle(d, sched.IdleTimes(), cfg.duty())
+		p.coh = CoherenceErrors(d, sched.IdleTimes())
 	}
 	p.analytic = 1
 	for _, e := range p.gateErr {
@@ -71,12 +70,34 @@ type blockOutcome struct {
 	successes, gate, readout, coherence int
 }
 
+// Estimate runs the Monte Carlo simulation and returns the PST the
+// repository reports alongside the Outcome. Deep circuits have PSTs of
+// 1e-4 and below, where a finite trial budget observes a handful of
+// successes or none; since the MC converges to the analytic
+// product-of-successes value by construction (errors are independent
+// events), the analytic value is reported whenever fewer than
+// minMCSuccesses successes were observed, keeping relative-PST ratios
+// well-defined.
+func (p *Prepared) Estimate(cfg Config) (float64, Outcome) {
+	out := p.Run(cfg)
+	if out.Successes < minMCSuccesses {
+		return p.analytic, out
+	}
+	return out.PST, out
+}
+
 // Run executes the Monte Carlo fault-injection simulation against the
-// prepared error model. Trials are sharded into fixed BlockSize blocks,
-// each driven by an RNG seeded from (cfg.Seed, blockIndex) via a
-// SplitMix64 derivation, and the blocks are distributed over cfg.Workers
-// goroutines; the Outcome is bit-identical at every worker count.
+// prepared error model with the packed kernel. Trials are sharded into
+// fixed BlockSize blocks, each driven by an RNG seeded from (cfg.Seed,
+// blockIndex) via a SplitMix64 derivation, and the blocks are distributed
+// over cfg.Workers goroutines; the Outcome is a pure function of (error
+// model, Seed, Trials), bit-identical at every worker count.
 func (p *Prepared) Run(cfg Config) Outcome {
+	return p.run(cfg, KernelPacked, p.runBlockPacked)
+}
+
+// run is Run over a given block kernel, named kernel in the Outcome.
+func (p *Prepared) run(cfg Config, kernel string, runBlock func(seed int64, trials int) blockOutcome) Outcome {
 	trials := cfg.trials()
 	block := BlockSize
 	if block > trials {
@@ -84,11 +105,6 @@ func (p *Prepared) Run(cfg Config) Outcome {
 	}
 	nblocks := (trials + block - 1) / block
 	partials := make([]blockOutcome, nblocks)
-	kernel := cfg.kernel()
-	runBlock := p.runBlockPacked
-	if kernel == KernelScalar {
-		runBlock = p.runBlockScalar
-	}
 	// Worker resolution lives in parallel.Workers; ForEach itself runs
 	// serially on the calling goroutine when the count resolves to 1.
 	parallel.ForEach(cfg.Workers, nblocks, func(b int) error {
@@ -114,42 +130,6 @@ func (p *Prepared) Run(cfg Config) Outcome {
 		out.SuccessesPerSecond = out.PST / out.TrialLatency.Seconds()
 	}
 	return out
-}
-
-// runBlockScalar walks one block of fault-injection trials one at a time
-// with its own RNG — the reference kernel the packed path is cross-checked
-// against. Its math/rand stream layout is frozen: historical golden
-// Outcomes depend on it byte for byte.
-func (p *Prepared) runBlockScalar(seed int64, trials int) blockOutcome {
-	rng := rand.New(rand.NewSource(seed))
-	var bo blockOutcome
-	for t := 0; t < trials; t++ {
-		failed := false
-		for i := range p.gateErr {
-			if p.gateErr[i] > 0 && rng.Float64() < p.gateErr[i] {
-				failed = true
-				if p.gateClass[i] == gate.Readout {
-					bo.readout++
-				} else {
-					bo.gate++
-				}
-				break
-			}
-		}
-		if !failed && p.coh != nil {
-			for _, perr := range p.coh {
-				if perr > 0 && rng.Float64() < perr {
-					failed = true
-					bo.coherence++
-					break
-				}
-			}
-		}
-		if !failed {
-			bo.successes++
-		}
-	}
-	return bo
 }
 
 // blockSeed derives block b's RNG seed from the run seed with a

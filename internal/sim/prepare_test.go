@@ -16,7 +16,7 @@ import (
 // the baseline policy — its single greedy × hop-cost A* candidate — on
 // the synthetic IBM-Q20) for determinism tests. It calls alloc and route
 // directly: core imports sim, so this internal test cannot import core.
-func q20Compiled(t *testing.T) (*device.Device, *circuit.Circuit) {
+func q20Compiled(t testing.TB) (*device.Device, *circuit.Circuit) {
 	t.Helper()
 	arch := calib.Generate(calib.DefaultQ20Config(2019))
 	d := device.MustNew(arch.Topo, arch.MustMean())
@@ -81,15 +81,41 @@ func TestPrepareReuseIsIdentical(t *testing.T) {
 
 func TestPrepareAnalyticMatchesAnalyticPST(t *testing.T) {
 	d, phys := q20Compiled(t)
-	for _, cfg := range []Config{{}, {DisableCoherence: true}, {CoherenceDuty: 0.2}} {
+	for _, cfg := range []Config{{}, {DisableCoherence: true}} {
 		want := AnalyticPST(d, phys, cfg)
 		got := Prepare(d, phys, cfg).AnalyticPST()
-		if math.Abs(got-want) > 1e-12 {
+		if got != want {
 			t.Fatalf("cfg %+v: Prepared analytic %v, AnalyticPST %v", cfg, got, want)
 		}
 	}
 	if dur := Prepare(d, phys, Config{}).Duration(); dur <= 0 {
 		t.Fatal("prepared duration not positive")
+	}
+}
+
+// TestEstimateFallbackBoundary pins the reported-PST rule at its
+// threshold: a run observing minMCSuccesses−1 successes reports the
+// analytic value, one observing minMCSuccesses reports the MC estimate.
+// The empty circuit makes every trial succeed, and the analytic value is
+// overwritten with a marker so the two answers are distinguishable.
+func TestEstimateFallbackBoundary(t *testing.T) {
+	p := Prepare(uniformQ5(0.05), circuit.New("empty", 1), Config{})
+	p.analytic = 0.25
+	for _, tc := range []struct {
+		trials int
+		want   float64
+	}{{minMCSuccesses - 1, 0.25}, {minMCSuccesses, 1}} {
+		cfg := Config{Trials: tc.trials, Seed: 3}
+		pst, out := p.Estimate(cfg)
+		if out != p.Run(cfg) {
+			t.Fatalf("trials=%d: Estimate outcome %+v differs from Run", tc.trials, out)
+		}
+		if out.Successes != tc.trials {
+			t.Fatalf("trials=%d: %d successes, want every trial", tc.trials, out.Successes)
+		}
+		if pst != tc.want {
+			t.Fatalf("trials=%d (%d successes): reported PST %v, want %v", tc.trials, out.Successes, pst, tc.want)
+		}
 	}
 }
 

@@ -13,10 +13,13 @@
 //     operation (and per qubit for coherence); a trial succeeds when no
 //     error fires. PST = successes / trials.
 //
+// Prepared.Estimate is the PST the repository reports: the Monte Carlo
+// value, or the analytic one when too few trials succeeded to measure it.
+//
 // Coherence model: a qubit accumulates decoherence exposure while it sits
 // idle between its first and last operation. The per-qubit error
 // probability is 1 − exp(−f·t/T1)·exp(−f·t/T2) with idle time t and duty
-// factor f (CoherenceDuty). The default duty factor is fitted so that, for
+// factor f (device.CoherenceDuty). The duty factor is fitted so that, for
 // bv-20 on the synthetic IBM-Q20, gate errors are ≈16× more likely to kill
 // a trial than coherence errors — the calibration point the paper states.
 // Not every idle microsecond corrupts the measured outcome, which is why f
@@ -34,10 +37,6 @@ import (
 	"vaq/internal/schedule"
 )
 
-// DefaultCoherenceDuty is the fraction of idle wall-clock time charged
-// against T1/T2 (see the package comment for its calibration).
-const DefaultCoherenceDuty = 0.05
-
 // DefaultResetOverhead is the per-trial latency added on top of circuit
 // execution for qubit reset and readout turnaround; it enters trial-rate
 // (STPT) computations only.
@@ -51,16 +50,16 @@ const DefaultResetOverhead = 10 * time.Microsecond
 // goroutine or many.
 const BlockSize = 4096
 
-// Monte-Carlo kernel names for Config.Kernel.
-const (
-	// KernelPacked is the bit-parallel kernel: 64 trials per machine word,
-	// class-aggregated mask sampling (see packed.go). The default.
-	KernelPacked = "packed"
-	// KernelScalar is the original one-trial-at-a-time reference kernel,
-	// kept build-tag-free for cross-checking and for callers that depend on
-	// its historical byte-exact trial streams.
-	KernelScalar = "scalar"
-)
+// KernelPacked names the Monte-Carlo kernel in Outcome.Kernel: the
+// bit-parallel kernel, 64 trials per machine word with class-aggregated
+// mask sampling (see packed.go). It is the only kernel Run uses; the
+// one-trial-at-a-time scalar kernel it is cross-checked against lives
+// with the tests.
+const KernelPacked = "packed"
+
+// minMCSuccesses is the fewest Monte-Carlo successes Estimate reports as
+// the PST; below it the analytic value is reported instead.
+const minMCSuccesses = 50
 
 // Config controls a simulation.
 type Config struct {
@@ -72,25 +71,9 @@ type Config struct {
 	// literally, 0 (the default) uses one worker per CPU, and < 0 forces
 	// serial execution. The Outcome is identical at every setting.
 	Workers int
-	// Kernel selects the Monte-Carlo kernel: KernelPacked (the default,
-	// also selected by ""), or KernelScalar for the reference path. The
-	// two kernels sample the same distribution but consume randomness
-	// differently, so their Outcomes agree statistically, not byte for
-	// byte; within one kernel the Outcome is a pure function of
-	// (error model, Seed, Trials) at any worker count.
-	Kernel string
 	// DisableCoherence turns off the decoherence model (gate and readout
 	// errors only).
 	DisableCoherence bool
-	// CoherenceDuty overrides DefaultCoherenceDuty when > 0.
-	CoherenceDuty float64
-}
-
-func (c Config) kernel() string {
-	if c.Kernel == KernelScalar {
-		return KernelScalar
-	}
-	return KernelPacked
 }
 
 func (c Config) trials() int {
@@ -98,13 +81,6 @@ func (c Config) trials() int {
 		return 100000
 	}
 	return c.Trials
-}
-
-func (c Config) duty() float64 {
-	if c.CoherenceDuty > 0 {
-		return c.CoherenceDuty
-	}
-	return DefaultCoherenceDuty
 }
 
 // Outcome reports a simulation.
@@ -126,7 +102,7 @@ type Outcome struct {
 	TrialLatency       time.Duration
 	SuccessesPerSecond float64
 	// Kernel records which Monte-Carlo kernel produced this Outcome
-	// (KernelPacked or KernelScalar).
+	// (KernelPacked).
 	Kernel string
 }
 
@@ -137,7 +113,7 @@ func AnalyticPST(d *device.Device, phys *circuit.Circuit, cfg Config) float64 {
 		p *= d.GateSuccess(g.Kind, g.Qubits)
 	}
 	if !cfg.DisableCoherence {
-		for _, perr := range coherenceErrors(d, phys, cfg.duty()) {
+		for _, perr := range CoherenceErrors(d, IdleTimes(phys)) {
 			p *= 1 - perr
 		}
 	}
@@ -172,31 +148,25 @@ func AnalyticBreakdown(d *device.Device, phys *circuit.Circuit, cfg Config) Brea
 		}
 	}
 	if !cfg.DisableCoherence {
-		for _, perr := range coherenceErrors(d, phys, cfg.duty()) {
+		for _, perr := range CoherenceErrors(d, IdleTimes(phys)) {
 			b.Coherence += -math.Log(1 - perr)
 		}
 	}
 	return b
 }
 
-// coherenceErrors returns, per physical qubit, the probability of a
-// decoherence error during the circuit: exposure is the idle time between
-// the qubit's first and last scheduled operation, attenuated by the duty
-// factor, charged against both T1 and T2.
-func coherenceErrors(d *device.Device, phys *circuit.Circuit, duty float64) []float64 {
-	return coherenceErrorsFromIdle(d, IdleTimes(phys), duty)
-}
-
-// coherenceErrorsFromIdle is coherenceErrors for an already-computed idle
-// profile (Prepare reuses the ASAP schedule it needs anyway).
-func coherenceErrorsFromIdle(d *device.Device, idle []time.Duration, duty float64) []float64 {
+// CoherenceErrors returns, per physical qubit, the probability of a
+// decoherence error during a circuit whose per-qubit idle exposure is
+// idle (see IdleTimes): the exposure, attenuated by device.CoherenceDuty,
+// is charged against both T1 and T2.
+func CoherenceErrors(d *device.Device, idle []time.Duration) []float64 {
 	out := make([]float64, len(idle))
 	snap := d.Snapshot()
 	for q := range out {
 		if idle[q] <= 0 {
 			continue
 		}
-		tUs := idle[q].Seconds() * 1e6 * duty
+		tUs := idle[q].Seconds() * 1e6 * device.CoherenceDuty
 		retain := math.Exp(-tUs/snap.T1Us[q]) * math.Exp(-tUs/snap.T2Us[q])
 		out[q] = 1 - retain
 	}

@@ -177,12 +177,6 @@ func TestDefaultTrials(t *testing.T) {
 	if (Config{Trials: 7}).trials() != 7 {
 		t.Fatal("explicit trials ignored")
 	}
-	if (Config{}).duty() != DefaultCoherenceDuty {
-		t.Fatal("default duty wrong")
-	}
-	if (Config{CoherenceDuty: 0.2}).duty() != 0.2 {
-		t.Fatal("explicit duty ignored")
-	}
 }
 
 func TestIdleTimesEmptyCircuit(t *testing.T) {

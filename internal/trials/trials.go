@@ -23,7 +23,6 @@ package trials
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -40,27 +39,19 @@ type Config struct {
 	// Trials to execute (default 4096, the paper's IBM-Q5 budget).
 	Trials int
 	Seed   int64
-	// SupportSamples bounds the noise-free sampling used to learn the set
-	// of correct outputs (default 128). For deterministic programs one
-	// sample suffices; for programs with intrinsic randomness (GHZ) the
-	// support has few elements and is found quickly.
-	SupportSamples int
-	// DisableCoherence turns off idle-decoherence fault injection.
-	DisableCoherence bool
 }
+
+// supportSamples bounds the noise-free sampling used to learn the set of
+// correct outputs. For deterministic programs one sample suffices; for
+// programs with intrinsic randomness (GHZ) the support has few elements
+// and is found quickly.
+const supportSamples = 128
 
 func (c Config) trials() int {
 	if c.Trials <= 0 {
 		return 4096
 	}
 	return c.Trials
-}
-
-func (c Config) supportSamples() int {
-	if c.SupportSamples <= 0 {
-		return 128
-	}
-	return c.SupportSamples
 }
 
 // Result is the analyzed output log.
@@ -105,8 +96,8 @@ func Run(d *device.Device, phys *circuit.Circuit, cfg Config) (*Result, error) {
 
 	// Noise-free support.
 	support := map[string]bool{}
-	for i := 0; i < cfg.supportSamples(); i++ {
-		out, err := execute(d, phys, rng, false, cfg)
+	for i := 0; i < supportSamples; i++ {
+		out, err := execute(d, phys, rng, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -121,8 +112,11 @@ func Run(d *device.Device, phys *circuit.Circuit, cfg Config) (*Result, error) {
 		Counts:  map[string]int{},
 		Support: support,
 	}
+	// Idle decoherence, as package sim models it, is the same for every
+	// trial.
+	coh := sim.CoherenceErrors(d, sim.IdleTimes(phys))
 	for t := 0; t < res.Trials; t++ {
-		out, err := execute(d, phys, rng, true, cfg)
+		out, err := execute(d, phys, rng, coh, true)
 		if err != nil {
 			return nil, err
 		}
@@ -138,24 +132,21 @@ func Run(d *device.Device, phys *circuit.Circuit, cfg Config) (*Result, error) {
 }
 
 // execute runs one trial and returns the classical register as a
-// bitstring.
-func execute(d *device.Device, phys *circuit.Circuit, rng *rand.Rand, noisy bool, cfg Config) (string, error) {
+// bitstring. A noisy trial injects gate and readout faults and, per qubit,
+// a coherence fault with probability coh[q]; a noise-free one passes nil.
+func execute(d *device.Device, phys *circuit.Circuit, rng *rand.Rand, coh []float64, noisy bool) (string, error) {
 	st := stabilizer.New(maxInt(1, phys.NumQubits))
 	cbits := make([]byte, phys.NumCBits)
 	for i := range cbits {
 		cbits[i] = '0'
 	}
 
-	var coh []float64
-	if noisy && !cfg.DisableCoherence {
-		coh = coherenceFaults(d, phys)
-		// Idle decoherence is injected up front as Pauli noise on each
-		// qubit's worldline; for Z-basis programs the X component is the
-		// damaging one.
-		for q, p := range coh {
-			if p > 0 && rng.Float64() < p {
-				injectPauli(st, rng, q)
-			}
+	// Idle decoherence is injected up front as Pauli noise on each
+	// qubit's worldline; for Z-basis programs the X component is the
+	// damaging one.
+	for q, p := range coh {
+		if p > 0 && rng.Float64() < p {
+			injectPauli(st, rng, q)
 		}
 	}
 
@@ -198,25 +189,6 @@ func injectPauli(st *stabilizer.State, rng *rand.Rand, q int) {
 		st.Z(q)
 	}
 }
-
-// coherenceFaults converts each qubit's idle exposure into a Pauli-fault
-// probability, mirroring sim's model.
-func coherenceFaults(d *device.Device, phys *circuit.Circuit) []float64 {
-	idle := sim.IdleTimes(phys)
-	out := make([]float64, phys.NumQubits)
-	snap := d.Snapshot()
-	for q := range out {
-		if idle[q] <= 0 {
-			continue
-		}
-		tUs := idle[q].Seconds() * 1e6 * device.CoherenceDuty
-		retain := expNeg(tUs/snap.T1Us[q]) * expNeg(tUs/snap.T2Us[q])
-		out[q] = 1 - retain
-	}
-	return out
-}
-
-func expNeg(x float64) float64 { return math.Exp(-x) }
 
 // TopOutcomes returns the k most frequent outputs with their counts,
 // sorted by descending count then lexicographically.
