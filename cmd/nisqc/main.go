@@ -26,9 +26,9 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"strings"
@@ -39,7 +39,6 @@ import (
 	"vaq/internal/calib"
 	"vaq/internal/circuit"
 	"vaq/internal/cliutil"
-	"vaq/internal/core"
 	"vaq/internal/device"
 	"vaq/internal/param"
 	"vaq/internal/portfolio"
@@ -52,63 +51,70 @@ import (
 	"vaq/internal/workloads"
 )
 
+// options holds every nisqc flag; register binds them to a flag set.
+type options struct {
+	workload, qasmPath, policy, device, movement, calibPath string
+	ansatz, sweepPath                                       string
+	seed                                                    int64
+	trials, workers, portfolio                              int
+	listDevices, verbose, outcomes, optimize, timeline      bool
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.workload, "workload", "", "built-in workload name (e.g. bv-16, qft-12, alu)")
+	fs.StringVar(&o.qasmPath, "qasm", "", "path to an OpenQASM 2.0 program (alternative to -workload)")
+	fs.StringVar(&o.policy, "policy", serve.DefaultPolicy, "compilation policy: native, baseline, vqm, vqm-hop, vqa+vqm")
+	fs.StringVar(&o.device, "device", serve.DefaultDevice, "device model: "+builtinNames()+", or a synthetic zoo name like heavy-hex-399-mid (see -list-devices)")
+	fs.StringVar(&o.movement, "movement", "", "movement-policy override: "+strings.Join(route.MovementNames(), ", ")+" (default: the policy's own router; sabre scales past ~100 qubits)")
+	fs.BoolVar(&o.listDevices, "list-devices", false, "list the built-in device models and synthetic zoo families, then exit")
+	fs.StringVar(&o.calibPath, "calib", "", "load the device from a calgen-produced JSON archive (mean snapshot) instead of -device")
+	fs.Int64Var(&o.seed, "seed", serve.DefaultSeed, "seed for the synthetic calibration archive")
+	fs.IntVar(&o.trials, "trials", serve.DefaultTrials, "Monte-Carlo trials")
+	fs.IntVar(&o.workers, "workers", 0, "worker goroutines for Monte-Carlo trial sharding (0: one per CPU, <0: serial); the outcome is identical at any setting")
+	fs.BoolVar(&o.verbose, "verbose", false, "print the compiled physical circuit as QASM")
+	fs.BoolVar(&o.outcomes, "outcomes", false, "run the iterative execution model and print the output log analysis (Clifford programs only)")
+	fs.BoolVar(&o.optimize, "O", false, "run the transpile optimizer (inverse cancellation, rotation merging) before mapping")
+	fs.BoolVar(&o.timeline, "timeline", false, "print the ASAP schedule as an ASCII Gantt chart")
+	fs.IntVar(&o.portfolio, "portfolio", -1, "portfolio-compile over the N most recent calibration cycles plus the reference device (0: reference only, <0: off) and print the ranked candidates")
+	fs.StringVar(&o.ansatz, "ansatz", "", "parametric ansatz name (su2-N, qaoa-N): compile the symbolic template once and print the rebindable mapping summary")
+	fs.StringVar(&o.sweepPath, "sweep", "", "JSON file of parameter points ([[...],[...]]); rebind the compiled template per point and print the sweep table (requires -ansatz or a symbolic -qasm)")
+}
+
+// usageError marks a flag value or combination run rejects before any
+// work; main exits 2 on it, like a flag parse error.
+type usageError struct{ error }
+
 func main() {
-	var (
-		workload = flag.String("workload", "", "built-in workload name (e.g. bv-16, qft-12, alu)")
-		qasmPath = flag.String("qasm", "", "path to an OpenQASM 2.0 program (alternative to -workload)")
-		policyN  = flag.String("policy", "vqa+vqm", "compilation policy: native, baseline, vqm, vqm-hop, vqa+vqm")
-		deviceN  = flag.String("device", "q20", "device model: q20, q16, q5, or a synthetic zoo name like heavy-hex-399-mid (see -list-devices)")
-		movement = flag.String("movement", "", "movement-policy override: "+strings.Join(route.MovementNames(), ", ")+" (default: the policy's own router; sabre scales past ~100 qubits)")
-		listDevs = flag.Bool("list-devices", false, "list the built-in device models and synthetic zoo families, then exit")
-		calibP   = flag.String("calib", "", "load the device from a calgen-produced JSON archive (mean snapshot) instead of -device")
-		seed     = flag.Int64("seed", 2019, "seed for the synthetic calibration archive")
-		trials   = flag.Int("trials", 100000, "Monte-Carlo trials")
-		workers  = flag.Int("workers", 0, "worker goroutines for Monte-Carlo trial sharding (0: one per CPU, <0: serial); the outcome is identical at any setting")
-		verbose  = flag.Bool("verbose", false, "print the compiled physical circuit as QASM")
-		outcomes = flag.Bool("outcomes", false, "run the iterative execution model and print the output log analysis (Clifford programs only)")
-		optimize = flag.Bool("O", false, "run the transpile optimizer (inverse cancellation, rotation merging) before mapping")
-		timeline = flag.Bool("timeline", false, "print the ASAP schedule as an ASCII Gantt chart")
-		portfN   = flag.Int("portfolio", -1, "portfolio-compile over the N most recent calibration cycles plus the reference device (0: reference only, <0: off) and print the ranked candidates")
-		ansatzN  = flag.String("ansatz", "", "parametric ansatz name (su2-N, qaoa-N): compile the symbolic template once and print the rebindable mapping summary")
-		sweepP   = flag.String("sweep", "", "JSON file of parameter points ([[...],[...]]); rebind the compiled template per point and print the sweep table (requires -ansatz or a symbolic -qasm)")
-	)
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
-
-	if *listDevs {
-		listDevices(os.Stdout)
-		return
-	}
-
-	if err := cliutil.All(
-		cliutil.Trials("trials", *trials),
-		cliutil.Workers("workers", *workers),
-	); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "nisqc:", err)
-		os.Exit(2)
-	}
-
-	if *timeline {
-		timelineRequested = true
-	}
-	simWorkers = *workers
-	portfolioCycles = *portfN
-	movementPolicy = *movement
-	ansatzName = *ansatzN
-	sweepPath = *sweepP
-	if err := run(*workload, *qasmPath, *policyN, *deviceN, *calibP, *seed, *trials, *verbose, *outcomes, *optimize); err != nil {
-		fmt.Fprintln(os.Stderr, "nisqc:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// builtinNames lists the catalog's built-in device names for help and
+// error text.
+func builtinNames() string {
+	var names []string
+	for _, b := range calib.Builtins() {
+		names = append(names, b.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // listDevices prints the built-in device models and the synthetic zoo
 // families with their size bounds and variance tiers.
 func listDevices(w io.Writer) {
 	fmt.Fprintln(w, "built-in devices:")
-	fmt.Fprintln(w, "  q20  IBM-Q20 (Tokyo) synthetic archive, 20 qubits")
-	fmt.Fprintln(w, "  q16  IBM-Q16 (Rüschlikon) synthetic archive, 16 qubits")
-	fmt.Fprintln(w, "  q5   IBM-Q5 (Tenerife) published snapshot, 5 qubits")
-	fmt.Fprintln(w, "\nsynthetic zoo families (name form <family>-<qubits>[-holes<k>][-<tier>]; -holes<k> knocks out k couplers deterministically):")
+	for _, b := range calib.Builtins() {
+		fmt.Fprintf(w, "  %-4s %s\n", b.Name, b.Description)
+	}
+	fmt.Fprintf(w, "\nsynthetic zoo families (name form %s; -holes<k> knocks out k couplers deterministically):\n", calib.ZooNaming)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  family\tqubits\ttiers\tdescription")
 	tiers := make([]string, 0, 3)
@@ -124,44 +130,58 @@ func listDevices(w io.Writer) {
 	fmt.Fprintln(w, "tip: pair large devices with -movement sabre (the A*-based policies are quadratic+)")
 }
 
-func run(workload, qasmPath, policyName, deviceName, calibPath string, seed int64, mcTrials int, verbose, outcomes, optimize bool) error {
-	if ansatzName != "" || sweepPath != "" {
-		d, _, err := loadDevice(deviceName, calibPath, seed)
+func run(o options) error {
+	if o.listDevices {
+		listDevices(os.Stdout)
+		return nil
+	}
+	if err := cliutil.All(
+		cliutil.Trials("trials", o.trials),
+		cliutil.Workers("workers", o.workers),
+	); err != nil {
+		return usageError{err}
+	}
+	parametric := o.ansatz != "" || o.sweepPath != ""
+	if parametric && o.portfolio >= 0 {
+		return usageError{errors.New("-portfolio compiles a program, not a parametric template; drop -portfolio or -ansatz/-sweep")}
+	}
+	if parametric {
+		d, _, err := loadDevice(o.device, o.calibPath, o.seed)
 		if err != nil {
 			return err
 		}
-		return sweepAndReport(d, workload, qasmPath, policyName, seed, optimize)
+		return sweepAndReport(d, o)
 	}
-	prog, err := loadProgram(workload, qasmPath)
+	prog, err := loadProgram(o.workload, o.qasmPath)
 	if err != nil {
 		return err
 	}
-	d, arch, err := loadDevice(deviceName, calibPath, seed)
+	d, arch, err := loadDevice(o.device, o.calibPath, o.seed)
 	if err != nil {
 		return err
 	}
-	if portfolioCycles >= 0 {
-		return portfolioAndReport(d, arch, prog, seed, mcTrials)
+	if o.portfolio >= 0 {
+		return portfolioAndReport(d, arch, prog, o)
 	}
-	return compileAndReport(d, prog, policyName, seed, mcTrials, verbose, outcomes, optimize)
+	return compileAndReport(d, prog, o)
 }
 
 // loadTemplate resolves the parametric template: the named ansatz or a
 // symbolic QASM file.
-func loadTemplate(workload, qasmPath string) (*param.ParametricCircuit, string, error) {
+func loadTemplate(o options) (*param.ParametricCircuit, string, error) {
 	switch {
-	case ansatzName != "" && (workload != "" || qasmPath != ""):
+	case o.ansatz != "" && (o.workload != "" || o.qasmPath != ""):
 		return nil, "", fmt.Errorf("-ansatz replaces -workload/-qasm; specify one template source")
-	case ansatzName != "":
-		pc, err := ansatz.ByName(ansatzName)
-		return pc, ansatzName, err
-	case qasmPath != "":
-		src, err := os.ReadFile(qasmPath)
+	case o.ansatz != "":
+		pc, err := ansatz.ByName(o.ansatz)
+		return pc, o.ansatz, err
+	case o.qasmPath != "":
+		src, err := os.ReadFile(o.qasmPath)
 		if err != nil {
 			return nil, "", err
 		}
 		pc, err := qasm.ParseParametric(string(src))
-		return pc, qasmPath, err
+		return pc, o.qasmPath, err
 	default:
 		return nil, "", fmt.Errorf("-sweep needs a parametric template: -ansatz su2-N/qaoa-N or a symbolic -qasm file")
 	}
@@ -183,63 +203,51 @@ func loadPoints(path string) ([][]float64, error) {
 	return points, nil
 }
 
-// sweepAndReport is the parametric pipeline: compile the symbolic
-// template once (allocation, routing and the success estimate are
-// angle-independent), then rebind per sweep point — no recompilation
-// anywhere in the loop.
-func sweepAndReport(d *device.Device, workload, qasmPath, policyName string, seed int64, optimize bool) error {
-	if optimize {
-		return fmt.Errorf("-O folds angles and cannot be combined with a parametric template")
-	}
-	pc, label, err := loadTemplate(workload, qasmPath)
+// sweepAndReport prints the parametric pipeline's result: serve.Sweep,
+// shared with nisqd's /v1/sweep, compiles the template once and rebinds
+// it per sweep point. Without -sweep it prints the mapping summary alone.
+func sweepAndReport(d *device.Device, o options) error {
+	pc, label, err := loadTemplate(o)
 	if err != nil {
 		return err
 	}
-	policy, ok := core.PolicyByName(policyName)
-	if !ok {
-		return fmt.Errorf("unknown policy %q", policyName)
+	var points [][]float64
+	if o.sweepPath != "" {
+		if points, err = loadPoints(o.sweepPath); err != nil {
+			return err
+		}
 	}
-	bound, err := core.CompileParametric(d, pc, core.Options{
-		Policy:   policy,
-		Seed:     seed,
-		Movement: movementPolicy,
-	})
+	res, err := serve.Sweep(context.Background(), d, pc, serve.Spec{
+		Policy:   o.policy,
+		Seed:     o.seed,
+		Workers:  o.workers,
+		Optimize: o.optimize,
+		Movement: o.movement,
+	}, points)
 	if err != nil {
 		return err
 	}
-	stats := bound.Compiled.Routed.Physical.Stats()
-	syms := make([]string, len(bound.Symbols()))
-	for i, s := range bound.Symbols() {
+	syms := make([]string, len(res.Symbols))
+	for i, s := range res.Symbols {
 		syms[i] = string(s)
 	}
-	fmt.Printf("parametric  %s on %s (policy %s)\n", label, d.Topology().Name, policyName)
-	fmt.Printf("params      %d free symbols: %s\n", bound.NumParams(), strings.Join(syms, " "))
+	fmt.Printf("parametric  %s on %s (policy %s)\n", label, res.Device.Name, res.Policy)
+	fmt.Printf("params      %d free symbols: %s\n", res.NumParams, strings.Join(syms, " "))
 	fmt.Printf("mapping     %d inst, %d CNOTs, depth %d (fixed across all bindings)\n",
-		stats.Total, stats.CNOTs, stats.Depth)
-	fmt.Printf("analytic PST %.4f (angle-independent: shared by every sweep point)\n", bound.ESP)
-	if sweepPath == "" {
+		res.Physical.Instructions, res.Physical.CNOTs, res.Physical.Depth)
+	fmt.Printf("analytic PST %.4f (angle-independent: shared by every sweep point)\n", res.AnalyticPST)
+	if o.sweepPath == "" {
 		return nil
-	}
-
-	points, err := loadPoints(sweepPath)
-	if err != nil {
-		return err
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "point\tvalues\tphysical fingerprint")
-	for i, vals := range points {
-		phys, err := bound.RebindValues(vals)
-		if err != nil {
-			return fmt.Errorf("point %d: %w", i, err)
-		}
-		h := fnv.New64a()
-		h.Write([]byte(qasm.Serialize(phys)))
-		fmt.Fprintf(tw, "%d\t%s\t%016x\n", i, formatPoint(vals), h.Sum64())
+	for _, p := range res.Points {
+		fmt.Fprintf(tw, "%d\t%s\t%s\n", p.Index, formatPoint(p.Values), p.Fingerprint)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("sweep       %d points, 1 compile, %d compiles saved\n", len(points), len(points)-1)
+	fmt.Printf("sweep       %d points, 1 compile, %d compiles saved\n", len(res.Points), res.CompilesSaved)
 	return nil
 }
 
@@ -258,78 +266,52 @@ func formatPoint(vals []float64) string {
 	return strings.Join(parts, " ")
 }
 
-// loadDevice resolves -device/-calib into the device model plus its
+// loadDevice resolves -calib (a calgen archive file) or -device (a name
+// in the calib device catalog) into the device model plus its
 // calibration archive (the mean snapshot backs the device; the full
 // archive feeds -portfolio's calibration-cycle window).
 func loadDevice(deviceName, calibPath string, seed int64) (*device.Device, *calib.Archive, error) {
+	var arch *calib.Archive
+	var err error
 	if calibPath != "" {
-		f, err := os.Open(calibPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		arch, quarantined, err := calib.ReadJSONLenient(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, q := range quarantined {
-			fmt.Fprintln(os.Stderr, "nisqc: quarantined", q)
-		}
-		mean, err := arch.Mean()
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := device.New(arch.Topo, mean)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d, arch, nil
+		arch, err = readArchive(calibPath)
+	} else if arch, err = calib.Named(deviceName, seed); err != nil {
+		err = fmt.Errorf("unknown device %q (want %s, or a zoo name — see -list-devices): %v", deviceName, builtinNames(), err)
 	}
-	switch deviceName {
-	case "q20":
-		arch := calib.Generate(calib.DefaultQ20Config(seed))
-		return device.MustNew(arch.Topo, arch.MustMean()), arch, nil
-	case "q16":
-		arch := calib.Generate(calib.DefaultQ16Config(seed))
-		return device.MustNew(arch.Topo, arch.MustMean()), arch, nil
-	case "q5":
-		s := calib.TenerifeSnapshot()
-		arch := &calib.Archive{Topo: s.Topo, Snapshots: []*calib.Snapshot{s}}
-		return device.MustNew(s.Topo, s), arch, nil
-	}
-	// Fall through to the synthetic device zoo: <family>-<n>[-<tier>].
-	arch, err := calib.ZooArchive(deviceName, seed)
 	if err != nil {
-		return nil, nil, fmt.Errorf("unknown device %q (want q20, q16, q5, or a zoo name — see -list-devices): %v", deviceName, err)
+		return nil, nil, err
 	}
-	return device.MustNew(arch.Topo, arch.MustMean()), arch, nil
+	d, err := serve.NewDevice(arch)
+	return d, arch, err
 }
 
-// timelineRequested, simWorkers, portfolioCycles, movementPolicy,
-// ansatzName and sweepPath mirror the -timeline, -workers, -portfolio,
-// -movement, -ansatz and -sweep flags (kept package-level so the
-// testable run() signature stays stable).
-var (
-	timelineRequested bool
-	simWorkers        int
-	portfolioCycles   = -1
-	movementPolicy    string
-	ansatzName        string
-	sweepPath         string
-)
+// readArchive loads a calgen JSON archive, reporting each quarantined
+// snapshot on stderr.
+func readArchive(path string) (*calib.Archive, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	arch, quarantined, err := calib.ReadJSONLenient(f)
+	for _, q := range quarantined {
+		fmt.Fprintln(os.Stderr, "nisqc: quarantined", q)
+	}
+	return arch, err
+}
 
 // portfolioAndReport runs the speculative portfolio compiler and prints
 // the ranked candidate table.
-func portfolioAndReport(d *device.Device, arch *calib.Archive, prog *circuit.Circuit, seed int64, mcTrials int) error {
-	cycles := portfolioCycles
+func portfolioAndReport(d *device.Device, arch *calib.Archive, prog *circuit.Circuit, o options) error {
+	cycles := o.portfolio
 	if cycles == 0 {
 		cycles = -1 // reference device only
 	}
 	res, err := portfolio.Run(context.Background(), d, arch, prog, portfolio.Spec{
-		RootSeed: seed,
+		RootSeed: o.seed,
 		Cycles:   cycles,
-		Trials:   mcTrials,
-		Workers:  simWorkers,
+		Trials:   o.trials,
+		Workers:  o.workers,
 	})
 	if err != nil {
 		return err
@@ -363,33 +345,33 @@ func portfolioAndReport(d *device.Device, arch *calib.Archive, prog *circuit.Cir
 // work and the report text live in serve.Run, shared with the nisqd
 // daemon — the daemon's /v1/compile responses embed the exact string
 // printed here, and an equivalence test pins the two byte for byte.
-func compileAndReport(d *device.Device, prog *circuit.Circuit, policyName string, seed int64, mcTrials int, verbose, outcomes, optimize bool) error {
+func compileAndReport(d *device.Device, prog *circuit.Circuit, o options) error {
 	res, err := serve.Run(d, prog, serve.Spec{
-		Policy:   policyName,
-		Seed:     seed,
-		Trials:   mcTrials,
-		Workers:  simWorkers,
-		Optimize: optimize,
-		Movement: movementPolicy,
+		Policy:   o.policy,
+		Seed:     o.seed,
+		Trials:   o.trials,
+		Workers:  o.workers,
+		Optimize: o.optimize,
+		Movement: o.movement,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Print(res.Report)
 	phys := res.PhysicalCircuit
-	if timelineRequested {
+	if o.timeline {
 		fmt.Println("\n-- ASAP schedule (u=1q, C=2q, S=swap, M=measure; 100ns/column) --")
 		fmt.Print(schedule.ASAP(phys).Timeline(100*time.Nanosecond, 120))
 	}
-	if outcomes {
-		tres, err := trials.Run(d, phys, trials.Config{Trials: 4096, Seed: seed})
+	if o.outcomes {
+		tres, err := trials.Run(d, phys, trials.Config{Trials: 4096, Seed: o.seed})
 		if err != nil {
 			return fmt.Errorf("outcome simulation: %w", err)
 		}
 		fmt.Println("\n-- iterative execution model (4096 trials) --")
 		fmt.Print(tres.Summary())
 	}
-	if verbose {
+	if o.verbose {
 		fmt.Println("\n-- compiled physical circuit --")
 		fmt.Print(qasm.Serialize(phys))
 	}

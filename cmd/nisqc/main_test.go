@@ -1,11 +1,27 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
 	"vaq/internal/calib"
 )
+
+// parse fills options from command-line arguments the way main does,
+// flag defaults included.
+func parse(t *testing.T, args ...string) options {
+	t.Helper()
+	var o options
+	fs := flag.NewFlagSet("nisqc", flag.ContinueOnError)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
 
 func TestBuiltinWorkloads(t *testing.T) {
 	cases := map[string]int{
@@ -57,30 +73,30 @@ func TestLoadProgramModes(t *testing.T) {
 func TestRunEndToEnd(t *testing.T) {
 	// Full pipeline through every device and a Clifford outcome run.
 	for _, dev := range []string{"q20", "q16", "q5"} {
-		if err := run("triswap", "", "vqa+vqm", dev, "", 1, 2000, false, false, false); err != nil {
+		if err := run(parse(t, "-workload", "triswap", "-policy", "vqa+vqm", "-device", dev, "-seed", "1", "-trials", "2000")); err != nil {
 			t.Errorf("triswap on %s: %v", dev, err)
 		}
-		if err := run("ghz-3", "", "vqa+vqm", dev, "", 1, 5000, false, true, true); err != nil {
+		if err := run(parse(t, "-workload", "ghz-3", "-policy", "vqa+vqm", "-device", dev, "-seed", "1", "-trials", "5000", "-outcomes", "-O")); err != nil {
 			t.Errorf("run on %s: %v", dev, err)
 		}
 	}
-	if err := run("qft-6", "", "baseline", "q20", "", 1, 5000, true, false, true); err != nil {
+	if err := run(parse(t, "-workload", "qft-6", "-policy", "baseline", "-device", "q20", "-seed", "1", "-trials", "5000", "-verbose", "-O")); err != nil {
 		t.Errorf("qft run: %v", err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("bv-4", "", "bogus", "q20", "", 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-workload", "bv-4", "-policy", "bogus", "-device", "q20", "-seed", "1", "-trials", "100")); err == nil {
 		t.Error("bogus policy accepted")
 	}
-	if err := run("bv-4", "", "baseline", "bogus", "", 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-workload", "bv-4", "-policy", "baseline", "-device", "bogus", "-seed", "1", "-trials", "100")); err == nil {
 		t.Error("bogus device accepted")
 	}
-	if err := run("bv-12", "", "baseline", "q5", "", 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-workload", "bv-12", "-policy", "baseline", "-device", "q5", "-seed", "1", "-trials", "100")); err == nil {
 		t.Error("12-qubit program on q5 accepted")
 	}
 	// Outcome mode on a non-Clifford program must fail cleanly.
-	if err := run("qft-4", "", "baseline", "q20", "", 1, 100, false, true, false); err == nil {
+	if err := run(parse(t, "-workload", "qft-4", "-policy", "baseline", "-device", "q20", "-seed", "1", "-trials", "100", "-outcomes")); err == nil {
 		t.Error("outcome mode accepted non-Clifford program")
 	}
 }
@@ -98,23 +114,21 @@ func TestRunWithCalibArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run("ghz-3", "", "vqa+vqm", "", path, 1, 2000, false, false, false); err != nil {
+	if err := run(parse(t, "-workload", "ghz-3", "-policy", "vqa+vqm", "-device", "", "-calib", path, "-seed", "1", "-trials", "2000")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("ghz-3", "", "baseline", "", filepath.Join(dir, "missing.json"), 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-workload", "ghz-3", "-policy", "baseline", "-device", "", "-calib", filepath.Join(dir, "missing.json"), "-seed", "1", "-trials", "100")); err == nil {
 		t.Fatal("missing calib file accepted")
 	}
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, []byte("{"), 0o644)
-	if err := run("ghz-3", "", "baseline", "", bad, 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-workload", "ghz-3", "-policy", "baseline", "-device", "", "-calib", bad, "-seed", "1", "-trials", "100")); err == nil {
 		t.Fatal("corrupt calib file accepted")
 	}
 }
 
 func TestTimelineFlag(t *testing.T) {
-	timelineRequested = true
-	defer func() { timelineRequested = false }()
-	if err := run("ghz-3", "", "baseline", "q5", "", 1, 1000, false, false, false); err != nil {
+	if err := run(parse(t, "-workload", "ghz-3", "-policy", "baseline", "-device", "q5", "-seed", "1", "-trials", "1000", "-timeline")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,55 +139,56 @@ func TestSweepFlag(t *testing.T) {
 	if err := os.WriteFile(pts, []byte("[[0.1,0.2],[0.3,0.4]]"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ansatzName, sweepPath = "qaoa-4", pts
-	defer func() { ansatzName, sweepPath = "", "" }()
-	if err := run("", "", "vqa+vqm", "q20", "", 1, 100, false, false, false); err != nil {
+	if err := run(parse(t, "-ansatz", "qaoa-4", "-sweep", pts, "-policy", "vqa+vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err != nil {
 		t.Fatal(err)
 	}
 	// Template summary alone (no sweep file).
-	sweepPath = ""
-	if err := run("", "", "vqm", "q20", "", 1, 100, false, false, false); err != nil {
+	if err := run(parse(t, "-ansatz", "qaoa-4", "-policy", "vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err != nil {
 		t.Fatal(err)
 	}
 	// Symbolic QASM file as the template source.
-	ansatzName = ""
 	qasmFile := filepath.Join(dir, "vqa.qasm")
 	src := "qreg q[2]; creg c[2]; ry(theta) q[0]; cx q[0],q[1]; measure q[0] -> c[0];"
 	if err := os.WriteFile(qasmFile, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sweepPath = pts
 	// Arity mismatch: the template has 1 symbol, the points carry 2.
-	if err := run("", qasmFile, "vqm", "q20", "", 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-qasm", qasmFile, "-sweep", pts, "-policy", "vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	one := filepath.Join(dir, "one.json")
 	os.WriteFile(one, []byte("[[0.25],[0.5]]"), 0o644)
-	sweepPath = one
-	if err := run("", qasmFile, "vqm", "q20", "", 1, 100, false, false, false); err != nil {
+	if err := run(parse(t, "-qasm", qasmFile, "-sweep", one, "-policy", "vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSweepFlagErrors(t *testing.T) {
-	defer func() { ansatzName, sweepPath = "", "" }()
 	// -sweep with no template source.
-	ansatzName, sweepPath = "", "/nonexistent.json"
-	if err := run("", "", "vqm", "q20", "", 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-sweep", "/nonexistent.json", "-policy", "vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err == nil {
 		t.Error("sweep without template accepted")
 	}
 	// -ansatz beside -workload.
-	ansatzName = "qaoa-4"
-	if err := run("bv-4", "", "vqm", "q20", "", 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-ansatz", "qaoa-4", "-workload", "bv-4", "-policy", "vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err == nil {
 		t.Error("-ansatz plus -workload accepted")
 	}
 	// -O is incompatible with parametric compilation.
-	if err := run("", "", "vqm", "q20", "", 1, 100, false, false, true); err == nil {
+	if err := run(parse(t, "-ansatz", "qaoa-4", "-O", "-policy", "vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err == nil {
 		t.Error("-O accepted with -ansatz")
 	}
 	// Unknown ansatz and bad sweep files fail cleanly.
-	ansatzName, sweepPath = "zap-9", ""
-	if err := run("", "", "vqm", "q20", "", 1, 100, false, false, false); err == nil {
+	if err := run(parse(t, "-ansatz", "zap-9", "-policy", "vqm", "-device", "q20", "-seed", "1", "-trials", "100")); err == nil {
 		t.Error("unknown ansatz accepted")
+	}
+	// -portfolio compiles programs, not templates: beside -ansatz or
+	// -sweep it is a usage error, never silently dropped.
+	for _, args := range [][]string{
+		{"-ansatz", "qaoa-4", "-portfolio", "0"},
+		{"-ansatz", "qaoa-4", "-sweep", "/nonexistent.json", "-portfolio", "2"},
+	} {
+		err := run(parse(t, args...))
+		if !errors.As(err, new(usageError)) {
+			t.Errorf("%v: err = %v, want a usage error", args, err)
+		}
 	}
 }

@@ -55,7 +55,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		seed     = flag.Int64("seed", 2019, "seed for the built-in q20/q16 synthetic calibration archives")
+		seed     = flag.Int64("seed", serve.DefaultSeed, "seed for the built-in q20/q16 synthetic calibration archives and the zoo fleets")
 		trials   = flag.Int("trials", 1000000, "per-request Monte-Carlo trial cap")
 		workers  = flag.Int("workers", 0, "worker goroutines per Monte-Carlo estimate and batch fan-out (0: one per CPU, <0: serial); outcomes are identical at any setting")
 		inflight = flag.Int("max-inflight", 64, "concurrent requests before load shedding with 429")

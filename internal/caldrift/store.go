@@ -39,10 +39,13 @@ import (
 // uptime.
 const MaxCyclesPerDevice = 512
 
-// deviceNameRE guards on-disk layout: a device name is a path segment,
-// so it must never contain separators or dot-tricks. Matches the serve
-// layer's device-name grammar.
-var deviceNameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`)
+// DeviceNamePattern is the one device-name rule: a device name is a
+// path segment of the store's on-disk layout, so it must never contain
+// separators or dot-tricks. The serve layer applies the same rule to
+// registered device names and to job tenants.
+const DeviceNamePattern = `[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}`
+
+var deviceNameRE = regexp.MustCompile(`^` + DeviceNamePattern + `$`)
 
 // ValidDeviceName reports whether name is storable.
 func ValidDeviceName(name string) bool { return deviceNameRE.MatchString(name) }

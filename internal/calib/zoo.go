@@ -9,8 +9,9 @@ import (
 
 // Variance-tiered synthetic fleets for the device zoo (topo/zoo.go).
 //
-// A zoo device name is "<family>-<n>[-<tier>]" — heavy-hex-399-mid,
-// grid-100-high, ring-64 (tier defaults to mid). The tier sets the
+// A zoo device name has the form ZooNaming — heavy-hex-399-mid,
+// grid-100-high, ring-64, grid-25-holes3-mid (tier defaults to mid;
+// -holes<k> knocks out k couplers, see topo.WithHoles). The tier sets the
 // spatial spread of the characterization populations: how unequal the
 // qubits of one machine are. Population means stay fixed across tiers
 // (two-qubit μ=4.3%, T1 μ=190µs, T2 μ=130µs — the coherence figures of
@@ -22,6 +23,10 @@ import (
 // folded with an FNV-1a hash of the canonical device name, so every
 // family × size × tier combination draws a decorrelated but perfectly
 // reproducible population.
+
+// ZooNaming is the zoo device-name form. Listings and error hints
+// substitute a family name for "<family>".
+const ZooNaming = "<family>-<qubits>[-holes<k>][-<tier>]"
 
 // VarianceTier selects the spatial-variance level of a synthetic fleet.
 type VarianceTier string
@@ -110,7 +115,7 @@ func ParseZooDevice(name string) (topoName string, tier VarianceTier, err error)
 	return topoName, tier, nil
 }
 
-// ZooGenConfig resolves a zoo device name ("<family>-<n>[-<tier>]")
+// ZooGenConfig resolves a zoo device name (ZooNaming)
 // into its generator configuration. The effective generator seed folds
 // the canonical device name into the caller's seed, so distinct devices
 // generated from one root seed are decorrelated while each remains

@@ -66,16 +66,11 @@ func CompileParametric(d *device.Device, pc *param.ParametricCircuit, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	return NewBound(d, exprs, comp)
-}
 
-// NewBound recovers the slot table from a Compiled produced from a
-// SentinelBind circuit (CompileParametric does this internally;
-// portfolio ranking calls it on its winning candidate). Every sentinel
-// must appear exactly once in the physical circuit — a missing or
-// duplicated sentinel means a pipeline stage rewrote parameterized
-// gates and the template cannot be rebound.
-func NewBound(d *device.Device, exprs []param.Expr, comp *Compiled) (*Bound, error) {
+	// Recover the slot table: every sentinel must appear exactly once in
+	// the physical circuit — a missing or duplicated sentinel means a
+	// pipeline stage rewrote parameterized gates and the template cannot
+	// be rebound.
 	phys := comp.Routed.Physical
 	slots := make([]int, len(exprs))
 	for i := range slots {

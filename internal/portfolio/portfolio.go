@@ -92,11 +92,6 @@ type Spec struct {
 	// Workers bounds the candidate fan-out goroutines (0: one per CPU,
 	// <0: serial). The ranking is bit-identical at any setting.
 	Workers int
-	// NoOptimize drops the transpile.Optimize candidates from the grid.
-	// Parametric (sentinel-carrying) templates require it: the optimizer
-	// does angle arithmetic — rotation merging, zero-angle elimination —
-	// that would corrupt placeholder slots (see RunParametric).
-	NoOptimize bool
 
 	// normalized marks a spec that already passed through withDefaults.
 	// The zero-vs-negative sentinels are only meaningful on raw input:
@@ -203,16 +198,12 @@ func Grid(spec Spec, arch *calib.Archive) []CandidateSpec {
 		allocs = append(allocs, allocPoint{AllocRandom, s})
 	}
 	movers := gridMovers()
-	optPoints := []bool{false, true}
-	if spec.NoOptimize {
-		optPoints = []bool{false}
-	}
 
 	var grid []CandidateSpec
 	for _, cyc := range cycles {
 		for _, al := range allocs {
 			for _, mv := range movers {
-				for _, opt := range optPoints {
+				for _, opt := range []bool{false, true} {
 					id := len(grid)
 					grid = append(grid, CandidateSpec{
 						ID:       id,
@@ -238,11 +229,7 @@ func GridSize(spec Spec, availableCycles int) int {
 	if k > availableCycles {
 		k = availableCycles
 	}
-	opts := 2
-	if spec.NoOptimize {
-		opts = 1
-	}
-	return (1 + k) * (2 + spec.RandomStarts) * len(gridMovers()) * opts
+	return (1 + k) * (2 + spec.RandomStarts) * len(gridMovers()) * 2
 }
 
 // Seed-stream salts keeping compilation and Monte-Carlo refinement on

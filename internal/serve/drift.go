@@ -216,7 +216,7 @@ func (s *Server) handleCalibrationAppend(w http.ResponseWriter, r *http.Request,
 	// Appends target a registered device: the drift score is relative
 	// to that device's fingerprinted baseline series, so an unknown
 	// name is a 404, not an implicit registration.
-	d, err := s.lookupDevice(name)
+	d, _, err := s.lookupDeviceArchive(name)
 	if err != nil {
 		writeError(w, errorStatus(err), err.Error())
 		return
@@ -374,7 +374,7 @@ func (s *Server) handleDriftEvents(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Add(1, "/v1/drift/{device}/events")
 	name := r.PathValue("device")
 	if !caldrift.ValidDeviceName(name) {
-		writeError(w, http.StatusBadRequest, "device name must match [a-zA-Z0-9][a-zA-Z0-9_-]{0,63}")
+		writeError(w, http.StatusBadRequest, badName("device name"))
 		return
 	}
 	history, ch, cancel := s.drift.events.Subscribe(name)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"vaq/internal/caldrift"
 	"vaq/internal/core"
 	"vaq/internal/jobs"
 	"vaq/internal/portfolio"
@@ -210,7 +211,7 @@ func FuzzJobRequest(f *testing.F) {
 		if req.Class != "" && !jobs.ValidClass(jobs.Class(req.Class)) {
 			t.Fatalf("accepted unknown class %q", req.Class)
 		}
-		if req.Tenant != "" && !deviceNameRE.MatchString(req.Tenant) {
+		if req.Tenant != "" && !caldrift.ValidDeviceName(req.Tenant) {
 			t.Fatalf("accepted malformed tenant %q", req.Tenant)
 		}
 		switch jobs.Kind(req.Kind) {

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"vaq/internal/caldrift"
 	"vaq/internal/jobs"
 )
 
@@ -48,8 +49,8 @@ func (r *JobRequest) check(maxTrials int) error {
 	if r.Class != "" && !jobs.ValidClass(jobs.Class(r.Class)) {
 		return badReqf("class must be one of %v (got %q)", jobs.Classes(), r.Class)
 	}
-	if r.Tenant != "" && !deviceNameRE.MatchString(r.Tenant) {
-		return badReqf("tenant must match [a-zA-Z0-9][a-zA-Z0-9_-]{0,63}")
+	if r.Tenant != "" && !caldrift.ValidDeviceName(r.Tenant) {
+		return badReqf("%s", badName("tenant"))
 	}
 	if len(r.Request) == 0 {
 		return badReqf("request body is required")
@@ -131,7 +132,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := req.Tenant
 	if tenant == "" {
-		if h := r.Header.Get("X-Nisqd-Tenant"); h != "" && deviceNameRE.MatchString(h) {
+		if h := r.Header.Get("X-Nisqd-Tenant"); h != "" && caldrift.ValidDeviceName(h) {
 			tenant = h
 		}
 	}

@@ -24,9 +24,9 @@ const (
 	MaxBatchItems = 256
 )
 
-// Defaults applied by the decoders when a request omits a field; they
-// mirror cmd/nisqc's flag defaults so an empty request means the same
-// thing in both front-ends.
+// Defaults applied by the decoders when a request omits a field. The
+// nisqc flags and nisqd's -seed take their defaults from these, so an
+// empty request means the same thing in every front-end.
 const (
 	DefaultPolicy = "vqa+vqm"
 	DefaultDevice = "q20"

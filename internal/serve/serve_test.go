@@ -317,7 +317,7 @@ func TestCalibrationUpload(t *testing.T) {
 	if !strings.HasPrefix(cr.Device.Name, "fp-") {
 		t.Errorf("anonymous device name = %q, want fp-… prefix", cr.Device.Name)
 	}
-	if _, err := s.lookupDevice(cr.Device.Name); err != nil {
+	if _, _, err := s.lookupDeviceArchive(cr.Device.Name); err != nil {
 		t.Errorf("anonymous device not registered: %v", err)
 	}
 }

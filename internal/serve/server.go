@@ -10,13 +10,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"vaq/internal/caldrift"
 	"vaq/internal/calib"
 	"vaq/internal/clock"
 	"vaq/internal/device"
@@ -27,8 +27,9 @@ import (
 // Config tunes a Server. The zero value is usable: withDefaults fills
 // every field with the production defaults listed on it.
 type Config struct {
-	// Seed generates the built-in q20/q16 synthetic calibration
-	// archives at startup (default 2019, matching nisqc's flag).
+	// Seed generates the catalog's built-in synthetic calibration
+	// archives at startup and the zoo fleets on first use (default
+	// DefaultSeed, also nisqc's -seed default).
 	Seed int64
 	// MaxTrials caps the per-request Monte-Carlo budget (default
 	// 1000000, the paper's full budget).
@@ -125,12 +126,12 @@ type Server struct {
 	archives map[string]*calib.Archive
 }
 
-// New builds a Server with the built-in device models (q20 and q16
-// generated from cfg.Seed, q5 from the Tenerife snapshot) already
+// New builds a Server with the device catalog's built-ins
+// (calib.Builtins, each generated once from cfg.Seed) already
 // registered, and starts the job plane (recovering any persisted queue
-// from cfg.Jobs.Dir). The only error source is the job store: an
-// unusable jobs directory must fail loudly at startup, not lose
-// accepted work later.
+// from cfg.Jobs.Dir). The error sources are the job and drift stores
+// (built-in archives always build): an unusable directory must fail
+// loudly at startup, not lose accepted work later.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -141,15 +142,15 @@ func New(cfg Config) (*Server, error) {
 		devices:  make(map[string]*device.Device),
 		archives: make(map[string]*calib.Archive),
 	}
-	q20 := calib.Generate(calib.DefaultQ20Config(cfg.Seed))
-	s.devices["q20"] = device.MustNew(q20.Topo, q20.MustMean())
-	s.archives["q20"] = q20
-	q16 := calib.Generate(calib.DefaultQ16Config(cfg.Seed))
-	s.devices["q16"] = device.MustNew(q16.Topo, q16.MustMean())
-	s.archives["q16"] = q16
-	q5 := calib.TenerifeSnapshot()
-	s.devices["q5"] = device.MustNew(q5.Topo, q5)
-	s.archives["q5"] = &calib.Archive{Topo: q5.Topo, Snapshots: []*calib.Snapshot{q5}}
+	for _, b := range calib.Builtins() {
+		arch := b.Archive(cfg.Seed)
+		d, err := NewDevice(arch)
+		if err != nil {
+			return nil, err
+		}
+		s.devices[b.Name] = d
+		s.archives[b.Name] = arch
+	}
 
 	// The drift plane shares the job store's failure posture: an
 	// unusable cycle directory fails startup rather than silently
@@ -337,18 +338,23 @@ func errorStatus(err error) int {
 
 var errUnknownDevice = errors.New("unknown device")
 
-// lookupDevice resolves a registered device name.
-func (s *Server) lookupDevice(name string) (*device.Device, error) {
-	d, _, err := s.lookupDeviceArchive(name)
-	return d, err
+// NewDevice builds the device model a calibration archive describes:
+// its topology under the archive's mean snapshot. Catalog devices,
+// uploaded archives and nisqc's -device and -calib all build it here.
+func NewDevice(arch *calib.Archive) (*device.Device, error) {
+	mean, err := arch.Mean()
+	if err != nil {
+		return nil, err
+	}
+	return device.New(arch.Topo, mean)
 }
 
 // lookupDeviceArchive resolves a device together with its calibration
 // archive. The archive may be nil — the portfolio compiler treats that
 // as a reference-device-only grid. Names not in the registry fall
-// through to the synthetic device zoo: "<family>-<n>[-<tier>]" (e.g.
-// heavy-hex-399-mid) materializes a deterministic variance-tiered fleet
-// on first use and registers it like any other device.
+// through to the device catalog, whose zoo names (e.g.
+// heavy-hex-399-mid) materialize a deterministic variance-tiered fleet
+// on first use that registers like any other device.
 func (s *Server) lookupDeviceArchive(name string) (*device.Device, *calib.Archive, error) {
 	s.mu.RLock()
 	d, ok := s.devices[name]
@@ -357,7 +363,7 @@ func (s *Server) lookupDeviceArchive(name string) (*device.Device, *calib.Archiv
 	if ok {
 		return d, arch, nil
 	}
-	d, arch, zooErr := s.resolveZoo(name)
+	d, arch, zooErr := s.resolveNamed(name)
 	if zooErr == nil {
 		return d, arch, nil
 	}
@@ -373,8 +379,8 @@ func (s *Server) lookupDeviceArchive(name string) (*device.Device, *calib.Archiv
 	}
 	s.mu.RUnlock()
 	sort.Strings(names)
-	return nil, nil, fmt.Errorf("%w %q (registered: %v; synthetic: <family>-<qubits>[-<tier>], families %v, tiers %v)",
-		errUnknownDevice, name, names, familyNames(), calib.Tiers())
+	return nil, nil, fmt.Errorf("%w %q (registered: %v; synthetic: %s, families %v, tiers %v)",
+		errUnknownDevice, name, names, calib.ZooNaming, familyNames(), calib.Tiers())
 }
 
 // zooName reports whether name targets a zoo family ("<family>-…").
@@ -396,17 +402,18 @@ func familyNames() []string {
 	return out
 }
 
-// resolveZoo materializes the synthetic device named by a zoo device
-// name, registering it (and its archive) under the same bounded
-// registry as uploaded calibrations. Idempotent and deterministic: the
-// fleet is a pure function of (name, server seed), so a concurrent
-// double resolve builds identical devices and keeps the first.
-func (s *Server) resolveZoo(name string) (*device.Device, *calib.Archive, error) {
-	arch, err := calib.ZooArchive(name, s.cfg.Seed)
+// resolveNamed materializes a device the catalog names (built-ins are
+// registered at startup, so in practice a zoo fleet), registering it
+// and its archive under the same bounded registry as uploaded
+// calibrations. Idempotent and deterministic: the fleet is a pure
+// function of (name, server seed), so a concurrent double resolve
+// builds identical devices and keeps the first.
+func (s *Server) resolveNamed(name string) (*device.Device, *calib.Archive, error) {
+	arch, err := calib.Named(name, s.cfg.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := device.New(arch.Topo, arch.MustMean())
+	d, err := NewDevice(arch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -446,7 +453,9 @@ type calibrationResponse struct {
 	Quarantined []string   `json:"quarantined,omitempty"`
 }
 
-var deviceNameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`)
+// badName is the client error for a device or tenant name outside the
+// device-name rule (caldrift.ValidDeviceName).
+func badName(what string) string { return what + " must match " + caldrift.DeviceNamePattern }
 
 // maxDevices caps the registry of uploaded calibrations.
 const maxDevices = 64
@@ -457,8 +466,8 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.URL.Query().Get("name")
-	if name != "" && !deviceNameRE.MatchString(name) {
-		writeError(w, http.StatusBadRequest, "device name must match [a-zA-Z0-9][a-zA-Z0-9_-]{0,63}")
+	if name != "" && !caldrift.ValidDeviceName(name) {
+		writeError(w, http.StatusBadRequest, badName("device name"))
 		return
 	}
 	arch, quarantined, err := calib.ReadJSONLenient(bytes.NewReader(data))
@@ -477,12 +486,7 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	mean, err := arch.Mean()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("calibration archive: %v", err))
-		return
-	}
-	d, err := device.New(arch.Topo, mean)
+	d, err := NewDevice(arch)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("calibration archive: %v", err))
 		return
@@ -521,10 +525,10 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 // parametric synthetic families any request may name on demand.
 type devicesResponse struct {
 	Devices []namedDevice `json:"devices"`
-	// Families describes the synthetic device zoo: request one with
-	// device "<family>-<qubits>[-<tier>]" (e.g. "heavy-hex-399-high");
-	// it is generated deterministically from the server seed and
-	// registered on first use.
+	// Families describes the synthetic device zoo: request one with a
+	// device name of its family's Naming form (e.g.
+	// "heavy-hex-399-high"); it is generated deterministically from the
+	// server seed and registered on first use.
 	Families []deviceFamily `json:"families"`
 }
 
@@ -537,8 +541,8 @@ type deviceFamily struct {
 	Naming      string   `json:"naming"`
 }
 
-// zooFamilies renders the topo family registry for listings (shared by
-// /v1/devices and nisqc -list-devices via this package).
+// zooFamilies renders the topo family registry for /v1/devices; each
+// family's Naming is calib.ZooNaming with the family filled in.
 func zooFamilies() []deviceFamily {
 	tiers := make([]string, 0, 3)
 	for _, t := range calib.Tiers() {
@@ -553,7 +557,7 @@ func zooFamilies() []deviceFamily {
 			MinQubits:   f.MinQubits,
 			MaxQubits:   f.MaxQubits,
 			Tiers:       tiers,
-			Naming:      f.Name + "-<qubits>[-holes<k>][-<tier>]",
+			Naming:      strings.Replace(calib.ZooNaming, "<family>", f.Name, 1),
 		})
 	}
 	return out

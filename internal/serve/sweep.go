@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -160,32 +161,55 @@ func (s *Server) sweepPlan(req *SweepRequest) (*plan, error) {
 			return nil, badReqf("point %d has %d values, template has %d free symbols", i, len(pt), n)
 		}
 	}
+	spec := Spec{Policy: req.Policy, Seed: *req.Seed, Movement: req.Movement, Workers: s.cfg.Workers}
 	return &plan{
 		key: sweepCacheKey(d.Fingerprint(), req),
 		hit: func() { s.met.sweep(len(req.Points)) },
-		run: func(ctx context.Context) (any, error) { return s.runSweep(ctx, d, pc, req) },
+		run: func(ctx context.Context) (any, error) {
+			res, err := Sweep(ctx, d, pc, spec, req.Points)
+			if err != nil {
+				return nil, err
+			}
+			// An inline program has no name.
+			res.Device.Name, res.Template = req.Device, cmp.Or(req.Ansatz, "qasm")
+			s.met.sweep(len(req.Points))
+			return res, nil
+		},
 	}, nil
 }
 
-// runSweep compiles the template once and rebinds the mapping per point.
-func (s *Server) runSweep(ctx context.Context, d *device.Device, pc *param.ParametricCircuit, req *SweepRequest) (*SweepResult, error) {
-	policy, _ := core.PolicyByName(req.Policy)
-	bound, err := core.CompileParametric(d, pc, core.Options{Policy: policy, Seed: *req.Seed, Movement: req.Movement})
+// Sweep is the parametric pipeline behind POST /v1/sweep and nisqc
+// -sweep: compile the template once on d under spec's Policy, Seed and
+// Movement (spec.Optimize is rejected — the transpile passes fold
+// angles), then rebind the mapping per point over spec.Workers
+// goroutines. With no points it returns the mapping summary alone. The
+// caller labels the result's Template and Device.Name.
+func Sweep(ctx context.Context, d *device.Device, pc *param.ParametricCircuit, spec Spec, points [][]float64) (*SweepResult, error) {
+	policy, ok := core.PolicyByName(spec.Policy)
+	if !ok {
+		return nil, fmt.Errorf("unknown policy %q", spec.Policy)
+	}
+	bound, err := core.CompileParametric(d, pc, core.Options{
+		Policy:   policy,
+		Seed:     spec.Seed,
+		Optimize: spec.Optimize,
+		Movement: spec.Movement,
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	// The fan-out: every point is an independent rebind writing its own
 	// slot, so the point list is bit-identical at any worker count.
-	points := make([]SweepPoint, len(req.Points))
-	err = parallel.Collect(ctx, s.cfg.Workers, len(req.Points), func(i int) error {
-		phys, err := bound.RebindValues(req.Points[i])
+	out := make([]SweepPoint, len(points))
+	err = parallel.Collect(ctx, spec.Workers, len(points), func(i int) error {
+		phys, err := bound.RebindValues(points[i])
 		if err != nil {
 			return err
 		}
-		points[i] = SweepPoint{
+		out[i] = SweepPoint{
 			Index:       i,
-			Values:      req.Points[i],
+			Values:      points[i],
 			Fingerprint: fmt.Sprintf("%016x", progHash(phys)),
 		}
 		return nil
@@ -200,21 +224,14 @@ func (s *Server) runSweep(ctx context.Context, d *device.Device, pc *param.Param
 	}
 
 	stats := bound.Compiled.Routed.Physical.Stats()
-	res := &SweepResult{
+	return &SweepResult{
 		Device:        Describe(d),
-		Template:      req.Ansatz,
-		Policy:        req.Policy,
+		Policy:        spec.Policy,
 		NumParams:     bound.NumParams(),
 		Symbols:       bound.Symbols(),
 		Physical:      PhysicalInfo{Instructions: stats.Total, CNOTs: stats.CNOTs, Depth: stats.Depth},
 		AnalyticPST:   bound.ESP,
-		CompilesSaved: len(req.Points) - 1,
-		Points:        points,
-	}
-	res.Device.Name = req.Device
-	if req.Ansatz == "" {
-		res.Template = "qasm" // an inline program has no name
-	}
-	s.met.sweep(len(req.Points))
-	return res, nil
+		CompilesSaved: max(len(points)-1, 0),
+		Points:        out,
+	}, nil
 }

@@ -5,7 +5,9 @@
 # (the compile-once/rebind-many fan-out is deterministic at any worker
 # count), a replay must come back as a response-cache hit, and the
 # sweep bookkeeping (compiles_saved, nisqd_sweep_* metrics) must agree
-# — end-to-end through real processes and real HTTP.
+# — end-to-end through real processes and real HTTP. Last, nisqc -sweep
+# over the same points must print every fingerprint the daemon returned
+# (both front-ends run one sweep pipeline, serve.Sweep).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,6 +21,7 @@ PID1=""
 PID2=""
 
 go build -o "$BIN" ./cmd/nisqd
+go build -o "$WORK/nisqc" ./cmd/nisqc
 
 cleanup() {
 	[ -n "$PID1" ] && kill "$PID1" 2> /dev/null || true
@@ -45,13 +48,14 @@ for BASE in "$BASE1" "$BASE2"; do
 	done
 done
 
-# A 100-point grid over qaoa-6's (γ, β) plane, identical on both sends.
+# A 100-point grid over qaoa-6's (γ, β) plane, identical on every send.
 awk 'BEGIN {
-	printf("{\"ansatz\":\"qaoa-6\",\"policy\":\"vqm\",\"points\":[")
+	printf("[")
 	for (i = 0; i < 100; i++)
 		printf("%s[%.3f,%.3f]", i ? "," : "", 0.031 * i, 0.017 * i)
-	printf("]}")
-}' > "$WORK/req.json"
+	printf("]")
+}' > "$WORK/pts.json"
+printf '{"ansatz":"qaoa-6","policy":"vqm","points":%s}' "$(cat "$WORK/pts.json")" > "$WORK/req.json"
 
 curl -sf -X POST "$BASE1/v1/sweep" -H 'Content-Type: application/json' \
 	--data-binary @"$WORK/req.json" -o "$WORK/resp1.json" -D "$WORK/hdr1"
@@ -100,4 +104,15 @@ case "$METRICS" in
 	;;
 esac
 
-echo "smoke_sweep: 100-point sweep byte-identical at 1 vs GOMAXPROCS workers, cache and metrics agree OK"
+# The CLI leg: the same sweep through nisqc must print the daemon's
+# fingerprints, point for point.
+"$WORK/nisqc" -ansatz qaoa-6 -policy vqm -sweep "$WORK/pts.json" > "$WORK/cli.txt"
+awk '/^point/ { on = 1; next } /^sweep/ { on = 0 } on { print $NF }' "$WORK/cli.txt" > "$WORK/cli.fp"
+awk '/"points"/ { on = 1 } on && /"fingerprint"/ { gsub(/[",]/, "", $2); print $2 }' "$WORK/resp1.json" > "$WORK/daemon.fp"
+if [ "$(wc -l < "$WORK/daemon.fp")" -ne 100 ] || ! cmp -s "$WORK/cli.fp" "$WORK/daemon.fp"; then
+	echo "smoke_sweep: nisqc -sweep fingerprints differ from the daemon's" >&2
+	diff "$WORK/cli.fp" "$WORK/daemon.fp" >&2 || true
+	exit 1
+fi
+
+echo "smoke_sweep: 100-point sweep byte-identical at 1 vs GOMAXPROCS workers, cache and metrics agree, nisqc matches OK"
