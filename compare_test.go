@@ -35,11 +35,13 @@ func runCompare(t *testing.T, old, new string) (int, string) {
 }
 
 // TestBenchCompare pins the regression-gate contract of
-// scripts/bench.sh -compare: a >10% ns/op regression on any shared
-// benchmark exits non-zero and names the offender; improvements, small
-// wobbles, and benchmarks present on only one side pass. It also covers
-// the key canonicalization (GOMAXPROCS -8 and collision #01 suffixes
-// strip; duplicate samples aggregate to the minimum).
+// scripts/bench.sh -compare: a >10% regression in ns/op, B/op or
+// allocs/op on any shared benchmark exits non-zero and names the
+// offender, and a zero figure regresses on any increase; improvements,
+// small wobbles, and benchmarks present on only one side pass. It also
+// covers the key canonicalization (GOMAXPROCS -8 and collision #01
+// suffixes strip; duplicate samples aggregate to the minimum of each
+// figure).
 func TestBenchCompare(t *testing.T) {
 	dir := t.TempDir()
 	old := writeSnapshot(t, dir, "old.json", `{
@@ -91,5 +93,42 @@ func TestBenchCompare(t *testing.T) {
 	code, out = runCompare(t, old, good)
 	if code != 0 {
 		t.Fatalf("clean snapshot pair failed the gate (exit %d):\n%s", code, out)
+	}
+
+	// Memory figures: one allocation in a zero-allocation kernel and a
+	// doubled B/op each fail at unchanged ns/op; a duplicate sample that
+	// allocates less is the one compared.
+	memOld := writeSnapshot(t, dir, "mem_old.json", `{
+  "benchmarks": [
+    {"name": "BenchmarkSearchSwaps", "ns_op": 1000, "b_op": 0, "allocs_op": 0},
+    {"name": "BenchmarkRouteCached", "ns_op": 1000, "b_op": 1000, "allocs_op": 10},
+    {"name": "BenchmarkNewCosts", "ns_op": 1000, "b_op": 1000, "allocs_op": 10}
+  ]
+}
+`)
+	memNew := writeSnapshot(t, dir, "mem_new.json", `{
+  "benchmarks": [
+    {"name": "BenchmarkSearchSwaps", "ns_op": 1000, "b_op": 8, "allocs_op": 1},
+    {"name": "BenchmarkRouteCached", "ns_op": 1000, "b_op": 2000, "allocs_op": 10},
+    {"name": "BenchmarkNewCosts", "ns_op": 1000, "b_op": 1000, "allocs_op": 50},
+    {"name": "BenchmarkNewCosts#01", "ns_op": 1100, "b_op": 1000, "allocs_op": 10}
+  ]
+}
+`)
+	code, out = runCompare(t, memOld, memNew)
+	if code == 0 {
+		t.Fatalf("allocation regressions passed the gate:\n%s", out)
+	}
+	for _, want := range []string{
+		"REGRESSION BenchmarkSearchSwaps: 0 -> 1 allocs/op",
+		"REGRESSION BenchmarkSearchSwaps: 0 -> 8 B/op",
+		"REGRESSION BenchmarkRouteCached: 1000 -> 2000 B/op",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output does not report %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "REGRESSION BenchmarkNewCosts") {
+		t.Errorf("duplicate samples did not keep the minimum allocs/op:\n%s", out)
 	}
 }

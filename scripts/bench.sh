@@ -8,12 +8,14 @@
 # regressions can be diffed across PRs. Snapshot keys are stable and
 # deduplicated: the GOMAXPROCS suffix (-8) and Go's collision suffix
 # (#01) are stripped, and repeated samples of one benchmark (-count > 1,
-# or historical duplicate sub-benchmark names) keep the minimum ns/op —
-# the least-noise estimate of the true cost.
+# or historical duplicate sub-benchmark names) keep the minimum of each
+# of ns/op, B/op and allocs/op — the least-noise estimate of the true
+# cost.
 #
 # Compare mode diffs two snapshots and fails (non-zero exit) when any
-# benchmark present in both regressed by more than 10% ns/op, for CI and
-# pre-merge checks.
+# benchmark present in both regressed by more than 10% in ns/op, B/op or
+# allocs/op, for CI and pre-merge checks. A figure that was 0 regresses
+# on any increase (one allocation in a zero-allocation kernel fails).
 #
 #	scripts/bench.sh                        # one run of each benchmark
 #	scripts/bench.sh 5                      # -count=5 (five samples each)
@@ -26,27 +28,31 @@
 #	BENCH_MATCH      compare-mode key filter, awk ERE (default: all keys)
 set -eu
 
-# canonical_rows <file>: emit "name ns_op trials_sec" per benchmark with
-# canonicalized names, minimum ns/op (maximum trials/sec) across
-# duplicates.
+# canonical_rows <file>: emit "name ns_op b_op allocs_op" per benchmark
+# with canonicalized names and the minimum of each figure across
+# duplicates ("-" for a figure the snapshot does not record).
 canonical_rows() {
 	awk '
+	function field(key,    v) {
+		if (!match($0, "\"" key "\": *[0-9.e+-]+")) return ""
+		v = substr($0, RSTART, RLENGTH); sub(/^"[a-z_]+": */, "", v)
+		return v
+	}
+	function keepmin(arr, v) {
+		if (v != "" && (!(name in arr) || v + 0 < arr[name] + 0)) arr[name] = v
+	}
 	match($0, /"name": *"[^"]*"/) {
 		name = substr($0, RSTART, RLENGTH)
 		sub(/^"name": *"/, "", name); sub(/"$/, "", name)
 		sub(/-[0-9]+$/, "", name); sub(/#[0-9]+$/, "", name)
-		ns = ""; ts = 0
-		if (match($0, /"ns_op": *[0-9.e+-]+/)) {
-			ns = substr($0, RSTART, RLENGTH); sub(/^"ns_op": */, "", ns)
-		}
+		ns = field("ns_op")
 		if (ns == "") next
-		if (match($0, /"trials_sec": *[0-9.e+-]+/)) {
-			ts = substr($0, RSTART, RLENGTH); sub(/^"trials_sec": */, "", ts)
-		}
-		if (!(name in best) || ns + 0 < best[name] + 0) best[name] = ns
-		if (ts + 0 > rate[name] + 0) rate[name] = ts
+		keepmin(best, ns); keepmin(bop, field("b_op")); keepmin(aop, field("allocs_op"))
 	}
-	END { for (name in best) printf("%s %s %s\n", name, best[name], rate[name]) }
+	END {
+		for (name in best)
+			printf("%s %s %s %s\n", name, best[name], (name in bop) ? bop[name] : "-", (name in aop) ? aop[name] : "-")
+	}
 	' "$1"
 }
 
@@ -62,19 +68,25 @@ if [ "${1:-}" = "-compare" ]; then
 	canonical_rows "$3" > "$NEW_ROWS"
 	awk -v old="$2" -v new="$3" \
 	    -v tol="${BENCH_TOLERANCE:-1.10}" -v keyre="${BENCH_MATCH:-.}" '
-	NR == FNR { ns[$1] = $2; next }
+	# check: compare one figure of one benchmark; "-" on either side
+	# (not recorded) skips it.
+	function check(name, unit, a, b,    worse) {
+		if (a == "-" || b == "-") return
+		worse = (a + 0 == 0) ? (b + 0 > 0) : (b / a > tol + 0)
+		printf("%s %s: %.0f -> %.0f %s", worse ? "REGRESSION" : "ok        ", name, a, b, unit)
+		if (a + 0 > 0) printf(" (%+.1f%%)", (b / a - 1) * 100)
+		printf("\n")
+		if (worse) bad++
+	}
+	NR == FNR { ns[$1] = $2; bop[$1] = $3; aop[$1] = $4; next }
 	($1 in ns) && ($1 ~ keyre) {
-		ratio = $2 / ns[$1]
-		if (ratio > tol + 0) {
-			printf("REGRESSION %s: %.0f -> %.0f ns/op (%+.1f%%)\n", $1, ns[$1], $2, (ratio - 1) * 100)
-			bad++
-		} else {
-			printf("ok         %s: %.0f -> %.0f ns/op (%+.1f%%)\n", $1, ns[$1], $2, (ratio - 1) * 100)
-		}
+		check($1, "ns/op", ns[$1], $2)
+		check($1, "B/op", bop[$1], $3)
+		check($1, "allocs/op", aop[$1], $4)
 	}
 	END {
-		if (bad) { printf("%d benchmark(s) regressed past %.2fx from %s to %s\n", bad, tol, old, new); exit 1 }
-		printf("no ns/op regressions past %.2fx\n", tol)
+		if (bad) { printf("%d regression(s) past %.2fx from %s to %s\n", bad, tol, old, new); exit 1 }
+		printf("no ns/op, B/op or allocs/op regressions past %.2fx\n", tol)
 	}
 	' "$OLD_ROWS" "$NEW_ROWS"
 	exit $?
@@ -113,11 +125,14 @@ awk -v count="$COUNT" -v gover="$(go env GOVERSION)" '
 		else if ($i == "trials/sec") ts = $(i-1)
 	}
 	if (ns == "") next
-	# Deduplicate: keep the fastest sample per canonical name.
-	if (!(name in best) || ns + 0 < best[name] + 0) {
-		if (!(name in best)) order[n++] = name
+	# Deduplicate: keep the minimum of each figure per canonical name.
+	if (!(name in best)) {
+		order[n++] = name
 		best[name] = ns; bops[name] = bop; aops[name] = aop
 	}
+	if (ns + 0 < best[name] + 0) best[name] = ns
+	if (bop + 0 < bops[name] + 0) bops[name] = bop
+	if (aop + 0 < aops[name] + 0) aops[name] = aop
 	if (ts + 0 > rate[name] + 0) rate[name] = ts
 }
 END {
