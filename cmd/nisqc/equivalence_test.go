@@ -54,9 +54,7 @@ func TestDaemonMatchesCLI(t *testing.T) {
 		{"alu", "native", "q20", 3000},
 	}
 
-	srv := serve.MustNew(serve.Config{Seed: seed, MaxTrials: 1000000})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := daemon(t, serve.Config{Seed: seed, MaxTrials: 1000000})
 
 	for _, tc := range cases {
 		t.Run(tc.workload+"/"+tc.policy+"/"+tc.dev, func(t *testing.T) {
@@ -92,6 +90,18 @@ func TestDaemonMatchesCLI(t *testing.T) {
 	}
 }
 
+// daemon serves a fresh nisqd handler until the test ends.
+func daemon(t *testing.T, cfg serve.Config) *httptest.Server {
+	t.Helper()
+	srv, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // post sends a JSON body to the daemon and decodes a 200 response into v.
 func post(t *testing.T, url, body string, v any) {
 	t.Helper()
@@ -123,8 +133,7 @@ func TestDaemonMatchesCLISweep(t *testing.T) {
 	}
 	cliOut := captureStdout(t, func() error { return run(parse(t, "-ansatz", "qaoa-6", "-sweep", path)) })
 
-	ts := httptest.NewServer(serve.MustNew(serve.Config{}).Handler())
-	defer ts.Close()
+	ts := daemon(t, serve.Config{})
 	var res serve.SweepResult
 	post(t, ts.URL+"/v1/sweep", `{"ansatz":"qaoa-6","points":`+points+`}`, &res)
 
@@ -152,8 +161,7 @@ func TestDaemonMatchesCLISweep(t *testing.T) {
 // /v1/devices reports for the same name.
 func TestCatalogMatchesDaemon(t *testing.T) {
 	names := []string{"q20", "q16", "q5", "heavy-hex-20-mid"}
-	ts := httptest.NewServer(serve.MustNew(serve.Config{}).Handler())
-	defer ts.Close()
+	ts := daemon(t, serve.Config{})
 	// Zoo devices register on first use.
 	var est map[string]any
 	post(t, ts.URL+"/v1/estimate", `{"workload":"bv-4","device":"heavy-hex-20-mid"}`, &est)

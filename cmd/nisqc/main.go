@@ -145,6 +145,10 @@ func run(o options) error {
 	if parametric && o.portfolio >= 0 {
 		return usageError{errors.New("-portfolio compiles a program, not a parametric template; drop -portfolio or -ansatz/-sweep")}
 	}
+	// The portfolio reads root seed 0 as unset and would run its default.
+	if o.portfolio >= 0 && o.seed == 0 {
+		return usageError{fmt.Errorf("-seed must be non-zero with -portfolio (0 would silently run root seed %d)", portfolio.DefaultRootSeed)}
+	}
 	if parametric {
 		d, _, err := loadDevice(o.device, o.calibPath, o.seed)
 		if err != nil {

@@ -101,6 +101,16 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestPortfolioSeedZero: the portfolio reads root seed 0 as unset, so
+// -seed 0 with -portfolio is a usage error (exit 2) rather than a run
+// under a seed the user did not ask for.
+func TestPortfolioSeedZero(t *testing.T) {
+	err := run(parse(t, "-workload", "bv-4", "-device", "q5", "-portfolio", "0", "-seed", "0"))
+	if !errors.As(err, new(usageError)) {
+		t.Fatalf("err = %v, want a usage error", err)
+	}
+}
+
 func TestRunWithCalibArchive(t *testing.T) {
 	// calgen json → nisqc -calib round trip through the filesystem.
 	dir := t.TempDir()

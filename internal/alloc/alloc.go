@@ -74,8 +74,8 @@ func (m Mapping) Validate(numPhysical int) error {
 // goroutines only on implementations that carry no mutable state.
 // Greedy and VQA are stateless and safe to share. Random carries a
 // mutable RNG stream, so concurrent callers (the portfolio compiler's
-// candidate fan-out) must construct one instance per goroutine — either
-// NewRandom with a per-worker derived seed, or Clone of a prototype.
+// candidate fan-out) must construct one instance per goroutine, with
+// NewRandom and a per-worker derived seed.
 type Policy interface {
 	Name() string
 	Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error)
@@ -305,35 +305,15 @@ func anyFree(free []bool, nodes []int) bool {
 // repeated calls model the paper's 32 random configurations.
 //
 // A Random is NOT safe for concurrent use: Allocate advances the seeded
-// stream. Give each concurrent worker its own instance (NewRandom or
-// Clone) — see the Policy concurrency contract.
+// stream. Give each concurrent worker its own instance (NewRandom) — see
+// the Policy concurrency contract.
 type Random struct {
-	seed  int64
-	draws []int // permutation sizes consumed so far, for Clone replay
-	rng   *rand.Rand
+	rng *rand.Rand
 }
 
 // NewRandom returns a Random policy with its own deterministic stream.
 func NewRandom(seed int64) *Random {
-	return &Random{seed: seed, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Clone returns an independent Random at the same stream position: the
-// clone and the receiver produce identical future placements without
-// sharing RNG state, which is what makes per-worker clones race-free
-// AND deterministic. The clone replays the consumed draw prefix from
-// the seed (each Allocate's draw count depends only on the machine
-// size, which is recorded per call).
-//
-// Clone is not itself safe to call concurrently with Allocate on the
-// same receiver; clone first, then hand the clones out.
-func (r *Random) Clone() *Random {
-	c := NewRandom(r.seed)
-	for _, n := range r.draws {
-		c.rng.Perm(n)
-	}
-	c.draws = append([]int(nil), r.draws...)
-	return c
+	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
 func (*Random) Name() string { return "random" }
@@ -343,7 +323,6 @@ func (r *Random) Allocate(d *device.Device, c *circuit.Circuit) (Mapping, error)
 		return nil, err
 	}
 	perm := r.rng.Perm(d.NumQubits())
-	r.draws = append(r.draws, d.NumQubits())
 	m := make(Mapping, c.NumQubits)
 	copy(m, perm[:c.NumQubits])
 	return m, nil

@@ -76,71 +76,3 @@ func TestRandomPerWorkerInstances(t *testing.T) {
 		}
 	}
 }
-
-// TestRandomClone: a clone resumes the receiver's stream position and
-// then diverges from it in state, not in output.
-func TestRandomClone(t *testing.T) {
-	d := raceDevice(t)
-	prog := workloads.BV(8)
-
-	orig := NewRandom(99)
-	// Consume a prefix so the clone has something to replay.
-	for i := 0; i < 3; i++ {
-		if _, err := orig.Allocate(d, prog); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clones := make([]*Random, 4)
-	for i := range clones {
-		clones[i] = orig.Clone()
-	}
-	want, err := orig.Allocate(d, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every clone, used concurrently on its own goroutine, reproduces
-	// the original's next placement.
-	got, err := parallel.Map(len(clones), len(clones), func(i int) (Mapping, error) {
-		return clones[i].Allocate(d, prog)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range got {
-		if fmt.Sprint(m) != fmt.Sprint(want) {
-			t.Fatalf("clone %d produced %v, want %v", i, m, want)
-		}
-	}
-}
-
-// TestRandomCloneVariableMachineSizes: the replay accounts for draws of
-// different machine sizes in one stream.
-func TestRandomCloneVariableMachineSizes(t *testing.T) {
-	q20 := raceDevice(t)
-	q5s := calib.TenerifeSnapshot()
-	q5, err := device.New(q5s.Topo, q5s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bv8, bv3 := workloads.BV(8), workloads.BV(3)
-
-	orig := NewRandom(5)
-	if _, err := orig.Allocate(q20, bv8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.Allocate(q5, bv3); err != nil {
-		t.Fatal(err)
-	}
-	clone := orig.Clone()
-	want, err := orig.Allocate(q20, bv8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := clone.Allocate(q20, bv8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("clone after mixed-size draws produced %v, want %v", got, want)
-	}
-}

@@ -116,8 +116,8 @@ func TestBoundAnsatzSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx, ok := s.BasisState(); !ok || idx != 0 {
-		t.Fatalf("su2 at zero angles is not |000⟩: %v %v", idx, ok)
+	if p := s.Probabilities()[0]; math.Abs(p-1) > 1e-9 {
+		t.Fatalf("su2 at zero angles is not |000⟩: P(000) = %v", p)
 	}
 
 	qaoa, err := ByName("qaoa-3")

@@ -42,12 +42,10 @@ func BenchmarkCanaryRecompile(b *testing.B) {
 		b.Fatal(err)
 	}
 	targets := []CanaryTarget{{Name: "bv8", Prog: prog, Stale: compiled.Routed.Physical}}
-	ccfg := CanaryConfig{
-		Spec: portfolio.Spec{RootSeed: 7, Cycles: -1, RandomStarts: -1, TopK: 1, Trials: 500},
-	}
+	spec := portfolio.Spec{RootSeed: 7, Cycles: -1, RandomStarts: -1, TopK: 1, Trials: 500}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Canary(context.Background(), window, targets, ccfg); err != nil {
+		if _, err := Canary(context.Background(), window, targets, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,27 +27,6 @@ type CanaryTarget struct {
 	Stale *circuit.Circuit
 }
 
-// CanaryConfig tunes the canary recompilation funnel.
-type CanaryConfig struct {
-	// Spec is the portfolio spec for the speculative recompile. Zero
-	// fields default to a deliberately small funnel (TopK 1, 2000 MC
-	// trials) — a canary predicts, it does not serve.
-	Spec portfolio.Spec
-	// Workers bounds the per-target fan-out (0: one per CPU, <0:
-	// serial). Deltas are bit-identical at any setting.
-	Workers int
-}
-
-func (c CanaryConfig) withDefaults() CanaryConfig {
-	if c.Spec.TopK <= 0 {
-		c.Spec.TopK = 1
-	}
-	if c.Spec.Trials <= 0 {
-		c.Spec.Trials = 2000
-	}
-	return c
-}
-
 // CanaryDelta is the predicted effect of recompiling one hot circuit
 // against the drifted calibration: analytic PST of the stale cached
 // mapping scored on the new device, versus the best candidate of a
@@ -82,10 +61,11 @@ type CanaryReport struct {
 // calibration) and reports the predicted-PST deltas. It evaluates every
 // target it is given; the caller bounds the fan-out. Targets keep
 // their order; a target whose recompile fails carries its error
-// instead of aborting the run. The report is a pure function of
-// (window, targets, cfg) — bit-identical at any worker count.
-func Canary(ctx context.Context, window []*calib.Snapshot, targets []CanaryTarget, cfg CanaryConfig) (*CanaryReport, error) {
-	cfg = cfg.withDefaults()
+// instead of aborting the run. spec is the portfolio run for each
+// speculative recompile, and spec.Workers also bounds the per-target
+// fan-out. The report is a pure function of (window, targets, spec) —
+// bit-identical at any worker count.
+func Canary(ctx context.Context, window []*calib.Snapshot, targets []CanaryTarget, spec portfolio.Spec) (*CanaryReport, error) {
 	if len(window) == 0 {
 		return nil, fmt.Errorf("caldrift: canary needs a non-empty window")
 	}
@@ -98,7 +78,7 @@ func Canary(ctx context.Context, window []*calib.Snapshot, targets []CanaryTarge
 
 	rep := &CanaryReport{Targets: len(targets)}
 
-	deltas, err := parallel.MapCtx(ctx, cfg.Workers, len(targets), func(i int) (CanaryDelta, error) {
+	deltas, err := parallel.MapCtx(ctx, spec.Workers, len(targets), func(i int) (CanaryDelta, error) {
 		t := targets[i]
 		out := CanaryDelta{Name: t.Name}
 		if t.Prog == nil || t.Stale == nil {
@@ -106,7 +86,7 @@ func Canary(ctx context.Context, window []*calib.Snapshot, targets []CanaryTarge
 			return out, nil
 		}
 		out.StalePST = sim.AnalyticPST(d, t.Stale, sim.Config{})
-		res, rerr := portfolio.Run(ctx, d, arch, t.Prog, cfg.Spec)
+		res, rerr := portfolio.Run(ctx, d, arch, t.Prog, spec)
 		if rerr != nil {
 			out.Err = rerr.Error()
 			return out, nil

@@ -16,17 +16,14 @@ import (
 
 // canarySpec keeps canary test runs cheap: reference device only, no
 // multi-starts, no optimizer sweep beyond the grid's own axis.
-func canarySpec(workers int) CanaryConfig {
-	return CanaryConfig{
-		Spec: portfolio.Spec{
-			RootSeed:     7,
-			Cycles:       -1,
-			RandomStarts: -1,
-			TopK:         1,
-			Trials:       500,
-			Workers:      workers,
-		},
-		Workers: workers,
+func canarySpec(workers int) portfolio.Spec {
+	return portfolio.Spec{
+		RootSeed:     7,
+		Cycles:       -1,
+		RandomStarts: -1,
+		TopK:         1,
+		Trials:       500,
+		Workers:      workers,
 	}
 }
 

@@ -50,8 +50,12 @@ func FuzzCycleAppend(f *testing.F) {
 		if appended > 0 {
 			if a, ok := s.Archive(device, 0); !ok {
 				t.Fatal("non-empty series has no archive")
-			} else if err := a.Validate(); err != nil {
-				t.Fatalf("accepted series fails validation: %v", err)
+			} else {
+				for _, snap := range a.Snapshots {
+					if snap.Topo != a.Topo || snap.Validate() != nil {
+						t.Fatalf("accepted series holds an invalid cycle %d", snap.Cycle)
+					}
+				}
 			}
 		}
 	})

@@ -267,18 +267,6 @@ func (s *Store) Len(device string) int {
 	return len(ser.snaps)
 }
 
-// Devices lists every device with at least one cycle, sorted.
-func (s *Store) Devices() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.devices))
-	for name := range s.devices {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Corrupt reports how many envelopes were quarantined at Open.
 func (s *Store) Corrupt() int64 {
 	s.mu.Lock()
@@ -289,7 +277,7 @@ func (s *Store) Corrupt() int64 {
 // rebind clones snap onto canonical topology t, verifying structural
 // equality first (same qubit count and coupling set). Snapshots arrive
 // decoded against their own topo.Topology instance; series consumers
-// (Archive.Validate, the portfolio grid) require one shared instance.
+// such as the portfolio grid require one shared instance.
 func rebind(t *topo.Topology, snap *calib.Snapshot) (*calib.Snapshot, error) {
 	if snap.Topo == t {
 		return snap.Clone(), nil

@@ -34,17 +34,6 @@ func (e *NoCouplingError) Error() string {
 	return fmt.Sprintf("calib: no coupling %d-%d on %s", e.A, e.B, e.Topo)
 }
 
-// QubitRangeError reports a per-qubit figure queried for a qubit index
-// outside the topology.
-type QubitRangeError struct {
-	Qubit int
-	Topo  string
-}
-
-func (e *QubitRangeError) Error() string {
-	return fmt.Sprintf("calib: qubit %d out of range on %s", e.Qubit, e.Topo)
-}
-
 // Snapshot is the characterization report of one calibration cycle.
 type Snapshot struct {
 	Topo *topo.Topology
@@ -105,24 +94,6 @@ func (s *Snapshot) MustTwoQubitError(a, b int) float64 {
 		panic(err)
 	}
 	return e
-}
-
-// OneQubitError returns the single-qubit gate error rate of physical
-// qubit q, bounds-checked.
-func (s *Snapshot) OneQubitError(q int) (float64, error) {
-	if q < 0 || q >= len(s.OneQubit) {
-		return 0, &QubitRangeError{Qubit: q, Topo: s.Topo.Name}
-	}
-	return s.OneQubit[q], nil
-}
-
-// ReadoutError returns the measurement error rate of physical qubit q,
-// bounds-checked.
-func (s *Snapshot) ReadoutError(q int) (float64, error) {
-	if q < 0 || q >= len(s.Readout) {
-		return 0, &QubitRangeError{Qubit: q, Topo: s.Topo.Name}
-	}
-	return s.Readout[q], nil
 }
 
 // SetTwoQubitError sets the CNOT error rate across the a–b coupling,
@@ -289,35 +260,6 @@ func (a *Archive) MustMean() *Snapshot {
 		panic(err)
 	}
 	return m
-}
-
-// Validate checks the archive as a whole: a topology must be present,
-// at least one snapshot must exist, every snapshot must validate against
-// that topology (probability ranges, NaNs, length mismatches — see
-// Snapshot.Validate), cycle indices must be unique, and days must be
-// non-negative. It is the gate external archives pass before any policy
-// consumes them.
-func (a *Archive) Validate() error {
-	if a.Topo == nil {
-		return fmt.Errorf("calib: archive without topology")
-	}
-	if len(a.Snapshots) == 0 {
-		return ErrEmptyArchive
-	}
-	seen := make(map[int]bool, len(a.Snapshots))
-	for i, s := range a.Snapshots {
-		if s == nil {
-			return fmt.Errorf("calib: snapshot %d is empty", i)
-		}
-		if err := a.validateSnapshot(s); err != nil {
-			return fmt.Errorf("calib: snapshot %d: %w", i, err)
-		}
-		if seen[s.Cycle] {
-			return fmt.Errorf("calib: duplicate cycle %d (snapshot %d)", s.Cycle, i)
-		}
-		seen[s.Cycle] = true
-	}
-	return nil
 }
 
 // validateSnapshot checks one snapshot in the context of the archive:

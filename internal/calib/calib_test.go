@@ -63,23 +63,6 @@ func TestSetMissingLinkError(t *testing.T) {
 	}
 }
 
-func TestPerQubitAccessorsBoundsChecked(t *testing.T) {
-	s := snap5()
-	if e, err := s.OneQubitError(0); err != nil || e != 0.002 {
-		t.Fatalf("OneQubitError(0) = %v, %v", e, err)
-	}
-	if e, err := s.ReadoutError(4); err != nil || e != 0.03 {
-		t.Fatalf("ReadoutError(4) = %v, %v", e, err)
-	}
-	var qre *QubitRangeError
-	if _, err := s.OneQubitError(5); !errors.As(err, &qre) {
-		t.Fatalf("OneQubitError(5) err = %v, want *QubitRangeError", err)
-	}
-	if _, err := s.ReadoutError(-1); !errors.As(err, &qre) {
-		t.Fatalf("ReadoutError(-1) err = %v, want *QubitRangeError", err)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	s := snap5()
 	if err := s.Validate(); err != nil {

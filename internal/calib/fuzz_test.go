@@ -31,9 +31,6 @@ func FuzzReadJSON(f *testing.F) {
 		if len(arch.Snapshots) == 0 {
 			t.Fatal("lenient read accepted an empty archive")
 		}
-		if verr := arch.Validate(); verr != nil {
-			t.Fatalf("accepted archive fails Validate: %v", verr)
-		}
 		var out bytes.Buffer
 		if werr := arch.WriteJSON(&out); werr != nil {
 			t.Fatalf("accepted archive does not serialize: %v", werr)

@@ -141,19 +141,3 @@ func TestReadJSONLenientAllBadIsEmptyArchive(t *testing.T) {
 		t.Fatalf("%d quarantined, want 1", len(quarantined))
 	}
 }
-
-func TestArchiveValidate(t *testing.T) {
-	arch := Generate(DefaultQ5Config(3))
-	if err := arch.Validate(); err != nil {
-		t.Fatalf("generated archive invalid: %v", err)
-	}
-	bad := Generate(DefaultQ5Config(3))
-	bad.Snapshots[0].OneQubit[0] = -1
-	if bad.Validate() == nil {
-		t.Fatal("negative error rate accepted")
-	}
-	empty := &Archive{Topo: arch.Topo}
-	if !errors.Is(empty.Validate(), ErrEmptyArchive) {
-		t.Fatal("empty archive accepted")
-	}
-}

@@ -40,17 +40,6 @@ const (
 // Tiers enumerates the variance tiers in increasing-spread order.
 func Tiers() []VarianceTier { return []VarianceTier{TierLow, TierMid, TierHigh} }
 
-// ParseTier resolves a tier name; the empty string means TierMid.
-func ParseTier(s string) (VarianceTier, error) {
-	switch s {
-	case "":
-		return TierMid, nil
-	case string(TierLow), string(TierMid), string(TierHigh):
-		return VarianceTier(s), nil
-	}
-	return "", fmt.Errorf("calib: unknown variance tier %q (want low, mid or high)", s)
-}
-
 // ZooDays and ZooCyclesPerDay size zoo archives. Six cycles is enough
 // to exercise the temporal model and Archive.Mean while keeping a
 // 1000-qubit fleet cheap to generate on demand.

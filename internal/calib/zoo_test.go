@@ -64,8 +64,10 @@ func TestZooFingerprintGoldens(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := arch.Validate(); err != nil {
-						t.Fatalf("fleet fails validation: %v", err)
+					for _, s := range arch.Snapshots {
+						if err := s.Validate(); err != nil {
+							t.Fatalf("fleet fails validation: %v", err)
+						}
 					}
 					if got, want := len(arch.Snapshots), calib.ZooDays*calib.ZooCyclesPerDay; got != want {
 						t.Fatalf("%d snapshots, want %d", got, want)
@@ -148,13 +150,7 @@ func TestParseZooDevice(t *testing.T) {
 	}
 }
 
-func TestParseTier(t *testing.T) {
-	if tier, err := calib.ParseTier(""); err != nil || tier != calib.TierMid {
-		t.Errorf("calib.ParseTier(\"\") = (%q, %v), want mid", tier, err)
-	}
-	if _, err := calib.ParseTier("extreme"); err == nil {
-		t.Error("calib.ParseTier(\"extreme\"): want error")
-	}
+func TestZooGenConfigRejectsUnknownFamily(t *testing.T) {
 	if _, err := calib.ZooGenConfig("hexagon-20", 1); err == nil {
 		t.Error("calib.ZooGenConfig with unknown family: want error")
 	}
@@ -180,8 +176,10 @@ func TestZooHolesFingerprintGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := arch.Validate(); err != nil {
-				t.Fatalf("fleet fails validation: %v", err)
+			for _, s := range arch.Snapshots {
+				if err := s.Validate(); err != nil {
+					t.Fatalf("fleet fails validation: %v", err)
+				}
 			}
 			got := device.MustNew(arch.Topo, arch.MustMean()).Fingerprint()
 			if print {

@@ -227,22 +227,3 @@ func (c *Circuit) Duration() time.Duration {
 	}
 	return total
 }
-
-// LowerSwaps returns a copy of the circuit with every SWAP expanded into
-// its 3-CNOT implementation (Figure 2(d) of the paper).
-func (c *Circuit) LowerSwaps() *Circuit {
-	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits, NumCBits: c.NumCBits}
-	for _, g := range c.Gates {
-		if g.Kind == gate.SWAP {
-			a, b := g.Qubits[0], g.Qubits[1]
-			out.Gates = append(out.Gates,
-				NewGate2(gate.CX, a, b),
-				NewGate2(gate.CX, b, a),
-				NewGate2(gate.CX, a, b),
-			)
-			continue
-		}
-		out.Gates = append(out.Gates, g)
-	}
-	return out
-}

@@ -223,20 +223,6 @@ func sharesQubit(a, b Gate) bool {
 	return false
 }
 
-func TestCNOTLayers(t *testing.T) {
-	c := New("c", 4).H(0).CX(0, 1).CX(2, 3).X(1).CX(1, 2)
-	got := c.CNOTLayers()
-	// Layer 0 holds cx(2,3) (independent of h0); layer 1 holds cx(0,1);
-	// layer 2+ hold cx(1,2). Only layers with 2Q gates are returned.
-	total := 0
-	for _, layer := range got {
-		total += len(layer)
-	}
-	if total != 3 {
-		t.Fatalf("total CNOT pairs = %d, want 3 (%v)", total, got)
-	}
-}
-
 func TestInteractionCountsSymmetric(t *testing.T) {
 	c := New("i", 3).CX(0, 1).CX(0, 1).CX(1, 2)
 	m := c.InteractionCounts()
@@ -289,51 +275,6 @@ func TestStatsIgnoresBarriers(t *testing.T) {
 	}
 }
 
-func TestLowerSwaps(t *testing.T) {
-	c := New("ls", 2).Swap(0, 1)
-	low := c.LowerSwaps()
-	if len(low.Gates) != 3 {
-		t.Fatalf("lowered gate count = %d, want 3", len(low.Gates))
-	}
-	wantPairs := [][2]int{{0, 1}, {1, 0}, {0, 1}}
-	for i, g := range low.Gates {
-		if g.Kind != gate.CX {
-			t.Fatalf("gate %d kind = %v, want cx", i, g.Kind)
-		}
-		if g.Qubits[0] != wantPairs[i][0] || g.Qubits[1] != wantPairs[i][1] {
-			t.Fatalf("gate %d operands = %v, want %v", i, g.Qubits, wantPairs[i])
-		}
-	}
-	// Original untouched.
-	if len(c.Gates) != 1 || c.Gates[0].Kind != gate.SWAP {
-		t.Fatal("LowerSwaps mutated the source circuit")
-	}
-}
-
-func TestLowerSwapsPreservesCNOTCount(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(5)
-		c := New("r", n)
-		for i := 0; i < 20; i++ {
-			a := rng.Intn(n)
-			b := (a + 1 + rng.Intn(n-1)) % n
-			switch rng.Intn(3) {
-			case 0:
-				c.CX(a, b)
-			case 1:
-				c.Swap(a, b)
-			default:
-				c.H(a)
-			}
-		}
-		return c.Stats().CNOTs == c.LowerSwaps().Stats().CNOTs
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDuration(t *testing.T) {
 	// Layer 1: h (100ns) ∥ nothing; layer 2: cx (300ns); layer 3: measure (1µs).
 	c := New("d", 2).H(0).CX(0, 1).Measure(1, 0)
@@ -348,13 +289,6 @@ func TestDurationParallelTakesMax(t *testing.T) {
 	c := New("d", 3).H(0).CX(1, 2)
 	if got := c.Duration(); got != 300*time.Nanosecond {
 		t.Fatalf("Duration = %v, want 300ns", got)
-	}
-}
-
-func TestUsedQubits(t *testing.T) {
-	c := New("u", 5).H(1).CX(1, 3)
-	if got := c.UsedQubits(); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Fatalf("UsedQubits = %v, want [1 3]", got)
 	}
 }
 

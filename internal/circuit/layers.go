@@ -39,27 +39,6 @@ func (c *Circuit) Layers() [][]int {
 	return layers
 }
 
-// CNOTLayers returns, for each dependency layer, only the two-qubit gates
-// (as [control, target] pairs for CX/CZ, [a, b] for SWAP), dropping layers
-// with no two-qubit gate. The mapper only needs to make these pairs
-// adjacent; single-qubit gates are position-independent.
-func (c *Circuit) CNOTLayers() [][][2]int {
-	var out [][][2]int
-	for _, layer := range c.Layers() {
-		var pairs [][2]int
-		for _, gi := range layer {
-			g := c.Gates[gi]
-			if g.Kind.TwoQubit() {
-				pairs = append(pairs, [2]int{g.Qubits[0], g.Qubits[1]})
-			}
-		}
-		if len(pairs) > 0 {
-			out = append(out, pairs)
-		}
-	}
-	return out
-}
-
 // InteractionCounts returns a NumQubits×NumQubits symmetric matrix whose
 // (i,j) entry is the number of two-qubit gates acting on logical qubits i
 // and j. Allocation policies use it to keep frequently entangled qubits
@@ -108,24 +87,6 @@ func (c *Circuit) MeasuredQubits() []bool {
 	for _, g := range c.Gates {
 		if g.Kind == gate.Measure {
 			out[g.Qubits[0]] = true
-		}
-	}
-	return out
-}
-
-// UsedQubits returns the set of qubits touched by at least one gate,
-// in ascending order.
-func (c *Circuit) UsedQubits() []int {
-	used := make([]bool, c.NumQubits)
-	for _, g := range c.Gates {
-		for _, q := range g.Qubits {
-			used[q] = true
-		}
-	}
-	var out []int
-	for q, u := range used {
-		if u {
-			out = append(out, q)
 		}
 	}
 	return out

@@ -43,7 +43,6 @@ type Bound struct {
 	// every binding (the error model never reads angles).
 	ESP float64
 
-	device  *device.Device
 	exprs   []param.Expr // slot order = template gate order
 	slots   []int        // physical gate index of each slot
 	symbols []param.Symbol
@@ -97,7 +96,6 @@ func CompileParametric(d *device.Device, pc *param.ParametricCircuit, opts Optio
 	b := &Bound{
 		Compiled: comp,
 		ESP:      sim.AnalyticPST(d, phys, gatesOnly),
-		device:   d,
 		exprs:    exprs,
 		slots:    slots,
 	}
@@ -121,9 +119,6 @@ func (b *Bound) Symbols() []param.Symbol {
 
 // NumParams returns the number of free symbols.
 func (b *Bound) NumParams() int { return len(b.symbols) }
-
-// Device returns the device the mapping was compiled for.
-func (b *Bound) Device() *device.Device { return b.device }
 
 // Rebind emits the mapped physical circuit with every slot evaluated
 // under vals. The route, mapping and ESP are untouched — no allocator,

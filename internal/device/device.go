@@ -232,10 +232,6 @@ func (d *Device) Fingerprint() uint64 {
 	return d.fp
 }
 
-// RouteSuccess converts an additive reliability cost back into a success
-// probability.
-func RouteSuccess(cost float64) float64 { return math.Exp(-cost) }
-
 // CoherenceDuty is the fraction of idle wall-clock time charged against
 // T1/T2 throughout the repository (see package sim for its calibration
 // against the paper's "gate errors are 16x more likely than coherence

@@ -73,8 +73,8 @@ func TestSuccessProbabilities(t *testing.T) {
 func TestSwapCostIsNegLogSuccess(t *testing.T) {
 	d := testDevice(t, 0.05)
 	cost := d.SwapCost(2, 3)
-	if got := RouteSuccess(cost); math.Abs(got-d.SwapSuccess(2, 3)) > 1e-12 {
-		t.Fatalf("RouteSuccess(SwapCost) = %v, want %v", got, d.SwapSuccess(2, 3))
+	if got := math.Exp(-cost); math.Abs(got-d.SwapSuccess(2, 3)) > 1e-12 {
+		t.Fatalf("exp(-SwapCost) = %v, want %v", got, d.SwapSuccess(2, 3))
 	}
 	if cost <= 0 {
 		t.Fatal("swap cost must be positive for nonzero error")

@@ -70,7 +70,8 @@ type Config struct {
 	Workers int
 	// Archive, when non-nil, replaces the synthetic characterization
 	// archive with an externally loaded one (repro -calib). Callers should
-	// validate it first (calib.Archive.Validate or calib.ReadJSONLenient).
+	// load it through calib.ReadJSON or calib.ReadJSONLenient, which
+	// validate every cycle.
 	Archive *calib.Archive
 }
 

@@ -4,14 +4,13 @@ package graphx
 // node u, its neighbors (ascending) and edge weights live in
 // dst[off[u]:off[u+1]] / wts[off[u]:off[u+1]]. It packs the Graph's
 // per-node sorted slices into three flat arrays with int32 indices, so the
-// all-pairs builders walk contiguous memory with zero allocations;
-// Graph.AllPairsHops and Graph.AllPairsDijkstra delegate here. Because it
-// is immutable it is safe to share across goroutines.
+// all-pairs builders walk contiguous memory with zero allocations.
+// Because it is immutable it is safe to share across goroutines.
 //
 // The traversal order (neighbors ascending, heap ties broken by node
-// index) matches Graph.Dijkstra and Graph.HopDistances exactly, so the
-// distance matrices computed here are bit-identical to the single-source
-// Graph ones — a property the routing determinism tests rely on.
+// index) matches Graph.Dijkstra exactly, so the distance matrices
+// computed here are bit-identical to the single-source Graph ones — a
+// property the routing determinism tests rely on.
 type CSR struct {
 	n   int
 	off []int32

@@ -15,7 +15,7 @@ func randomConnectedGraph(n, extra int, seed int64) *Graph {
 	}
 	for i := 0; i < extra; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasEdge(u, v) {
+		if _, dup := g.Weight(u, v); u != v && !dup {
 			g.AddEdge(u, v, 0.1+rng.Float64())
 		}
 	}
@@ -43,14 +43,17 @@ func TestCSRMatchesGraphDijkstra(t *testing.T) {
 }
 
 // TestCSRMatchesGraphHops: same contract for the BFS hop matrices, against
-// per-source Graph.HopDistances (Graph.AllPairsHops itself delegates to
-// the CSR).
+// per-source Graph.Dijkstra over unit weights (sums of 1.0 are exact).
 func TestCSRMatchesGraphHops(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 20, 40} {
 		g := randomConnectedGraph(n, n/2, int64(n)+100)
 		got := g.CSR().AllPairsHops()
+		unit := New(n)
+		for _, e := range g.Edges() {
+			unit.AddEdge(e.U, e.V, 1)
+		}
 		for u := 0; u < n; u++ {
-			want := g.HopDistances(u)
+			want, _ := unit.Dijkstra(u)
 			for v := 0; v < n; v++ {
 				if got[u][v] != want[v] {
 					t.Fatalf("n=%d hops[%d][%d]: CSR %v, Graph %v", n, u, v, got[u][v], want[v])

@@ -2,8 +2,8 @@
 // qubit-allocation and qubit-movement policy in this repository: shortest
 // paths by hop count and by arbitrary edge weight, hop-constrained shortest
 // paths (for the Maximum Additional Hops limit of VQM), all-pairs distance
-// matrices, node strength, and search for the connected k-subgraph with
-// the highest aggregate node strength.
+// matrices, and search for the connected k-subgraph with the highest
+// aggregate node strength.
 //
 // Graphs range from the paper's 5- and 20-qubit machines to zoo lattices
 // of up to 2048 qubits. Adjacency is kept as per-node slices sorted by
@@ -73,28 +73,6 @@ func (g *Graph) link(u, v int, w float64) {
 	g.wts[u] = slices.Insert(g.wts[u], i, w)
 }
 
-// RemoveEdge deletes the undirected edge u–v if present.
-func (g *Graph) RemoveEdge(u, v int) {
-	g.check(u)
-	g.check(v)
-	g.unlink(u, v)
-	g.unlink(v, u)
-}
-
-// unlink drops v from u's neighbour list if present.
-func (g *Graph) unlink(u, v int) {
-	if i, ok := slices.BinarySearch(g.nbr[u], v); ok {
-		g.nbr[u] = slices.Delete(g.nbr[u], i, i+1)
-		g.wts[u] = slices.Delete(g.wts[u], i, i+1)
-	}
-}
-
-// HasEdge reports whether u–v is an edge.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.Weight(u, v)
-	return ok
-}
-
 // Weight returns the weight of edge u–v and whether the edge exists.
 func (g *Graph) Weight(u, v int) (float64, bool) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
@@ -104,16 +82,6 @@ func (g *Graph) Weight(u, v int) (float64, bool) {
 		return g.wts[u][i], true
 	}
 	return 0, false
-}
-
-// SetWeight is an alias for AddEdge, provided for call-site readability when
-// the edge is known to exist already.
-func (g *Graph) SetWeight(u, v int, w float64) { g.AddEdge(u, v, w) }
-
-// Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u int) int {
-	g.check(u)
-	return len(g.nbr[u])
 }
 
 // Neighbors returns the neighbors of u in ascending order. The slice is a
@@ -152,45 +120,6 @@ func (g *Graph) NumEdges() int {
 		total += len(nb)
 	}
 	return total / 2
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	return g.Map(func(w float64) float64 { return w })
-}
-
-// Map returns a new graph with every edge weight replaced by f(w).
-func (g *Graph) Map(f func(w float64) float64) *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		c.nbr[u] = slices.Clone(g.nbr[u])
-		c.wts[u] = make([]float64, len(g.wts[u]))
-		for i, w := range g.wts[u] {
-			c.wts[u][i] = f(w)
-		}
-	}
-	return c
-}
-
-// NodeStrength returns the strength (weighted degree) of node u:
-// the sum of the weights of its incident edges, added in ascending
-// neighbour order so the result is the same bits on every call.
-func (g *Graph) NodeStrength(u int) float64 {
-	g.check(u)
-	s := 0.0
-	for _, w := range g.wts[u] {
-		s += w
-	}
-	return s
-}
-
-// Strengths returns the strength of every node.
-func (g *Graph) Strengths() []float64 {
-	out := make([]float64, g.n)
-	for u := 0; u < g.n; u++ {
-		out[u] = g.NodeStrength(u)
-	}
-	return out
 }
 
 // Connected reports whether the subgraph induced by nodes (or the whole

@@ -2,34 +2,6 @@ package graphx
 
 import "fmt"
 
-// HopDistances returns the minimum hop count from src to every node
-// (breadth-first search). Unreachable nodes get Inf.
-func (g *Graph) HopDistances(src int) []float64 {
-	g.check(src)
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.nbr[u] {
-			if dist[v] == Inf {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// AllPairsHops returns the matrix of minimum hop counts between every pair
-// of nodes, computed over the graph's CSR snapshot (rows share one
-// backing array).
-func (g *Graph) AllPairsHops() [][]float64 { return g.CSR().AllPairsHops() }
-
 // pqItem is an entry in the Dijkstra priority queues (Graph and CSR),
 // ordered by distance, then node index, then hop count; hops is 0 outside
 // the hop-constrained search.
@@ -121,11 +93,6 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int) {
 	}
 	return dist, prev
 }
-
-// AllPairsDijkstra returns the full weighted distance matrix, computed
-// over the graph's CSR snapshot (rows share one backing array). Edge
-// weights must be non-negative; unlike Dijkstra, this does not check.
-func (g *Graph) AllPairsDijkstra() [][]float64 { return g.CSR().AllPairsDijkstra() }
 
 // ShortestPath returns the minimum-weight path from src to dst as a node
 // sequence including both endpoints, and its total weight. ok is false when

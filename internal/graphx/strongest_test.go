@@ -99,7 +99,7 @@ func TestStrongestSubgraphMatchesRescan(t *testing.T) {
 				if coarse {
 					w = []float64{0.9, 0.95, 0.99}[rng.Intn(3)]
 				}
-				g.SetWeight(c.A, c.B, w)
+				g.AddEdge(c.A, c.B, w)
 			}
 			for _, k := range []int{1, 2, 5, 10, 24, 48, n} {
 				if k > n {

@@ -77,24 +77,6 @@ func (q *queue) pop(now time.Time) (*job, time.Duration) {
 	return nil, 0
 }
 
-// len counts dispatchable-or-delayed jobs still in the queued state.
-func (q *queue) len() int {
-	n := 0
-	for r := range q.classes {
-		for _, j := range q.classes[r] {
-			if j.State == StateQueued {
-				n++
-			}
-		}
-	}
-	for _, j := range q.delayed {
-		if j.State == StateQueued {
-			n++
-		}
-	}
-	return n
-}
-
 // delayedHeap orders retried jobs by readyAt (ties on Seq for
 // determinism).
 type delayedHeap []*job

@@ -101,8 +101,8 @@ func TestQueueLazyDiscardCancelled(t *testing.T) {
 	if j, _ := q.pop(t0); j != live {
 		t.Fatalf("pop should skip cancelled head, got %v", j)
 	}
-	if q.len() != 0 {
-		t.Fatalf("len = %d, want 0", q.len())
+	if j, _ := q.pop(t0); j != nil {
+		t.Fatalf("queue not drained: popped %v", j)
 	}
 
 	// Cancelled delayed jobs are discarded at release time too.

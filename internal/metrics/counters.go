@@ -31,10 +31,3 @@ func (c *CacheCounters) Snapshot() CacheSnapshot {
 		Evictions: c.evictions.Load(),
 	}
 }
-
-// Reset zeroes the counters (test hook).
-func (c *CacheCounters) Reset() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-}

@@ -15,10 +15,6 @@ func TestCacheCounters(t *testing.T) {
 	if s.Hits != 2 || s.Misses != 1 || s.Evictions != 3 {
 		t.Fatalf("snapshot %+v, want hits=2 misses=1 evictions=3", s)
 	}
-	c.Reset()
-	if s := c.Snapshot(); s != (CacheSnapshot{}) {
-		t.Fatalf("after Reset: %+v", s)
-	}
 }
 
 // TestCacheCountersConcurrent: counters are plain atomics — hammer them

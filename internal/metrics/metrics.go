@@ -1,21 +1,13 @@
 // Package metrics holds the figures of merit of the paper's evaluation:
-// the Probability of a Successful Trial (PST), relative PST between
-// policies, Successful Trials Per unit Time (STPT, Section 8), and the
-// geometric mean used for cross-benchmark summaries.
+// relative PST (Probability of a Successful Trial) between policies,
+// Successful Trials Per unit Time (STPT, Section 8), and the geometric
+// mean used for cross-benchmark summaries.
 package metrics
 
 import (
 	"math"
 	"time"
 )
-
-// PST is the ratio of successful trials to total trials.
-func PST(successes, trials int) float64 {
-	if trials <= 0 {
-		return 0
-	}
-	return float64(successes) / float64(trials)
-}
 
 // Relative returns the improvement factor of candidate over baseline
 // (e.g. 1.7 means "1.7× the baseline PST"). A zero baseline yields +Inf
@@ -37,17 +29,6 @@ func STPT(pst float64, latency time.Duration) float64 {
 		return 0
 	}
 	return pst / latency.Seconds()
-}
-
-// CombinedSTPT sums the rates of concurrently running copies (the
-// two-copy mode of Section 8): each copy contributes its own PST at the
-// shared trial latency.
-func CombinedSTPT(psts []float64, latency time.Duration) float64 {
-	total := 0.0
-	for _, p := range psts {
-		total += STPT(p, latency)
-	}
-	return total
 }
 
 // GeoMean returns the geometric mean of positive values; zero or negative

@@ -7,15 +7,6 @@ import (
 	"time"
 )
 
-func TestPST(t *testing.T) {
-	if got := PST(25, 100); got != 0.25 {
-		t.Fatalf("PST = %v, want 0.25", got)
-	}
-	if got := PST(5, 0); got != 0 {
-		t.Fatalf("PST with zero trials = %v, want 0", got)
-	}
-}
-
 func TestRelative(t *testing.T) {
 	if got := Relative(0.34, 0.2); math.Abs(got-1.7) > 1e-12 {
 		t.Fatalf("Relative = %v, want 1.7", got)
@@ -35,42 +26,6 @@ func TestSTPT(t *testing.T) {
 	}
 	if got := STPT(0.5, 0); got != 0 {
 		t.Fatalf("STPT with zero latency = %v, want 0", got)
-	}
-}
-
-func TestCombinedSTPT(t *testing.T) {
-	// Section 8, Figure 15: two copies with PSTs 0.32 and 0.12 versus one
-	// strong copy with 0.53: at equal latency, one strong copy wins.
-	latency := time.Millisecond
-	two := CombinedSTPT([]float64{0.32, 0.12}, latency)
-	one := CombinedSTPT([]float64{0.53}, latency)
-	if two >= one {
-		t.Fatalf("two weak copies %v should lose to one strong copy %v", two, one)
-	}
-	if math.Abs(two-440) > 1e-9 {
-		t.Fatalf("two-copy STPT = %v, want 440", two)
-	}
-}
-
-func TestPSTEdges(t *testing.T) {
-	if got := PST(0, 100); got != 0 {
-		t.Fatalf("PST with zero successes = %v, want 0", got)
-	}
-	if got := PST(100, 100); got != 1 {
-		t.Fatalf("PST at certainty = %v, want 1", got)
-	}
-	if got := PST(5, -1); got != 0 {
-		t.Fatalf("PST with negative trials = %v, want 0", got)
-	}
-}
-
-func TestCombinedSTPTEdges(t *testing.T) {
-	if got := CombinedSTPT(nil, time.Millisecond); got != 0 {
-		t.Fatalf("CombinedSTPT(nil) = %v, want 0", got)
-	}
-	// One copy degenerates to plain STPT.
-	if got, want := CombinedSTPT([]float64{0.5}, time.Millisecond), STPT(0.5, time.Millisecond); got != want {
-		t.Fatalf("single-copy CombinedSTPT = %v, want %v", got, want)
 	}
 }
 

@@ -187,15 +187,6 @@ func (pc *ParametricCircuit) SetParam(i int, e Expr) {
 	pc.Exprs[i] = e
 }
 
-// Clone deep-copies the template and expression table.
-func (pc *ParametricCircuit) Clone() *ParametricCircuit {
-	exprs := make(map[int]Expr, len(pc.Exprs))
-	for i, e := range pc.Exprs {
-		exprs[i] = e
-	}
-	return &ParametricCircuit{Circ: pc.Circ.Clone(), Exprs: exprs}
-}
-
 // slots returns the expression-bearing gate indices in circuit order.
 func (pc *ParametricCircuit) slots() []int {
 	idx := make([]int, 0, len(pc.Exprs))

@@ -456,20 +456,6 @@ func appendChecked(c *circuit.Circuit, g circuit.Gate) (err error) {
 	return nil
 }
 
-// evalExpr evaluates a fully numeric parameter expression; symbolic
-// expressions are errors here (the parser proper goes through
-// evalSymbolic and carries free symbols as expression slots).
-func evalExpr(expr string) (float64, error) {
-	e, err := evalSymbolic(expr, nil)
-	if err != nil {
-		return 0, err
-	}
-	if !e.IsConst() {
-		return 0, fmt.Errorf("symbolic expression %q where a number is required", expr)
-	}
-	return e.Const, nil
-}
-
 // evalSymbolic evaluates a parameter expression to its affine form:
 // numbers, pi, free identifiers as symbols, unary minus, and
 // left-associative + - * / with standard precedence, restricted to

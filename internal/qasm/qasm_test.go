@@ -156,21 +156,21 @@ func TestEvalExprPrecedence(t *testing.T) {
 		"2*(3+4)/7": 2,
 	}
 	for expr, want := range cases {
-		got, err := evalExpr(expr)
-		if err != nil {
-			t.Errorf("evalExpr(%q): %v", expr, err)
+		got, err := evalSymbolic(expr, nil)
+		if err != nil || !got.IsConst() {
+			t.Errorf("evalSymbolic(%q) = %v, %v; want a constant", expr, got, err)
 			continue
 		}
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("evalExpr(%q) = %v, want %v", expr, got, want)
+		if math.Abs(got.Const-want) > 1e-12 {
+			t.Errorf("evalSymbolic(%q) = %v, want %v", expr, got.Const, want)
 		}
 	}
 }
 
 func TestEvalExprErrors(t *testing.T) {
 	for _, expr := range []string{"", "1+", "(1", "1 2", "foo", "1@2"} {
-		if _, err := evalExpr(expr); err == nil {
-			t.Errorf("evalExpr(%q) succeeded, want error", expr)
+		if got, err := evalSymbolic(expr, nil); err == nil && got.IsConst() {
+			t.Errorf("evalSymbolic(%q) = %v, want an error or a free symbol", expr, got.Const)
 		}
 	}
 }

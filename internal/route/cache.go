@@ -93,17 +93,3 @@ func cachedCosts(d *device.Device, model CostModel) *costs {
 	e.once.Do(func() { e.cm = newCosts(d, model) })
 	return e.cm
 }
-
-// resetCostCache drops every memoized table (test hook).
-func resetCostCache() {
-	costMu.Lock()
-	costTable = make(map[costKey]*costEntry)
-	costMu.Unlock()
-}
-
-// costCacheLen reports the number of cached tables (test hook).
-func costCacheLen() int {
-	costMu.Lock()
-	defer costMu.Unlock()
-	return len(costTable)
-}

@@ -8,9 +8,17 @@ import (
 	"vaq/internal/alloc"
 	"vaq/internal/calib"
 	"vaq/internal/device"
+	"vaq/internal/metrics"
 	"vaq/internal/topo"
 	"vaq/internal/workloads"
 )
+
+// resetCostCache drops every memoized table.
+func resetCostCache() {
+	costMu.Lock()
+	costTable = make(map[costKey]*costEntry)
+	costMu.Unlock()
+}
 
 // TestCachedCostsSharesAndInvalidates checks the cache key discipline:
 // identical calibration data shares one table, while recalibration,
@@ -25,14 +33,14 @@ func TestCachedCostsSharesAndInvalidates(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("identical devices did not share one cost table")
 	}
-	if n := costCacheLen(); n != 1 {
+	if n := CacheLen(); n != 1 {
 		t.Fatalf("cache entries = %d, want 1", n)
 	}
 
 	if c3 := cachedCosts(d1, CostHops); c3 == c1 {
 		t.Fatal("hop and reliability models shared a table")
 	}
-	if n := costCacheLen(); n != 2 {
+	if n := CacheLen(); n != 2 {
 		t.Fatalf("cache entries = %d, want 2", n)
 	}
 
@@ -52,7 +60,7 @@ func TestCachedCostsSharesAndInvalidates(t *testing.T) {
 	if c5 := cachedCosts(sub, CostReliability); c5 == c1 {
 		t.Fatal("restricted device reused the full-device cost table")
 	}
-	if n := costCacheLen(); n != 4 {
+	if n := CacheLen(); n != 4 {
 		t.Fatalf("cache entries = %d, want 4", n)
 	}
 }
@@ -144,7 +152,7 @@ func TestConcurrentRouteSharedDevice(t *testing.T) {
 // and the final eviction total reflects at least one full sweep.
 func TestCacheStatsConcurrentEviction(t *testing.T) {
 	resetCostCache()
-	cacheStats.Reset()
+	cacheStats = metrics.CacheCounters{}
 	tp := topo.Linear(3)
 	mkDevice := func(worker, i int) *device.Device {
 		s := calib.NewSnapshot(tp)
@@ -208,11 +216,11 @@ func TestCacheStatsConcurrentEviction(t *testing.T) {
 	if snap.Evictions == 0 {
 		t.Errorf("no evictions after %d distinct fingerprints (bound %d)", lookups, maxCostEntries)
 	}
-	if n := costCacheLen(); n > maxCostEntries {
+	if n := CacheLen(); n > maxCostEntries {
 		t.Errorf("cache grew to %d entries, bound is %d", n, maxCostEntries)
 	}
 	resetCostCache()
-	cacheStats.Reset()
+	cacheStats = metrics.CacheCounters{}
 }
 
 // TestCostCacheBounded overfills the cache with distinct tiny devices and
@@ -232,7 +240,7 @@ func TestCostCacheBounded(t *testing.T) {
 		}
 		cachedCosts(device.MustNew(tp, s), CostHops)
 	}
-	if n := costCacheLen(); n > maxCostEntries {
+	if n := CacheLen(); n > maxCostEntries {
 		t.Fatalf("cache grew to %d entries, bound is %d", n, maxCostEntries)
 	}
 	resetCostCache()

@@ -2,15 +2,71 @@ package route
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"vaq/internal/alloc"
 	"vaq/internal/circuit"
+	"vaq/internal/device"
+	"vaq/internal/gate"
+	"vaq/internal/statevec"
 	"vaq/internal/topo"
 	"vaq/internal/workloads"
 )
+
+// VerifyState checks a routing result with the dense state-vector
+// simulator: the routed physical circuit, un-permuted by the residual
+// mapping, must prepare the same quantum state (fidelity ≈ 1) as the
+// logical circuit applied at the initial physical locations. This covers
+// the non-Clifford programs (QFT, ALU) that VerifyClifford cannot, at the
+// cost of 2^n amplitudes — ErrTooLarge is returned beyond maxQubits
+// (default 16 when maxQubits ≤ 0).
+func VerifyState(d *device.Device, logical *circuit.Circuit, res *Result, maxQubits int) error {
+	if maxQubits <= 0 {
+		maxQubits = 16
+	}
+	n := d.NumQubits()
+	if n > maxQubits || n > statevec.MaxQubits {
+		return ErrTooLarge
+	}
+
+	got := statevec.New(n)
+	for _, g := range res.Physical.Gates {
+		if err := got.Apply(g); err != nil {
+			return fmt.Errorf("verify-state: physical circuit: %w", err)
+		}
+	}
+	for _, sw := range permutationSwaps(res.Initial, res.Final, n) {
+		got.Swap(sw.U, sw.V)
+	}
+
+	want := statevec.New(n)
+	for _, g := range logical.Gates {
+		if g.Kind == gate.Measure || g.Kind == gate.Barrier {
+			continue
+		}
+		mapped := circuit.Gate{Kind: g.Kind, Param: g.Param, CBit: g.CBit}
+		mapped.Qubits = make([]int, len(g.Qubits))
+		for i, q := range g.Qubits {
+			mapped.Qubits[i] = res.Initial[q]
+		}
+		if err := want.Apply(mapped); err != nil {
+			return fmt.Errorf("verify-state: logical circuit: %w", err)
+		}
+	}
+
+	if f := statevec.Fidelity(got, want); math.Abs(f-1) > 1e-6 {
+		return fmt.Errorf("verify-state: compiled circuit fidelity %v, want 1", f)
+	}
+	return nil
+}
+
+// ErrTooLarge marks devices whose state vector would not fit; callers
+// fall back to VerifyClifford or the structural Verify.
+var ErrTooLarge = fmt.Errorf("route: device too large for state-vector verification")
 
 func TestVerifyStateQFTThroughEveryRouter(t *testing.T) {
 	// QFT is the paper's hardest communication pattern AND non-Clifford:

@@ -9,7 +9,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -113,24 +112,6 @@ func (s *Schedule) IdleTimes() []time.Duration {
 	return out
 }
 
-// Utilization is the fraction of qubit-time spent executing operations,
-// over used qubits' active windows. Zero for an empty schedule.
-func (s *Schedule) Utilization() float64 {
-	var busy, window time.Duration
-	for q := 0; q < s.NumQubits; q++ {
-		first, last, used := s.window(q)
-		if !used {
-			continue
-		}
-		busy += s.BusyTime(q)
-		window += last - first
-	}
-	if window == 0 {
-		return 0
-	}
-	return float64(busy) / float64(window)
-}
-
 // Timeline renders an ASCII Gantt chart (one row per qubit, one column
 // per timeStep), for CLI inspection. Columns are capped at maxCols with
 // truncation marked by '…'.
@@ -183,50 +164,4 @@ func symbol(k gate.Kind) byte {
 	default:
 		return 'u'
 	}
-}
-
-// CriticalPath returns the chain of operations realizing the makespan:
-// walking back from the last-finishing op through the operand that
-// constrained each start time.
-func (s *Schedule) CriticalPath() []Op {
-	if len(s.Ops) == 0 {
-		return nil
-	}
-	// Sort op indices by end time to find the last.
-	order := make([]int, len(s.Ops))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return s.Ops[order[i]].End > s.Ops[order[j]].End })
-	var path []Op
-	cur := order[0]
-	for {
-		path = append(path, s.Ops[cur])
-		if s.Ops[cur].Start == 0 {
-			break
-		}
-		// Find the op ending exactly at cur's start on one of its qubits.
-		prev := -1
-		for i, op := range s.Ops {
-			if op.End != s.Ops[cur].Start {
-				continue
-			}
-			for _, q := range op.Qubits {
-				for _, cq := range s.Ops[cur].Qubits {
-					if q == cq {
-						prev = i
-					}
-				}
-			}
-		}
-		if prev == -1 {
-			break
-		}
-		cur = prev
-	}
-	// Reverse to chronological order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }

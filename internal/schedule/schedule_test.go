@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vaq/internal/circuit"
-	"vaq/internal/gate"
 )
 
 func TestASAPSequentialChain(t *testing.T) {
@@ -89,16 +88,6 @@ func TestBusyTime(t *testing.T) {
 	}
 	if got := s.BusyTime(1); got != 300*time.Nanosecond {
 		t.Fatalf("busy(1) = %v, want 300ns", got)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	full := ASAP(circuit.New("f", 1).H(0).H(0))
-	if u := full.Utilization(); u != 1 {
-		t.Fatalf("fully busy utilization = %v, want 1", u)
-	}
-	if u := ASAP(circuit.New("e", 1)).Utilization(); u != 0 {
-		t.Fatalf("empty utilization = %v, want 0", u)
 	}
 }
 
@@ -184,25 +173,5 @@ func TestTimeline(t *testing.T) {
 	tl = ASAP(long).Timeline(100*time.Nanosecond, 50)
 	if !strings.Contains(tl, "…") {
 		t.Fatal("long timeline not truncated")
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	c := circuit.New("cp", 3).H(0).CX(0, 1).CX(1, 2).Measure(2, 0)
-	s := ASAP(c)
-	path := s.CriticalPath()
-	if len(path) != 4 {
-		t.Fatalf("critical path length = %d, want 4", len(path))
-	}
-	if path[0].Kind != gate.H || path[len(path)-1].Kind != gate.Measure {
-		t.Fatalf("critical path endpoints wrong: %v ... %v", path[0].Kind, path[len(path)-1].Kind)
-	}
-	for i := 1; i < len(path); i++ {
-		if path[i].Start < path[i-1].End {
-			t.Fatal("critical path not chronological")
-		}
-	}
-	if ASAP(circuit.New("e", 1)).CriticalPath() != nil {
-		t.Fatal("empty schedule should have no critical path")
 	}
 }

@@ -28,7 +28,7 @@ func benchCompile(b *testing.B, s *Server, body string) {
 func BenchmarkServeCompile(b *testing.B) {
 	const body = `{"workload":"bv-8","policy":"vqm","trials":2000,"monte_carlo":true}`
 	b.Run("hot", func(b *testing.B) {
-		s := MustNew(Config{Seed: 2019, CacheEntries: 64})
+		s := mustNew(Config{Seed: 2019, CacheEntries: 64})
 		benchCompile(b, s, body) // prime the cache
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -37,7 +37,7 @@ func BenchmarkServeCompile(b *testing.B) {
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
-		s := MustNew(Config{Seed: 2019, CacheEntries: 64})
+		s := mustNew(Config{Seed: 2019, CacheEntries: 64})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -74,7 +74,7 @@ func BenchmarkSweepServe(b *testing.B) {
 		}
 	}
 	b.Run("hot", func(b *testing.B) {
-		s := MustNew(Config{Seed: 2019, CacheEntries: 64})
+		s := mustNew(Config{Seed: 2019, CacheEntries: 64})
 		body := sweepBody(0)
 		bench(b, s, body) // prime the cache
 		b.ReportAllocs()
@@ -84,7 +84,7 @@ func BenchmarkSweepServe(b *testing.B) {
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
-		s := MustNew(Config{Seed: 2019, CacheEntries: 64})
+		s := mustNew(Config{Seed: 2019, CacheEntries: 64})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

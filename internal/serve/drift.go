@@ -25,7 +25,7 @@ import (
 type driftState struct {
 	store     *caldrift.Store
 	threshold float64
-	canary    caldrift.CanaryConfig
+	canary    portfolio.Spec
 	cool      time.Duration
 	// adoptDelta is driftAdoptDelta; tests override it to switch
 	// adoption off (+Inf) or adopt any gain.
@@ -78,7 +78,7 @@ func newDriftState(cfg Config) (*driftState, error) {
 	ds := &driftState{
 		store:      store,
 		threshold:  cfg.DriftThreshold,
-		canary:     caldrift.CanaryConfig{Spec: canarySpec(cfg)},
+		canary:     canarySpec(cfg),
 		cool:       cfg.DriftCanaryCooldown,
 		adoptDelta: driftAdoptDelta,
 		clk:        clock.Or(cfg.Clock),

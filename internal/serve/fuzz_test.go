@@ -104,6 +104,9 @@ func FuzzPortfolioRequest(f *testing.F) {
 		if req.Device == "" || req.RootSeed == nil || req.Cycles == nil || req.RandomStarts == nil {
 			t.Fatalf("accepted request not normalized: %+v", req)
 		}
+		if *req.RootSeed == 0 {
+			t.Fatal("accepted root_seed 0, which the portfolio would run as its default seed")
+		}
 		if *req.Cycles < 0 || *req.Cycles > MaxPortfolioCycles ||
 			*req.RandomStarts < 0 || *req.RandomStarts > MaxPortfolioStarts {
 			t.Fatalf("accepted axes out of range: cycles=%d starts=%d", *req.Cycles, *req.RandomStarts)

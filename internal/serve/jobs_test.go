@@ -146,6 +146,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"embedded compile invalid", `{"kind":"compile","request":{"workload":"bv-4","bogus":1}}`, "compile request"},
 		{"embedded batch empty", `{"kind":"batch","request":{"items":[]}}`, "batch has no items"},
 		{"embedded portfolio invalid", `{"kind":"portfolio","request":{"workload":"bv-4","cycles":99}}`, "cycles must be in"},
+		{"embedded portfolio zero seed", `{"kind":"portfolio","request":{"workload":"bv-4","root_seed":0}}`, "root_seed must be non-zero"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,8 +33,8 @@ type PortfolioRequest struct {
 	QASM string `json:"qasm,omitempty"`
 	// Device names a registered device model (default q20).
 	Device string `json:"device,omitempty"`
-	// RootSeed is the seed every candidate seed derives from (default
-	// 2019).
+	// RootSeed is the seed every candidate seed derives from (omitted:
+	// 2019; 0 is rejected).
 	RootSeed *int64 `json:"root_seed,omitempty"`
 	// Cycles is the calibration window: the K most recent cycles of the
 	// device's archive join the grid (omitted: portfolio.DefaultCycles;
@@ -87,6 +87,10 @@ func (r *PortfolioRequest) check(maxTrials int) error {
 	}
 	if err := checkSource("workload", r.Workload, r.QASM); err != nil {
 		return err
+	}
+	// The portfolio reads 0 as unset and would run its default seed.
+	if *r.RootSeed == 0 {
+		return badReqf("root_seed must be non-zero (omit it for the default %d)", portfolio.DefaultRootSeed)
 	}
 	if *r.Cycles < 0 || *r.Cycles > MaxPortfolioCycles {
 		return badReqf("cycles must be in [0, %d] (got %d)", MaxPortfolioCycles, *r.Cycles)

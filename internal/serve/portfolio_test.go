@@ -107,6 +107,7 @@ func TestPortfolioRequestErrors(t *testing.T) {
 		{"no source", `{"device":"q20"}`, http.StatusBadRequest},
 		{"both sources", `{"workload":"bv-4","qasm":"OPENQASM 2.0;"}`, http.StatusBadRequest},
 		{"unknown workload names valid ones", `{"workload":"sorcery-9"}`, http.StatusBadRequest},
+		{"zero root seed", `{"workload":"bv-4","root_seed":0}`, http.StatusBadRequest},
 		{"negative cycles", `{"workload":"bv-4","cycles":-1}`, http.StatusBadRequest},
 		{"cycles over cap", `{"workload":"bv-4","cycles":99}`, http.StatusBadRequest},
 		{"starts over cap", `{"workload":"bv-4","random_starts":99}`, http.StatusBadRequest},

@@ -22,7 +22,7 @@ import (
 func TestConcurrentMixedClients(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxInFlight = 32 // small enough that shedding actually happens
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

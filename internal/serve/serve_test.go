@@ -410,7 +410,7 @@ func TestRequestErrors(t *testing.T) {
 func TestBodyTooLarge(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxBodyBytes = 512
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, _ := post(t, ts.URL+"/v1/compile",
@@ -456,4 +456,14 @@ func TestPprofMounted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof status %d", resp.StatusCode)
 	}
+}
+
+// mustNew is New for tests whose Config cannot fail (no jobs
+// directory).
+func mustNew(cfg Config) *Server {
+	s, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

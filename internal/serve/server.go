@@ -201,16 +201,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// MustNew is New for callers whose Config cannot fail (no jobs
-// directory), e.g. tests and in-process harnesses.
-func MustNew(cfg Config) *Server {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Drain shuts the job plane down: running jobs get until ctx to finish;
 // stragglers are re-queued durably. Serve calls this itself — Drain is
 // for handler-only deployments (tests, embedding) and is idempotent.

@@ -42,7 +42,7 @@ func waitInFlight(t *testing.T, s *Server, want int64) {
 func TestGracefulShutdown(t *testing.T) {
 	cfg := testConfig()
 	cfg.DrainTimeout = 30 * time.Second
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -93,7 +93,7 @@ func TestGracefulShutdown(t *testing.T) {
 func TestSaturationSheds(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxInFlight = 1
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -163,7 +163,7 @@ func TestDrainDeadlineBoundsShutdown(t *testing.T) {
 	cfg := testConfig()
 	cfg.DrainTimeout = 100 * time.Millisecond
 	cfg.Jobs = jobs.Options{Workers: 1}
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

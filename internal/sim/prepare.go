@@ -61,9 +61,6 @@ func Prepare(d *device.Device, phys *circuit.Circuit, cfg Config) *Prepared {
 // AnalyticPST returns the closed-form PST under the prepared error model.
 func (p *Prepared) AnalyticPST() float64 { return p.analytic }
 
-// Duration returns the scheduled execution time of one trial.
-func (p *Prepared) Duration() time.Duration { return p.duration }
-
 // blockOutcome accumulates one trial block's counts; blocks are summed
 // in index order, so the totals are independent of execution order.
 type blockOutcome struct {

@@ -88,9 +88,6 @@ func TestPrepareAnalyticMatchesAnalyticPST(t *testing.T) {
 			t.Fatalf("cfg %+v: Prepared analytic %v, AnalyticPST %v", cfg, got, want)
 		}
 	}
-	if dur := Prepare(d, phys, Config{}).Duration(); dur <= 0 {
-		t.Fatal("prepared duration not positive")
-	}
 }
 
 // TestEstimateFallbackBoundary pins the reported-PST rule at its

@@ -62,9 +62,6 @@ func New(n int) *State {
 	return s
 }
 
-// N returns the number of qubits.
-func (s *State) N() int { return s.n }
-
 // Clone returns a deep copy.
 func (s *State) Clone() *State {
 	c := &State{n: s.n, x: make([][]bool, 2*s.n), z: make([][]bool, 2*s.n), r: append([]bool(nil), s.r...)}

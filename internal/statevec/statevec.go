@@ -6,9 +6,10 @@
 // sizes where 2^n amplitudes fit comfortably.
 //
 // The repository uses it for exact quantum verification of compiled
-// non-Clifford programs (route.VerifyState) and to validate the benchmark
-// generators themselves (the Cuccaro adder really adds; the QFT really
-// produces the uniform-magnitude spectrum).
+// non-Clifford programs (VerifyState in route's tests), for Quantum
+// Volume heavy outputs and the VQA energy study, and to validate the
+// benchmark generators themselves (the Cuccaro adder really adds; the
+// QFT really produces the uniform-magnitude spectrum).
 //
 // Qubit q is bit q of the amplitude index (little-endian).
 package statevec
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 
 	"vaq/internal/circuit"
 	"vaq/internal/gate"
@@ -45,11 +45,6 @@ func New(n int) *State {
 
 // N returns the number of qubits.
 func (s *State) N() int { return s.n }
-
-// Clone returns a deep copy.
-func (s *State) Clone() *State {
-	return &State{n: s.n, amp: append([]complex128(nil), s.amp...)}
-}
 
 func (s *State) check(q int) {
 	if q < 0 || q >= s.n {
@@ -116,7 +111,7 @@ func (s *State) Swap(a, b int) {
 var invSqrt2 = complex(1/math.Sqrt2, 0)
 
 // Apply applies one circuit gate (measurements and barriers are ignored;
-// use Sample/Probability for readout). U2/U3 are rejected because the
+// use Probabilities for readout). U2/U3 are rejected because the
 // circuit IR folds their angles into one parameter.
 func (s *State) Apply(g circuit.Gate) error {
 	switch g.Kind {
@@ -181,33 +176,6 @@ func Run(c *circuit.Circuit) (*State, error) {
 	return s, nil
 }
 
-// Supported reports whether every gate of the circuit can be replayed.
-func Supported(c *circuit.Circuit) bool {
-	for _, g := range c.Gates {
-		switch g.Kind {
-		case gate.U2, gate.U3:
-			return false
-		}
-		if !g.Kind.Valid() {
-			return false
-		}
-	}
-	return c.NumQubits <= MaxQubits
-}
-
-// Probability returns P(qubit q measures 1).
-func (s *State) Probability(q int) float64 {
-	s.check(q)
-	mask := 1 << q
-	p := 0.0
-	for i, a := range s.amp {
-		if i&mask != 0 {
-			p += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	return p
-}
-
 // Probabilities returns the full measurement distribution over basis
 // states (index order).
 func (s *State) Probabilities() []float64 {
@@ -216,48 +184,6 @@ func (s *State) Probabilities() []float64 {
 		out[i] = real(a)*real(a) + imag(a)*imag(a)
 	}
 	return out
-}
-
-// Sample draws a basis state from the measurement distribution, returned
-// as a bitstring with qubit 0 leftmost.
-func (s *State) Sample(rng *rand.Rand) string {
-	r := rng.Float64()
-	acc := 0.0
-	idx := len(s.amp) - 1
-	for i, a := range s.amp {
-		acc += real(a)*real(a) + imag(a)*imag(a)
-		if r < acc {
-			idx = i
-			break
-		}
-	}
-	bits := make([]byte, s.n)
-	for q := 0; q < s.n; q++ {
-		if idx&(1<<q) != 0 {
-			bits[q] = '1'
-		} else {
-			bits[q] = '0'
-		}
-	}
-	return string(bits)
-}
-
-// BasisState returns (index, true) when the state is a computational
-// basis state up to global phase and numerical tolerance.
-func (s *State) BasisState() (int, bool) {
-	best, bestP := -1, 0.0
-	total := 0.0
-	for i, a := range s.amp {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		total += p
-		if p > bestP {
-			best, bestP = i, p
-		}
-	}
-	if bestP > 0.999999*total {
-		return best, true
-	}
-	return -1, false
 }
 
 // Fidelity returns |⟨a|b⟩|² for states on the same qubit count.
@@ -270,13 +196,4 @@ func Fidelity(a, b *State) float64 {
 		ip += cmplx.Conj(a.amp[i]) * b.amp[i]
 	}
 	return real(ip)*real(ip) + imag(ip)*imag(ip)
-}
-
-// Norm returns ⟨s|s⟩ (should stay 1 within numerical error).
-func (s *State) Norm() float64 {
-	t := 0.0
-	for _, a := range s.amp {
-		t += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return t
 }

@@ -45,7 +45,7 @@ func TestIBMQ5Shape(t *testing.T) {
 		t.Fatal("IBM-Q5 must be connected")
 	}
 	// Q2 is the bow-tie center: degree 4.
-	if d := q5.Graph(1).Degree(2); d != 4 {
+	if d := len(q5.Graph(1).Neighbors(2)); d != 4 {
 		t.Fatalf("center degree = %d, want 4", d)
 	}
 }
@@ -71,8 +71,8 @@ func TestRing5(t *testing.T) {
 	r := Ring5()
 	g := r.Graph(1)
 	for v := 0; v < 5; v++ {
-		if g.Degree(v) != 2 {
-			t.Fatalf("ring degree of %d = %d, want 2", v, g.Degree(v))
+		if len(g.Neighbors(v)) != 2 {
+			t.Fatalf("ring degree of %d = %d, want 2", v, len(g.Neighbors(v)))
 		}
 	}
 }
