@@ -17,6 +17,7 @@ import (
 
 	"vaq/internal/alloc"
 	"vaq/internal/calib"
+	"vaq/internal/circuit"
 	"vaq/internal/core"
 	"vaq/internal/device"
 	"vaq/internal/experiments"
@@ -371,18 +372,36 @@ func BenchmarkMonteCarlo(b *testing.B) {
 }
 
 // BenchmarkMonteCarloPrepare measures Prepare itself (error-model
-// derivation, ASAP schedule, packed-plan construction) — the fixed cost a
-// caller pays before the first trial.
+// derivation, ASAP schedule, idle windows, hazards, packed-plan
+// construction) — the fixed cost a caller pays before the first trial,
+// and the scoring step of every compile. q20-bv16 is bv-16 under the
+// baseline policy on the synthetic IBM-Q20; hh399-bv48 is bv-48 routed
+// with SABRE on heavy-hex-399, where the per-qubit work scales with 399
+// physical qubits.
 func BenchmarkMonteCarloPrepare(b *testing.B) {
-	d := benchDevice()
-	comp, err := core.Compile(d, workloads.BV(16), core.Options{Policy: core.Baseline})
+	hh399, err := calib.ZooArchive("heavy-hex-399", 2019)
 	if err != nil {
 		b.Fatal(err)
 	}
-	phys := comp.Routed.Physical
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Prepare(d, phys, sim.Config{})
+	for _, tc := range []struct {
+		name string
+		d    *device.Device
+		prog *circuit.Circuit
+		opts core.Options
+	}{
+		{"q20-bv16", benchDevice(), workloads.BV(16), core.Options{Policy: core.Baseline}},
+		{"hh399-bv48", device.MustNew(hh399.Topo, hh399.MustMean()), workloads.BV(48), core.Options{Policy: core.Baseline, Movement: "sabre"}},
+	} {
+		comp, err := core.Compile(tc.d, tc.prog, tc.opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		phys := comp.Routed.Physical
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sim.Prepare(tc.d, phys, sim.Config{})
+			}
+		})
 	}
 }
 

@@ -208,7 +208,7 @@ func (c *Circuit) Stats() Stats {
 		s.Total++
 		s.CNOTs += g.Kind.CNOTCost()
 	}
-	s.Depth = len(c.Layers())
+	s.Depth = len(c.layerSlowest())
 	return s
 }
 
@@ -216,14 +216,8 @@ func (c *Circuit) Stats() Stats {
 // sum over dependency layers of the slowest gate in each layer.
 func (c *Circuit) Duration() time.Duration {
 	var total time.Duration
-	for _, layer := range c.Layers() {
-		var slowest time.Duration
-		for _, gi := range layer {
-			if d := c.Gates[gi].Kind.Duration(); d > slowest {
-				slowest = d
-			}
-		}
-		total += slowest
+	for _, d := range c.layerSlowest() {
+		total += d
 	}
 	return total
 }

@@ -346,3 +346,45 @@ func TestMeasuredQubits(t *testing.T) {
 		t.Fatalf("MeasuredQubits = %v", got)
 	}
 }
+
+// TestDepthAndDurationMatchLayersProperty pins Stats().Depth and
+// Duration() to the layer lists they summarize: the number of layers, and
+// the sum over layers of each layer's slowest gate.
+func TestDepthAndDurationMatchLayersProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(8)
+		c := New("rand", n)
+		for i := 0; i < 40; i++ {
+			a := rng.Intn(n)
+			b := (a + 1 + rng.Intn(n-1)) % n
+			switch rng.Intn(6) {
+			case 0:
+				c.H(a)
+			case 1:
+				c.CX(a, b)
+			case 2:
+				c.Swap(a, b)
+			case 3:
+				c.Measure(a, a)
+			case 4:
+				c.Barrier(a, b)
+			default:
+				c.Barrier()
+			}
+		}
+		layers := c.Layers()
+		var want time.Duration
+		for _, layer := range layers {
+			var slowest time.Duration
+			for _, gi := range layer {
+				slowest = max(slowest, c.Gates[gi].Kind.Duration())
+			}
+			want += slowest
+		}
+		return c.Stats().Depth == len(layers) && c.Duration() == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

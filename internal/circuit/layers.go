@@ -1,6 +1,10 @@
 package circuit
 
-import "vaq/internal/gate"
+import (
+	"time"
+
+	"vaq/internal/gate"
+)
 
 // Layers partitions the circuit into dependency layers using an ASAP
 // (as-soon-as-possible) schedule: gate i goes into layer
@@ -14,6 +18,31 @@ import "vaq/internal/gate"
 // works layer by layer, finding a SWAP set between consecutive layers.
 func (c *Circuit) Layers() [][]int {
 	var layers [][]int
+	c.eachLayer(func(gi, layer int) {
+		for len(layers) <= layer {
+			layers = append(layers, nil)
+		}
+		layers[layer] = append(layers[layer], gi)
+	})
+	return layers
+}
+
+// layerSlowest returns, per dependency layer of Layers, the duration of
+// the layer's slowest gate, without building the layer lists.
+func (c *Circuit) layerSlowest() []time.Duration {
+	var slowest []time.Duration
+	c.eachLayer(func(gi, layer int) {
+		for len(slowest) <= layer {
+			slowest = append(slowest, 0)
+		}
+		slowest[layer] = max(slowest[layer], c.Gates[gi].Kind.Duration())
+	})
+	return slowest
+}
+
+// eachLayer calls visit(gi, layer) for every non-barrier gate in circuit
+// order with the dependency layer Layers puts it in.
+func (c *Circuit) eachLayer(visit func(gi, layer int)) {
 	qubitLayer := make([]int, c.NumQubits) // next free layer per qubit
 	for i, g := range c.Gates {
 		earliest := 0
@@ -28,15 +57,11 @@ func (c *Circuit) Layers() [][]int {
 			}
 			continue
 		}
-		for len(layers) <= earliest {
-			layers = append(layers, nil)
-		}
-		layers[earliest] = append(layers[earliest], i)
+		visit(i, earliest)
 		for _, q := range g.Qubits {
 			qubitLayer[q] = earliest + 1
 		}
 	}
-	return layers
 }
 
 // InteractionCounts returns a NumQubits×NumQubits symmetric matrix whose

@@ -32,9 +32,18 @@ type Schedule struct {
 }
 
 // ASAP schedules every gate at the earliest time all its operands are
-// free. Barriers take zero time but synchronize their qubits.
+// free. Barriers take zero time but synchronize their qubits. The ops'
+// Qubits are copies of the gates' operands, cut from one backing slice.
 func ASAP(c *circuit.Circuit) *Schedule {
-	s := &Schedule{NumQubits: c.NumQubits}
+	nops, nqubits := 0, 0
+	for _, g := range c.Gates {
+		if g.Kind != gate.Barrier {
+			nops++
+			nqubits += len(g.Qubits)
+		}
+	}
+	s := &Schedule{NumQubits: c.NumQubits, Ops: make([]Op, 0, nops)}
+	flat := make([]int, 0, nqubits)
 	free := make([]time.Duration, c.NumQubits)
 	for gi, g := range c.Gates {
 		start := time.Duration(0)
@@ -50,7 +59,9 @@ func ASAP(c *circuit.Circuit) *Schedule {
 		if g.Kind == gate.Barrier {
 			continue // synchronizes, occupies no slot
 		}
-		s.Ops = append(s.Ops, Op{GateIndex: gi, Kind: g.Kind, Qubits: append([]int(nil), g.Qubits...), Start: start, End: end})
+		lo := len(flat)
+		flat = append(flat, g.Qubits...)
+		s.Ops = append(s.Ops, Op{GateIndex: gi, Kind: g.Kind, Qubits: flat[lo:len(flat):len(flat)], Start: start, End: end})
 		if end > s.Makespan {
 			s.Makespan = end
 		}
@@ -58,58 +69,35 @@ func ASAP(c *circuit.Circuit) *Schedule {
 	return s
 }
 
-// window returns the first operation start and last operation end per
-// qubit (-1 duration when the qubit is unused).
-func (s *Schedule) window(q int) (first, last time.Duration, used bool) {
-	first, last = time.Duration(1<<62), 0
-	for _, op := range s.Ops {
-		for _, oq := range op.Qubits {
-			if oq != q {
-				continue
-			}
-			if op.Start < first {
-				first = op.Start
-			}
-			if op.End > last {
-				last = op.End
-			}
-			used = true
-		}
-	}
-	return first, last, used
-}
-
-// BusyTime returns the total time qubit q spends executing operations.
-func (s *Schedule) BusyTime(q int) time.Duration {
-	var busy time.Duration
-	for _, op := range s.Ops {
-		for _, oq := range op.Qubits {
-			if oq == q {
-				busy += op.End - op.Start
-			}
-		}
-	}
-	return busy
-}
-
-// IdleTime returns the idle duration of qubit q inside its active window
-// (first operation start to last operation end): the exposure the
-// decoherence model charges. Unused qubits idle for zero time.
-func (s *Schedule) IdleTime(q int) time.Duration {
-	first, last, used := s.window(q)
-	if !used {
-		return 0
-	}
-	return (last - first) - s.BusyTime(q)
-}
-
-// IdleTimes returns IdleTime for every qubit.
+// IdleTimes returns, per qubit, the idle duration inside its active
+// window (first operation start to last operation end) less the time it
+// spends executing operations: the exposure the decoherence model
+// charges. Unused qubits idle for zero time. One pass over Ops tracks
+// each qubit's window and busy time.
 func (s *Schedule) IdleTimes() []time.Duration {
-	out := make([]time.Duration, s.NumQubits)
-	for q := range out {
-		out[q] = s.IdleTime(q)
+	idle := make([]time.Duration, s.NumQubits)
+	first := make([]time.Duration, s.NumQubits)
+	last := make([]time.Duration, s.NumQubits)
+	for q := range first {
+		first[q] = -1 // unused so far
 	}
-	return out
+	for _, op := range s.Ops {
+		for _, q := range op.Qubits {
+			if first[q] < 0 || op.Start < first[q] {
+				first[q] = op.Start
+			}
+			if op.End > last[q] {
+				last[q] = op.End
+			}
+			idle[q] -= op.End - op.Start
+		}
+	}
+	for q := range idle {
+		if first[q] >= 0 {
+			idle[q] += last[q] - first[q]
+		}
+	}
+	return idle
 }
 
 // Timeline renders an ASCII Gantt chart (one row per qubit, one column

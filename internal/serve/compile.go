@@ -74,7 +74,7 @@ type MCInfo struct {
 }
 
 // HazardInfo reports the per-class failure hazards (expected failure
-// events per trial; see sim.AnalyticBreakdown).
+// events per trial; see sim.Breakdown).
 type HazardInfo struct {
 	Gate      float64 `json:"gate"`
 	Readout   float64 `json:"readout"`
@@ -128,10 +128,11 @@ func Run(d *device.Device, prog *circuit.Circuit, spec Spec) (*Result, error) {
 
 	in := prog.Stats()
 	out := comp.Routed.Physical.Stats()
+	duration := comp.Routed.Physical.Duration()
 	scfg := sim.Config{Trials: spec.Trials, Seed: spec.Seed, Workers: spec.Workers}
 	prep := sim.Prepare(d, comp.Routed.Physical, scfg)
 	analytic := prep.AnalyticPST()
-	breakdown := sim.AnalyticBreakdown(d, comp.Routed.Physical, scfg)
+	breakdown := prep.Breakdown()
 
 	r := &Result{
 		Program: ProgramInfo{
@@ -151,7 +152,7 @@ func Run(d *device.Device, prog *circuit.Circuit, spec Spec) (*Result, error) {
 			CNOTs:        out.CNOTs,
 			Depth:        out.Depth,
 		},
-		DurationNs:  int64(comp.Routed.Physical.Duration()),
+		DurationNs:  int64(duration),
 		AnalyticPST: analytic,
 		Hazards: HazardInfo{
 			Gate:      breakdown.Gate,
@@ -180,7 +181,7 @@ func Run(d *device.Device, prog *circuit.Circuit, spec Spec) (*Result, error) {
 	fmt.Fprintf(&b, "mapping     initial %v\n", comp.Routed.Initial)
 	fmt.Fprintf(&b, "swaps       %d inserted (physical: %d instructions, %d CNOTs, depth %d)\n",
 		comp.Swaps(), out.Total, out.CNOTs, out.Depth)
-	fmt.Fprintf(&b, "duration    %v per trial\n", comp.Routed.Physical.Duration())
+	fmt.Fprintf(&b, "duration    %v per trial\n", duration)
 	if r.MC != nil {
 		fmt.Fprintf(&b, "PST         %.4f analytic, %.4f ± %.4f Monte-Carlo (%d trials)\n",
 			analytic, r.MC.PST, r.MC.StdErr, r.MC.Trials)

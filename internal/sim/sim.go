@@ -33,7 +33,6 @@ import (
 
 	"vaq/internal/circuit"
 	"vaq/internal/device"
-	"vaq/internal/gate"
 	"vaq/internal/schedule"
 )
 
@@ -137,22 +136,10 @@ type Breakdown struct {
 }
 
 // AnalyticBreakdown computes the per-class failure hazards in closed form.
+// It is shorthand for Prepare(d, phys, cfg).Breakdown(); callers that
+// also need the PST should Prepare once and read both.
 func AnalyticBreakdown(d *device.Device, phys *circuit.Circuit, cfg Config) Breakdown {
-	var b Breakdown
-	for _, g := range phys.Gates {
-		s := d.GateSuccess(g.Kind, g.Qubits)
-		if g.Kind.Class() == gate.Readout {
-			b.Readout += -math.Log(s)
-		} else if s < 1 {
-			b.Gate += -math.Log(s)
-		}
-	}
-	if !cfg.DisableCoherence {
-		for _, perr := range CoherenceErrors(d, IdleTimes(phys)) {
-			b.Coherence += -math.Log(1 - perr)
-		}
-	}
-	return b
+	return Prepare(d, phys, cfg).Breakdown()
 }
 
 // CoherenceErrors returns, per physical qubit, the probability of a

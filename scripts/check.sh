@@ -37,8 +37,9 @@ go test -run '^$' -bench 'MonteCarlo|CompilePipeline|Ablation|Route|Rows|NewCost
 # the minimum of 5 samples per figure (the snapshot is written by
 # `BENCHTIME=100ms scripts/bench.sh 5` on the host that runs this gate),
 # so one slow sample on a busy machine does not fail the build. Only the
-# stable keys are compared — the compute-bound kernels and routing cores
-# whose timings are reproducible on a loaded machine — and the tolerance
+# stable keys are compared — the compute-bound kernels, the scoring step
+# (MonteCarloPrepare/) and routing cores whose timings are reproducible
+# on a loaded machine — and the tolerance
 # is wide (1.5x) so the gate catches algorithmic regressions, not
 # scheduler noise; a kernel that allocated nothing fails on its first
 # allocation. An intended change in a gated figure ships with a
@@ -49,7 +50,7 @@ if [ -n "$BASELINE" ]; then
 	FRESH="$(mktemp -t bench_fresh_XXXXXX.json)"
 	BENCH_OUT="$FRESH" BENCHTIME=100ms scripts/bench.sh 5 > /dev/null
 	BENCH_TOLERANCE=1.5 \
-	BENCH_MATCH='MonteCarlo$|NewCosts|SearchSwaps|RouteCached|RouteScale/(bv|qft16)/sabre|RebindVsRecompile/rebind' \
+	BENCH_MATCH='MonteCarlo$|MonteCarloPrepare/|NewCosts|SearchSwaps|RouteCached|RouteScale/(bv|qft16)/sabre|RebindVsRecompile/rebind' \
 	scripts/bench.sh -compare "$BASELINE" "$FRESH" || { rm -f "$FRESH"; exit 1; }
 	rm -f "$FRESH"
 else
