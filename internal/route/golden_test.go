@@ -60,6 +60,18 @@ func goldenHH399() *device.Device {
 	return device.MustNew(arch.Topo, arch.MustMean())
 }
 
+// goldenZoo returns the mean-calibration device of a zoo fleet at seed
+// 2019.
+func goldenZoo(name string) func() *device.Device {
+	return func() *device.Device {
+		arch, err := calib.ZooArchive(name, 2019)
+		if err != nil {
+			panic(err)
+		}
+		return device.MustNew(arch.Topo, arch.MustMean())
+	}
+}
+
 func identityInit(d *device.Device, c *circuit.Circuit) alloc.Mapping {
 	return identity(c.NumQubits)
 }
@@ -119,6 +131,22 @@ func goldenCases() []goldenCase {
 		{"ring5/rand4/sabre-hops", ring5Fig1, func() *circuit.Circuit { return goldenRandomCircuit(4, 20, 5) }, permInit(9), Sabre{Cost: CostHops}, 0xbf9ec707a545d8a9},
 		{"hh399/bv40/sabre-hops", goldenHH399, func() *circuit.Circuit { return workloads.BV(40) }, permInit(13), Sabre{Cost: CostHops}, 0x107e44b4ef80f477},
 		{"hh399/bv40/sabre-rel", goldenHH399, func() *circuit.Circuit { return workloads.BV(40) }, permInit(13), Sabre{Cost: CostReliability}, 0xe64414e2ec6c755a},
+		// A* on heavy-hex fleets, pinned before the adjacency table was
+		// rebuilt from hop rows: these read the table far from the
+		// diagonal, where the small machines above never reach.
+		{"hh127/qft8/hops", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), hops, 0xf807b8b1e54cc362},
+		{"hh127/qft8/reliability", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), rel, 0x4dd3238b6ad7559d},
+		{"hh127/qft8/mah4", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), mah4, 0x4dd3238b6ad7559d},
+	}
+}
+
+// largeGoldenCases are A* routes on the 1000-qubit heavy-hex fleet,
+// where the adjacency table is 10⁶ entries; they run only without
+// -short.
+func largeGoldenCases() []goldenCase {
+	return []goldenCase{
+		{"hh1000/qft12/hops", goldenZoo("heavy-hex-1000-mid"), func() *circuit.Circuit { return workloads.QFT(12) }, permInit(19), AStar{Cost: CostHops, MAH: -1}, 0x1ae7c135587ecf9e},
+		{"hh1000/qft12/reliability", goldenZoo("heavy-hex-1000-mid"), func() *circuit.Circuit { return workloads.QFT(12) }, permInit(19), AStar{Cost: CostReliability, MAH: -1}, 0xcc3db2794c947926},
 	}
 }
 
@@ -128,7 +156,11 @@ func goldenCases() []goldenCase {
 // regenerating the table after an intentional output change).
 func TestGoldenRoutingDeterminism(t *testing.T) {
 	print := os.Getenv("GOLDEN_PRINT") == "1"
-	for _, tc := range goldenCases() {
+	cases := goldenCases()
+	if !testing.Short() {
+		cases = append(cases, largeGoldenCases()...)
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.device()
 			c := tc.prog()

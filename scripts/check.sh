@@ -20,6 +20,11 @@ go test -race "$@" ./...
 # SABRE-route a 60-qubit workload on the 399-qubit heavy-hex fleet under
 # the race detector (the A* router cannot attempt this size at all).
 go test -race -count=1 -run 'TestSabreHeavyHex399|TestSabreConcurrentDeterminism' ./internal/route
+# A* route goldens on the 1000-qubit heavy-hex fleet, kept explicit
+# because -short skips them and the race detector slows the
+# 10⁶-entry adjacency-table build several-fold: run them without -race,
+# as the paper-table golden below is run.
+go test -count=1 -run 'TestGoldenRoutingDeterminism/hh1000' ./internal/route
 # Full paper-table golden, kept explicit because -short pins only the
 # cheap experiments: every table and chart of `repro -experiment all` at
 # seed 2019, byte-compared serially and at one worker per CPU (without
