@@ -13,10 +13,10 @@ import (
 
 // costs caches the per-device tables the search consults: pairwise
 // movement costs under the chosen model, pairwise hop counts, and for each
-// physical pair the cheapest cost (and minimum swaps) to make them
-// adjacent. A built costs value is immutable (its distance rows fill
-// under per-row sync.Once) and shared across concurrent Route calls via
-// the fingerprint-keyed cache in cache.go.
+// physical pair the cheapest cost to make them adjacent. A built costs
+// value is immutable (its distance rows fill under per-row sync.Once) and
+// shared across concurrent Route calls via the fingerprint-keyed cache in
+// cache.go.
 type costs struct {
 	model CostModel
 	n     int // physical qubits
@@ -39,18 +39,12 @@ type costs struct {
 	hops *graphx.Rows
 	// adjCost[a][b]: lower-estimate cost to make qubits at a and b
 	// adjacent (each may move): min over coupling (u,v) of
-	// min(dist[a][u]+dist[b][v], dist[a][v]+dist[b][u]).
-	//
-	// adjCost and adjHops are built lazily by ensureAdj: they cost
-	// O(n²·|E|) — minutes of CPU at 1000 qubits — and only the A*
-	// heuristic consults them. Sabre routes off dist/coupled alone,
-	// so large-device SABRE runs never pay for them.
+	// min(dist[a][u]+dist[b][v], dist[a][v]+dist[b][u]). It is the A*
+	// heuristic's one n×n table, built lazily by ensureAdj on first A*
+	// use: Sabre routes off dist/coupled alone, so large-device SABRE
+	// runs never pay for it.
 	adjCost [][]float64
-	// adjHops[a][b]: same quantity under hop counting — the minimum swaps
-	// needed to make a and b adjacent, used for the MAH budget. Under
-	// CostHops it aliases adjCost, since dist is hops.
-	adjHops [][]float64
-	// adjOnce guards the lazy adjCost/adjHops build.
+	// adjOnce guards the lazy adjCost build.
 	adjOnce sync.Once
 	// coupled is the n×n coupling-adjacency bitset (bit a*n+b); the
 	// satisfied() goal test consults it instead of scanning the
@@ -100,46 +94,59 @@ func (cm *costs) isCoupled(a, b int) bool {
 	return cm.coupled[i/64]&(1<<(i%64)) != 0
 }
 
-// ensureAdj builds the adjacency-cost matrices on first use. The cached
-// *costs value stays effectively immutable: the build runs under a
-// sync.Once, and after it the matrices are never written again, so
-// concurrent readers are race-free exactly as before.
+// ensureAdj builds the adjacency-cost table on first use, under a
+// sync.Once; the table is never written again, so concurrent readers of
+// the cached *costs stay race-free.
 func (cm *costs) ensureAdj() {
-	cm.adjOnce.Do(func() {
-		cm.adjCost = adjacencyMatrix(cm.edges, cm.dist, cm.n)
-		cm.adjHops = cm.adjCost
-		if cm.model == CostReliability {
-			cm.adjHops = adjacencyMatrix(cm.edges, cm.hops, cm.n)
-		}
-	})
+	cm.adjOnce.Do(func() { cm.adjCost = adjacencyTable(cm.model, cm.edges, cm.dist, cm.n) })
 }
 
-// adjacencyMatrix computes, for every physical pair (a,b), the cheapest
-// way to place them across some coupling link when both may move. Only
-// the edges' endpoints are read, so either model's edge list serves. The
-// rows share one flat backing array.
-func adjacencyMatrix(edges []graphx.Edge, dist *graphx.Rows, n int) [][]float64 {
-	adj := make([][]float64, n)
+// adjacencyTable computes, for every physical pair (a,b), the cheapest
+// way to place them across some coupling link when both may move:
+// min over links (u,v), either orientation, of dist[a][u]+dist[b][v].
+// The unqueried diagonal is 0.
+//
+// Under CostHops that is hops−1 (a shortest path's links reach it, and
+// no link beats it), so row a is the hop row minus 1. Under
+// CostReliability the edge minimum runs for a < b and is mirrored: both
+// orientations sum the same terms, and IEEE addition commutes. Grouping
+// the links by their b-side end v, it is min over v of near[v]+dist[b][v],
+// where near[v] is the least dist[a][u] over v's neighbours u; rounding
+// is monotone, so adding dist[b][v] after the inner minimum yields the
+// same bits as adding it to every term.
+func adjacencyTable(model CostModel, edges []graphx.Edge, dist *graphx.Rows, n int) [][]float64 {
 	flat := make([]float64, n*n)
+	near := make([]float64, n)
 	for a := 0; a < n; a++ {
-		adj[a] = flat[a*n : (a+1)*n]
 		da := dist.Row(a)
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue // never queried: a gate has distinct operands
+		if model == CostHops {
+			for b, h := range da {
+				flat[a*n+b] = h - 1
 			}
-			db := dist.Row(b)
-			best := math.Inf(1)
-			for _, e := range edges {
-				if c := da[e.U] + db[e.V]; c < best {
-					best = c
-				}
-				if c := da[e.V] + db[e.U]; c < best {
-					best = c
-				}
-			}
-			adj[a][b] = best
+			flat[a*n+a] = 0
+			continue
 		}
+		for v := range near {
+			near[v] = math.Inf(1)
+		}
+		for _, e := range edges {
+			near[e.V] = min(near[e.V], da[e.U])
+			near[e.U] = min(near[e.U], da[e.V])
+		}
+		for b := a + 1; b < n; b++ {
+			db := dist.Row(b)[:n]
+			best := math.Inf(1)
+			for v, d := range near {
+				if c := d + db[v]; c < best {
+					best = c
+				}
+			}
+			flat[a*n+b], flat[b*n+a] = best, best
+		}
+	}
+	adj := make([][]float64, n)
+	for a := range adj {
+		adj[a] = flat[a*n : (a+1)*n]
 	}
 	return adj
 }
@@ -174,12 +181,12 @@ func (cm *costs) satisfied(m []int, pairs [][2]int) bool {
 	return true
 }
 
-// minSwapsNeeded sums the minimum swaps to satisfy every pair — the base
-// of the MAH budget.
+// minSwapsNeeded sums the minimum swaps to satisfy every pair, hops−1
+// each — the base of the MAH budget.
 func (cm *costs) minSwapsNeeded(m []int, pairs [][2]int) int {
 	total := 0.0
 	for _, pr := range pairs {
-		total += cm.adjHops[m[pr[0]]][m[pr[1]]]
+		total += cm.hops.Row(m[pr[0]])[m[pr[1]]] - 1
 	}
 	return int(total)
 }

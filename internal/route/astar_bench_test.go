@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkNewCosts measures a cold cost-table build for the Q20 machine:
-// the reliability all-pairs Dijkstra plus the adjacency tables (forced
-// here, since they are otherwise built lazily on first A* use). The hop
+// the reliability all-pairs Dijkstra plus the one adjacency table
+// (forced here, since it is otherwise built lazily on first A* use). The hop
 // matrix is the device's memoized one, so only the first iteration
 // builds it. This is the work the cost cache amortizes away.
 func BenchmarkNewCosts(b *testing.B) {

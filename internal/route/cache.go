@@ -9,8 +9,8 @@ import (
 
 // The cost cache memoizes the per-device search tables (the model's
 // distance table and the hop table, whose rows are built on first touch,
-// the coupling bitset, and the two adjacency-cost matrices A* builds on
-// first use, O(n²·|E|)) across Route calls. The hop table is the
+// the coupling bitset, and the one adjacency-cost table A* builds on
+// first use) across Route calls. The hop table is the
 // device's own memoized Device.HopMatrix, and under CostHops the
 // distance table is that same hop table, so only CostReliability runs
 // Dijkstra of its own. The experiment harness compiles every
@@ -29,7 +29,7 @@ import (
 // Entries are built under a per-key sync.Once so concurrent Route calls
 // on a new device build the table once and everyone else blocks on that
 // build rather than duplicating it. The finished *costs value is
-// immutable apart from its lazily filled rows and adjacency matrices,
+// immutable apart from its lazily filled rows and adjacency table,
 // each built under its own sync.Once, so sharing it across goroutines
 // is race-free.
 

@@ -161,13 +161,11 @@ func TestEpochTableGrowKeepsOnlyCurrentEpoch(t *testing.T) {
 }
 
 // TestCostTablesShareHopMatrix: both cost models read the device's one
-// memoized hop table, and under CostHops dist (and adjHops/adjCost) are
-// that same memory rather than a second build.
+// memoized hop table, and under CostHops dist is that same memory rather
+// than a second build.
 func TestCostTablesShareHopMatrix(t *testing.T) {
 	d := goldenQ20()
-	n := d.NumQubits()
 	hops := d.HopMatrix()
-	same := func(a, b [][]float64) bool { return &a[0][0] == &b[0][0] && &a[n-1][n-1] == &b[n-1][n-1] }
 
 	cmH := newCosts(d, CostHops)
 	if cmH.hops != hops {
@@ -175,10 +173,6 @@ func TestCostTablesShareHopMatrix(t *testing.T) {
 	}
 	if cmH.dist != cmH.hops {
 		t.Fatal("CostHops dist does not alias hops")
-	}
-	cmH.ensureAdj()
-	if !same(cmH.adjHops, cmH.adjCost) {
-		t.Fatal("CostHops adjHops does not alias adjCost")
 	}
 
 	cmR := newCosts(d, CostReliability)

@@ -42,17 +42,6 @@ type Result struct {
 	Movement []int
 }
 
-// IsMovement reports whether physical gate index gi is an inserted
-// movement SWAP.
-func (r *Result) IsMovement(gi int) bool {
-	for _, i := range r.Movement {
-		if i == gi {
-			return true
-		}
-	}
-	return false
-}
-
 // Router inserts movement into a circuit under a fixed initial mapping.
 type Router interface {
 	Name() string
@@ -120,7 +109,7 @@ func (r AStar) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping
 		return nil, err
 	}
 	cm := cachedCosts(d, r.Cost)
-	cm.ensureAdj() // the A* heuristic reads adjCost/adjHops
+	cm.ensureAdj() // the A* heuristic reads adjCost
 	maxExp := r.MaxExpansions
 	if maxExp <= 0 {
 		maxExp = 50000

@@ -11,6 +11,7 @@ import (
 	"vaq/internal/circuit"
 	"vaq/internal/device"
 	"vaq/internal/gate"
+	"vaq/internal/graphx"
 	"vaq/internal/topo"
 )
 
@@ -427,6 +428,27 @@ func TestVerifyRejectsMislabeledMovement(t *testing.T) {
 	}
 }
 
+func TestVerifyRejectsOutOfRangeMovement(t *testing.T) {
+	// A movement index that names no physical gate is a corrupt result,
+	// not an annotation to skip.
+	d := uniformDevice(topo.Linear(3), 0.04)
+	prog := circuit.New("m", 2).CX(0, 1)
+	res, err := AStar{Cost: CostHops, MAH: -1}.Route(d, prog, alloc.Mapping{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(d, prog, res); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	for _, gi := range []int{-1, len(res.Physical.Gates)} {
+		bad := *res
+		bad.Movement = append(append([]int(nil), res.Movement...), gi)
+		if Verify(d, prog, &bad) == nil {
+			t.Fatalf("verification passed with movement index %d", gi)
+		}
+	}
+}
+
 func TestVerifyCatchesCorruptedCompilation(t *testing.T) {
 	d := uniformDevice(topo.Linear(3), 0.05)
 	c := circuit.New("v", 2).CX(0, 1)
@@ -471,5 +493,97 @@ func TestAdjacencyMatrixSymmetricUnderSwap(t *testing.T) {
 				t.Fatalf("adjCost asymmetric at (%d,%d)", a, b)
 			}
 		}
+	}
+}
+
+// referenceAdjacency is the two-sided edge minimum the A* table is
+// defined by, computed the direct way for every ordered pair: for each
+// (a,b), the cheapest coupling (u,v) to place them across, both
+// orientations, with a 0 diagonal.
+func referenceAdjacency(edges []graphx.Edge, dist *graphx.Rows, n int) [][]float64 {
+	adj := make([][]float64, n)
+	for a := range adj {
+		adj[a] = make([]float64, n)
+		da := dist.Row(a)
+		for b := 0; b < n; b++ {
+			if a == b {
+				continue
+			}
+			db := dist.Row(b)
+			best := math.Inf(1)
+			for _, e := range edges {
+				if c := da[e.U] + db[e.V]; c < best {
+					best = c
+				}
+				if c := da[e.V] + db[e.U]; c < best {
+					best = c
+				}
+			}
+			adj[a][b] = best
+		}
+	}
+	return adj
+}
+
+// TestAdjacencyMatchesReference: the A* table is bit-identical to the
+// two-sided edge minimum under both cost models (the hop table is read
+// off the hop rows, the reliability table is built for a < b and
+// mirrored), and the MAH budget's minimum-swap count equals the sum of
+// the reference hop-model minimum over random mappings.
+func TestAdjacencyMatchesReference(t *testing.T) {
+	zoo := func(name string) *device.Device { return goldenZoo(name)() }
+	for _, tc := range []struct {
+		name string
+		d    *device.Device
+	}{
+		{"q20", goldenQ20()},
+		{"ring5", ring5Fig1()},
+		{"grid-25", zoo("grid-25")},
+		{"heavy-hex-127-holes8", zoo("heavy-hex-127-holes8")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.d.NumQubits()
+			var refHops [][]float64
+			var tables []*costs
+			for _, model := range []CostModel{CostHops, CostReliability} {
+				cm := newCosts(tc.d, model)
+				cm.ensureAdj()
+				ref := referenceAdjacency(cm.edges, cm.dist, n)
+				for a := 0; a < n; a++ {
+					for b := 0; b < n; b++ {
+						if math.Float64bits(cm.adjCost[a][b]) != math.Float64bits(ref[a][b]) {
+							t.Fatalf("model %d: adjCost[%d][%d] = %v, reference %v", model, a, b, cm.adjCost[a][b], ref[a][b])
+						}
+					}
+				}
+				if model == CostHops {
+					refHops = ref
+				}
+				tables = append(tables, cm)
+			}
+
+			rng := rand.New(rand.NewSource(int64(n)))
+			k := n
+			if k > 12 {
+				k = 12
+			}
+			for trial := 0; trial < 200; trial++ {
+				m := alloc.Mapping(rng.Perm(n)[:k])
+				var pairs [][2]int
+				perm := rng.Perm(k)
+				for i := 0; i+1 < k; i += 2 {
+					pairs = append(pairs, [2]int{perm[i], perm[i+1]})
+				}
+				want := 0.0
+				for _, pr := range pairs {
+					want += refHops[m[pr[0]]][m[pr[1]]]
+				}
+				for _, cm := range tables {
+					if got := cm.minSwapsNeeded(m, pairs); got != int(want) {
+						t.Fatalf("model %d mapping %v pairs %v: minSwapsNeeded = %d, reference %d", cm.model, m, pairs, got, int(want))
+					}
+				}
+			}
+		})
 	}
 }

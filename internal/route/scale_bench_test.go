@@ -31,7 +31,7 @@ func scaleDevice(b testing.TB, n int) *device.Device {
 //     joint search (seconds at 100 qubits, unbounded beyond).
 //
 // SABRE runs at every size; A* runs only to 100 qubits, where its
-// O(n²·|E|) adjacency build and multi-pair search are still affordable.
+// multi-pair search is still affordable.
 // Cost tables are warmed outside the timer at each size, so the numbers
 // compare search + emission, the steady state of a portfolio sweep.
 func BenchmarkRouteScale(b *testing.B) {

@@ -20,6 +20,7 @@ import (
 //     independent gates differently, but per-qubit order is an invariant
 //     of correct compilation.
 //  3. The recorded Final mapping matches the replayed movement.
+//  4. Every Movement index names a gate of the physical circuit.
 func Verify(d *device.Device, logical *circuit.Circuit, res *Result) error {
 	type op struct {
 		kind    gate.Kind
@@ -63,6 +64,13 @@ func Verify(d *device.Device, logical *circuit.Circuit, res *Result) error {
 	// SWAPs belonging to the program itself are computation: they exchange
 	// the labels' states in place, leaving the mapping untouched.
 	progAt := res.Initial.Inverse(d.NumQubits())
+	movement := make([]bool, len(res.Physical.Gates))
+	for _, gi := range res.Movement {
+		if gi < 0 || gi >= len(movement) {
+			return fmt.Errorf("verify: movement index %d outside the %d physical gates", gi, len(movement))
+		}
+		movement[gi] = true
+	}
 	var got [][]op
 	{
 		seq := make([][]op, logical.NumQubits)
@@ -71,7 +79,7 @@ func Verify(d *device.Device, logical *circuit.Circuit, res *Result) error {
 				return fmt.Errorf("verify: %s uses non-coupled qubits %d,%d", g.Kind, g.Qubits[0], g.Qubits[1])
 			}
 			switch {
-			case g.Kind == gate.SWAP && res.IsMovement(gi):
+			case g.Kind == gate.SWAP && movement[gi]:
 				a, b := g.Qubits[0], g.Qubits[1]
 				progAt[a], progAt[b] = progAt[b], progAt[a]
 			case g.Kind == gate.Barrier:
