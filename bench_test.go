@@ -359,7 +359,7 @@ func reportTrials(b *testing.B, trials int) {
 
 // BenchmarkMonteCarlo measures the packed fault-injection kernel's trial
 // throughput on the serial path. The trial budget spans 16 full blocks so
-// per-run setup (plan lookup, partial summation) amortizes and the number
+// per-run setup (plan build, partial summation) amortizes and the number
 // reported is the kernel's steady-state rate.
 func BenchmarkMonteCarlo(b *testing.B) {
 	_, prep := mcCompiled(b)
@@ -372,9 +372,9 @@ func BenchmarkMonteCarlo(b *testing.B) {
 }
 
 // BenchmarkMonteCarloPrepare measures Prepare itself (error-model
-// derivation, ASAP schedule, idle windows, hazards, packed-plan
-// construction) — the fixed cost a caller pays before the first trial,
-// and the scoring step of every compile. q20-bv16 is bv-16 under the
+// derivation, ASAP schedule, idle windows, hazards) — the scoring step
+// of every compile. The packed kernel's plan is not part of it: Run
+// builds that, so only a caller that simulates pays for it. q20-bv16 is bv-16 under the
 // baseline policy on the synthetic IBM-Q20; hh399-bv48 is bv-48 routed
 // with SABRE on heavy-hex-399, where the per-qubit work scales with 399
 // physical qubits.

@@ -246,7 +246,7 @@ func makeRow(class packedClass, p float64, tables map[float64]*binomAlias) packe
 	return row
 }
 
-// runBlockPacked is the packed counterpart of runBlockScalar: one block of
+// runBlock is the packed counterpart of runBlockScalar: one block of
 // ≤ BlockSize trials laid out as 64 lanes per word. It runs in two
 // passes. The fill pass streams each class row over the block's words,
 // sampling that class's raw failure masks (fault count via alias table or
@@ -268,7 +268,7 @@ func makeRow(class packedClass, p float64, tables map[float64]*binomAlias) packe
 // A partial trailing word samples exactly like a full one — the stream
 // layout is a pure function of word count — and its unused lanes are
 // sliced off by the combine pass's active mask.
-func (p *Prepared) runBlockPacked(seed int64, trials int) blockOutcome {
+func (pp *packedPlan) runBlock(seed int64, trials int) blockOutcome {
 	// Three decorrelated streams: splitmix64 finalizes a hash of its
 	// state, so distinct state offsets yield decorrelated sequences; a
 	// quarter period apart they cannot overlap either.
@@ -278,7 +278,6 @@ func (p *Prepared) runBlockPacked(seed int64, trials int) blockOutcome {
 	nw := (trials + 63) / 64
 	h := nw / 2
 	var masks [3][BlockSize / 64]uint64
-	pp := p.packed
 	for i := range pp.rows {
 		row := &pp.rows[i]
 		buf := &masks[row.class]

@@ -109,8 +109,7 @@ func TestPackedInterleavedClasses(t *testing.T) {
 	for _, e := range p.coh {
 		p.analytic *= 1 - e
 	}
-	p.packed = buildPackedPlan(p.gateErr, p.gateClass, p.coh)
-	if got := len(p.packed.rows); got != 3 {
+	if got := len(buildPackedPlan(p.gateErr, p.gateClass, p.coh).rows); got != 3 {
 		t.Fatalf("interleaved plan has %d rows, want 3 class aggregates", got)
 	}
 	checkKernelAgreement(t, "interleaved", p, 200000, 31)
@@ -162,8 +161,7 @@ func TestBuildPackedPlanAggregation(t *testing.T) {
 	if len(sure.rows) != 1 || sure.rows[0].p != 1 {
 		t.Fatalf("certain-failure class = %+v, want single p=1 row", sure.rows)
 	}
-	out := (&Prepared{gateErr: []float64{1}, gateClass: []gate.ErrorClass{g},
-		packed: sure}).Run(Config{Trials: 10000, Seed: 3})
+	out := (&Prepared{gateErr: []float64{1}, gateClass: []gate.ErrorClass{g}}).Run(Config{Trials: 10000, Seed: 3})
 	if out.Successes != 0 || out.GateFailures != 10000 {
 		t.Fatalf("certain-failure outcome = %+v", out)
 	}
@@ -471,7 +469,6 @@ func TestPackedPartialWords(t *testing.T) {
 		gateClass: []gate.ErrorClass{gate.OneQubit, gate.Readout},
 		coh:       []float64{0.2},
 	}
-	p.packed = buildPackedPlan(p.gateErr, p.gateClass, p.coh)
 	for _, trials := range []int{1, 5, 63, 64, 65, 127, 128, BlockSize - 1, BlockSize, BlockSize + 1} {
 		ref := p.Run(Config{Trials: trials, Seed: 5, Workers: -1})
 		if sum := ref.Successes + ref.GateFailures + ref.ReadoutFailures + ref.CoherenceFailures; sum != trials {

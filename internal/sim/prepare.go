@@ -12,12 +12,14 @@ import (
 	"vaq/internal/schedule"
 )
 
-// Prepared caches everything Run derives from a (device, circuit, error
-// model) triple — per-gate failure probabilities, per-qubit coherence
+// Prepared caches the error model of a (device, circuit, error model)
+// triple — per-gate failure probabilities, per-qubit coherence
 // exposures, the ASAP schedule's makespan and the per-class hazards — so
-// repeated PST estimates of the same compiled circuit (the common case in
-// relative-PST sweeps) pay the derivation once. A Prepared is immutable
-// after construction and safe for concurrent use.
+// scoring a compiled circuit (AnalyticPST, Breakdown) and simulating it
+// (Run) share one derivation. Run builds the packed kernel's plan from
+// that model on each call: production callers run a Prepared at most
+// once, and most only score it. A Prepared is immutable after
+// construction and safe for concurrent use.
 type Prepared struct {
 	gateErr   []float64
 	gateClass []gate.ErrorClass
@@ -25,7 +27,6 @@ type Prepared struct {
 	duration  time.Duration
 	analytic  float64
 	breakdown Breakdown
-	packed    *packedPlan // class-aggregated model for the packed kernel
 }
 
 // Prepare validates the circuit against the device and precomputes the
@@ -64,7 +65,6 @@ func Prepare(d *device.Device, phys *circuit.Circuit, cfg Config) *Prepared {
 	for _, perr := range p.coh {
 		p.analytic *= 1 - perr
 	}
-	p.packed = buildPackedPlan(p.gateErr, p.gateClass, p.coh)
 	return p
 }
 
@@ -102,9 +102,11 @@ func (p *Prepared) Estimate(cfg Config) (float64, Outcome) {
 // fixed BlockSize blocks, each driven by an RNG seeded from (cfg.Seed,
 // blockIndex) via a SplitMix64 derivation, and the blocks are distributed
 // over cfg.Workers goroutines; the Outcome is a pure function of (error
-// model, Seed, Trials), bit-identical at every worker count.
+// model, Seed, Trials), bit-identical at every worker count. Each call
+// builds the packed kernel's class-aggregated plan first, so a Prepared
+// that is only scored (AnalyticPST, Breakdown) never pays for it.
 func (p *Prepared) Run(cfg Config) Outcome {
-	return p.run(cfg, KernelPacked, p.runBlockPacked)
+	return p.run(cfg, KernelPacked, buildPackedPlan(p.gateErr, p.gateClass, p.coh).runBlock)
 }
 
 // run is Run over a given block kernel, named kernel in the Outcome.
