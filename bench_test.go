@@ -357,10 +357,11 @@ func reportTrials(b *testing.B, trials int) {
 	}
 }
 
-// BenchmarkMonteCarlo measures the packed fault-injection kernel's trial
-// throughput on the serial path. The trial budget spans 16 full blocks so
-// per-run setup (plan build, partial summation) amortizes and the number
-// reported is the kernel's steady-state rate.
+// BenchmarkMonteCarlo measures one serial Run of the packed
+// fault-injection kernel: the plan build (with the split tables it fills
+// lazily) and 16 full blocks of trials. Every Run rebuilds the plan, as
+// a caller that runs its Prepared once pays for it; on this workload
+// that is about a third of the figure.
 func BenchmarkMonteCarlo(b *testing.B) {
 	_, prep := mcCompiled(b)
 	const trials = 16 * sim.BlockSize
@@ -374,10 +375,10 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // BenchmarkMonteCarloPrepare measures Prepare itself (error-model
 // derivation, ASAP schedule, idle windows, hazards) — the scoring step
 // of every compile. The packed kernel's plan is not part of it: Run
-// builds that, so only a caller that simulates pays for it. q20-bv16 is bv-16 under the
-// baseline policy on the synthetic IBM-Q20; hh399-bv48 is bv-48 routed
-// with SABRE on heavy-hex-399, where the per-qubit work scales with 399
-// physical qubits.
+// builds that, so only a caller that simulates pays for it. q20-bv16 is
+// bv-16 under the baseline policy on the synthetic IBM-Q20; hh399-bv48
+// is bv-48 routed with SABRE on heavy-hex-399, where the per-qubit work
+// scales with 399 physical qubits.
 func BenchmarkMonteCarloPrepare(b *testing.B) {
 	hh399, err := calib.ZooArchive("heavy-hex-399", 2019)
 	if err != nil {

@@ -38,11 +38,8 @@ type costs struct {
 	// baseline allocator and with both cost models' tables; read-only.
 	hops *graphx.Rows
 	// adjCost[a][b]: lower-estimate cost to make qubits at a and b
-	// adjacent (each may move): min over coupling (u,v) of
-	// min(dist[a][u]+dist[b][v], dist[a][v]+dist[b][u]). It is the A*
-	// heuristic's one n×n table, built lazily by ensureAdj on first A*
-	// use: Sabre routes off dist/coupled alone, so large-device SABRE
-	// runs never pay for it.
+	// adjacent when each may move (see adjacencyTable). Built lazily by
+	// ensureAdj on first A* use; Sabre routes off dist/coupled alone.
 	adjCost [][]float64
 	// adjOnce guards the lazy adjCost build.
 	adjOnce sync.Once
@@ -102,18 +99,13 @@ func (cm *costs) ensureAdj() {
 }
 
 // adjacencyTable computes, for every physical pair (a,b), the cheapest
-// way to place them across some coupling link when both may move:
-// min over links (u,v), either orientation, of dist[a][u]+dist[b][v].
-// The unqueried diagonal is 0.
-//
-// Under CostHops that is hops−1 (a shortest path's links reach it, and
-// no link beats it), so row a is the hop row minus 1. Under
-// CostReliability the edge minimum runs for a < b and is mirrored: both
-// orientations sum the same terms, and IEEE addition commutes. Grouping
-// the links by their b-side end v, it is min over v of near[v]+dist[b][v],
-// where near[v] is the least dist[a][u] over v's neighbours u; rounding
-// is monotone, so adding dist[b][v] after the inner minimum yields the
-// same bits as adding it to every term.
+// way to place them across a coupling link (u,v) when both may move:
+// min of dist[a][u]+dist[b][v] over links, either orientation; 0 on the
+// unqueried diagonal. Under CostHops that is hops−1, which a shortest
+// path's links reach and no link beats. Under CostReliability it runs
+// for a < b and is mirrored (addition commutes), as min over v of
+// near[v]+dist[b][v], near[v] being the least dist[a][u] over v's
+// neighbours: rounding is monotone, so that gives the per-link bits.
 func adjacencyTable(model CostModel, edges []graphx.Edge, dist *graphx.Rows, n int) [][]float64 {
 	flat := make([]float64, n*n)
 	near := make([]float64, n)

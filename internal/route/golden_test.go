@@ -52,14 +52,6 @@ func goldenQ5() *device.Device {
 	return uniformDevice(topo.IBMQ5(), 0.04)
 }
 
-func goldenHH399() *device.Device {
-	arch, err := calib.ZooArchive("heavy-hex-399-mid", 2019)
-	if err != nil {
-		panic(err)
-	}
-	return device.MustNew(arch.Topo, arch.MustMean())
-}
-
 // goldenZoo returns the mean-calibration device of a zoo fleet at seed
 // 2019.
 func goldenZoo(name string) func() *device.Device {
@@ -129,8 +121,8 @@ func goldenCases() []goldenCase {
 		{"q20/qft8/sabre-rel", goldenQ20, func() *circuit.Circuit { return workloads.QFT(8) }, permInit(7), Sabre{Cost: CostReliability}, 0x5228e65ad7b4c315},
 		{"q20/rand12/sabre-rel", goldenQ20, func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(3), Sabre{Cost: CostReliability}, 0xd8a9387e4196d085},
 		{"ring5/rand4/sabre-hops", ring5Fig1, func() *circuit.Circuit { return goldenRandomCircuit(4, 20, 5) }, permInit(9), Sabre{Cost: CostHops}, 0xbf9ec707a545d8a9},
-		{"hh399/bv40/sabre-hops", goldenHH399, func() *circuit.Circuit { return workloads.BV(40) }, permInit(13), Sabre{Cost: CostHops}, 0x107e44b4ef80f477},
-		{"hh399/bv40/sabre-rel", goldenHH399, func() *circuit.Circuit { return workloads.BV(40) }, permInit(13), Sabre{Cost: CostReliability}, 0xe64414e2ec6c755a},
+		{"hh399/bv40/sabre-hops", goldenZoo("heavy-hex-399-mid"), func() *circuit.Circuit { return workloads.BV(40) }, permInit(13), Sabre{Cost: CostHops}, 0x107e44b4ef80f477},
+		{"hh399/bv40/sabre-rel", goldenZoo("heavy-hex-399-mid"), func() *circuit.Circuit { return workloads.BV(40) }, permInit(13), Sabre{Cost: CostReliability}, 0xe64414e2ec6c755a},
 		// A* on heavy-hex fleets, pinned before the adjacency table was
 		// rebuilt from hop rows: these read the table far from the
 		// diagonal, where the small machines above never reach.

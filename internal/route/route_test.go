@@ -531,15 +531,14 @@ func referenceAdjacency(edges []graphx.Edge, dist *graphx.Rows, n int) [][]float
 // mirrored), and the MAH budget's minimum-swap count equals the sum of
 // the reference hop-model minimum over random mappings.
 func TestAdjacencyMatchesReference(t *testing.T) {
-	zoo := func(name string) *device.Device { return goldenZoo(name)() }
 	for _, tc := range []struct {
 		name string
 		d    *device.Device
 	}{
 		{"q20", goldenQ20()},
 		{"ring5", ring5Fig1()},
-		{"grid-25", zoo("grid-25")},
-		{"heavy-hex-127-holes8", zoo("heavy-hex-127-holes8")},
+		{"grid-25", goldenZoo("grid-25")()},
+		{"heavy-hex-127-holes8", goldenZoo("heavy-hex-127-holes8")()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.d.NumQubits()

@@ -58,7 +58,7 @@ func TestSabreConcurrentDeterminism(t *testing.T) {
 // A* router cannot attempt (its adjacency build alone is O(n²·|E|)).
 // Kept -short-friendly: one route, no Monte-Carlo.
 func TestSabreHeavyHex399(t *testing.T) {
-	d := goldenHH399()
+	d := goldenZoo("heavy-hex-399-mid")()
 	c := workloads.BV(60)
 	init := permInit(5)(d, c)
 	r := Sabre{Cost: CostHops}

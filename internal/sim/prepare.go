@@ -103,8 +103,7 @@ func (p *Prepared) Estimate(cfg Config) (float64, Outcome) {
 // blockIndex) via a SplitMix64 derivation, and the blocks are distributed
 // over cfg.Workers goroutines; the Outcome is a pure function of (error
 // model, Seed, Trials), bit-identical at every worker count. Each call
-// builds the packed kernel's class-aggregated plan first, so a Prepared
-// that is only scored (AnalyticPST, Breakdown) never pays for it.
+// first builds the packed kernel's class-aggregated plan.
 func (p *Prepared) Run(cfg Config) Outcome {
 	return p.run(cfg, KernelPacked, buildPackedPlan(p.gateErr, p.gateClass, p.coh).runBlock)
 }
