@@ -99,6 +99,9 @@ func goldenCases() []goldenCase {
 	hops := AStar{Cost: CostHops, MAH: -1}
 	rel := AStar{Cost: CostReliability, MAH: -1}
 	mah4 := AStar{Cost: CostReliability, MAH: 4}
+	hopsX1 := AStar{Cost: CostHops, MAH: -1, MaxExpansions: 1}
+	relX1 := AStar{Cost: CostReliability, MAH: -1, MaxExpansions: 1}
+	mah1X1 := AStar{Cost: CostReliability, MAH: 1, MaxExpansions: 1}
 	return []goldenCase{
 		{"q20/bv16/hops", goldenQ20, func() *circuit.Circuit { return workloads.BV(16) }, identityInit, hops, 0x8974ee7d7da4d1b4},
 		{"q20/bv16/reliability", goldenQ20, func() *circuit.Circuit { return workloads.BV(16) }, identityInit, rel, 0x0c26f74dbc0733aa},
@@ -129,6 +132,18 @@ func goldenCases() []goldenCase {
 		{"hh127/qft8/hops", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), hops, 0xf807b8b1e54cc362},
 		{"hh127/qft8/reliability", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), rel, 0x4dd3238b6ad7559d},
 		{"hh127/qft8/mah4", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), mah4, 0x4dd3238b6ad7559d},
+		// Path walks, pinned before the routers shared one walk over the
+		// cached distance rows: a one-expansion A* routes every layer
+		// through its gate-by-gate fallback, and Naive walks every
+		// non-adjacent CNOT on lattices where shortest paths tie often.
+		{"q20/rand12/hops-x1", goldenQ20, func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(3), hopsX1, 0x5a229301fcff71ff},
+		{"q20/rand12/reliability-x1", goldenQ20, func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(3), relX1, 0x02474a296aaaa248},
+		{"q20/rand12/mah1-x1", goldenQ20, func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(3), mah1X1, 0x02474a296aaaa248},
+		{"hh127/qft8/hops-x1", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), hopsX1, 0x83c246f9d35e4ee5},
+		{"hh127/qft8/reliability-x1", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), relX1, 0x702ee5c6deff48dd},
+		{"hh127/qft8/mah1-x1", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), mah1X1, 0x702ee5c6deff48dd},
+		{"hh127/rand12/naive", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(23), Naive{}, 0x19afbdaf60206fae},
+		{"grid100/rand12/naive", goldenZoo("grid-100-high"), func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(29), Naive{}, 0x330bc6eba864d96d},
 	}
 }
 
