@@ -81,7 +81,7 @@ func TestRestrictIsolatedSubsetStillValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.Topology().Connected() {
+	if sub.Topology().Graph(1).Connected(nil) {
 		t.Fatal("0/19 subset should be disconnected")
 	}
 }

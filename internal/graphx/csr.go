@@ -8,9 +8,9 @@ package graphx
 // Because it is immutable it is safe to share across goroutines.
 //
 // The traversal order (neighbors ascending, heap ties broken by node
-// index) matches Graph.Dijkstra exactly, so the distance matrices
-// computed here are bit-identical to the single-source Graph ones — a
-// property the routing determinism tests rely on.
+// index) is that of the textbook Dijkstra the tests keep as a reference,
+// so every distance here is bit-identical to its — a property the
+// routing determinism tests rely on.
 type CSR struct {
 	n   int
 	off []int32
@@ -36,8 +36,9 @@ func (g *Graph) CSR() *CSR {
 func (c *CSR) N() int { return c.n }
 
 // DijkstraInto computes the minimum total edge weight from src to every
-// node into dist (len N), reusing done and heap as scratch. It performs
-// exactly the relaxations Graph.Dijkstra performs, in the same order.
+// node into dist (len N), reusing done and heap as scratch. It pops
+// nodes in (distance, node) order and relaxes only on strict
+// improvement, neighbours ascending.
 func (c *CSR) DijkstraInto(src int, dist []float64, done []bool, h *[]pqItem) {
 	for i := range dist {
 		dist[i] = Inf

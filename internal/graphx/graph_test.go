@@ -1,6 +1,7 @@
 package graphx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -167,24 +168,18 @@ func TestDijkstraPrefersCheaperLongerRoute(t *testing.T) {
 	g.AddEdge(0, 4, 1)
 	g.AddEdge(4, 3, 1)
 	g.AddEdge(3, 2, 1)
-	pathN, w, ok := g.ShortestPath(0, 2)
-	if !ok {
-		t.Fatal("no path found")
+	dist, prev := g.Dijkstra(0)
+	if dist[2] != 3 {
+		t.Fatalf("weight = %v, want 3", dist[2])
 	}
-	if w != 3 {
-		t.Fatalf("weight = %v, want 3", w)
-	}
-	if want := []int{0, 4, 3, 2}; !reflect.DeepEqual(pathN, want) {
-		t.Fatalf("path = %v, want %v", pathN, want)
+	if got, want := reconstruct(prev, 0, 2), []int{0, 4, 3, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("path = %v, want %v", got, want)
 	}
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
-	if _, _, ok := g.ShortestPath(0, 3); ok {
-		t.Fatal("found path to unreachable node")
-	}
 	dist, prev := g.Dijkstra(0)
 	if !math.IsInf(dist[3], 1) || prev[3] != -1 {
 		t.Fatal("unreachable node has finite dist or predecessor")
@@ -328,21 +323,6 @@ func TestDijkstraSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestShortestPathEndpoints(t *testing.T) {
-	g := path(4)
-	p, w, ok := g.ShortestPath(0, 3)
-	if !ok || w != 3 {
-		t.Fatalf("ShortestPath = %v,%v,%v", p, w, ok)
-	}
-	if p[0] != 0 || p[len(p)-1] != 3 {
-		t.Fatalf("path endpoints wrong: %v", p)
-	}
-	p, w, ok = g.ShortestPath(2, 2)
-	if !ok || w != 0 || len(p) != 1 || p[0] != 2 {
-		t.Fatalf("trivial path = %v,%v,%v", p, w, ok)
-	}
-}
-
 // TestStrengthSumsAreBitStable: 1 + 1e-16 + 1e-16 rounds to 1 when the 1
 // comes first and to 1+2⁻⁵² when it comes last, so a strength summed in
 // map-iteration order changed bits from call to call. Sums now run in
@@ -386,4 +366,58 @@ func TestNeighborsViewIsReadOnly(t *testing.T) {
 	if a[3] != 5 || !reflect.DeepEqual(g.Neighbors(2), []int{0, 3, 4, 5}) {
 		t.Fatalf("AddEdge after appends: view %v, Neighbors(2) %v", a, g.Neighbors(2))
 	}
+}
+
+// Dijkstra is the textbook single-source search the CSR builders are
+// checked against: it returns the minimum total edge weight from src to
+// every node and a predecessor array for path reconstruction (prev[src]
+// == -1; prev[v] == -1 also marks unreachable nodes). Edge weights must
+// be non-negative.
+func (g *Graph) Dijkstra(src int) (dist []float64, prev []int) {
+	g.check(src)
+	dist = make([]float64, g.n)
+	prev = make([]int, g.n)
+	done := make([]bool, g.n)
+	for i := range dist {
+		dist[i] = Inf
+		prev[i] = -1
+	}
+	dist[src] = 0
+	q := []pqItem{{node: int32(src)}}
+	for len(q) > 0 {
+		u := int(pqPop(&q).node)
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for i, v := range g.nbr[u] {
+			w := g.wts[u][i]
+			if w < 0 {
+				panic(fmt.Sprintf("graphx: negative edge weight %v on %d-%d", w, u, v))
+			}
+			if nd := dist[u] + w; nd < dist[v] {
+				dist[v] = nd
+				prev[v] = u
+				pqPush(&q, pqItem{node: int32(v), dist: nd})
+			}
+		}
+	}
+	return dist, prev
+}
+
+// reconstruct returns the src→dst path that Dijkstra's prev array
+// records, both endpoints included.
+func reconstruct(prev []int, src, dst int) []int {
+	var rev []int
+	for v := dst; v != -1; v = prev[v] {
+		rev = append(rev, v)
+		if v == src {
+			break
+		}
+	}
+	// Reverse in place.
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
 }

@@ -1,8 +1,7 @@
 package graphx
 
-import "fmt"
-
-// pqItem is an entry in the Dijkstra priority queues (Graph and CSR),
+// pqItem is an entry in the Dijkstra priority queues (CSR and
+// hop-constrained),
 // ordered by distance, then node index, then hop count; hops is 0 outside
 // the hop-constrained search.
 type pqItem struct {
@@ -57,67 +56,6 @@ func pqPop(h *[]pqItem) pqItem {
 		i = s
 	}
 	return top
-}
-
-// Dijkstra returns the minimum total edge weight from src to every node and
-// a predecessor array for path reconstruction (prev[src] == -1; prev[v] ==
-// -1 also marks unreachable nodes). Edge weights must be non-negative.
-func (g *Graph) Dijkstra(src int) (dist []float64, prev []int) {
-	g.check(src)
-	dist = make([]float64, g.n)
-	prev = make([]int, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = Inf
-		prev[i] = -1
-	}
-	dist[src] = 0
-	q := []pqItem{{node: int32(src)}}
-	for len(q) > 0 {
-		u := int(pqPop(&q).node)
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for i, v := range g.nbr[u] {
-			w := g.wts[u][i]
-			if w < 0 {
-				panic(fmt.Sprintf("graphx: negative edge weight %v on %d-%d", w, u, v))
-			}
-			if nd := dist[u] + w; nd < dist[v] {
-				dist[v] = nd
-				prev[v] = u
-				pqPush(&q, pqItem{node: int32(v), dist: nd})
-			}
-		}
-	}
-	return dist, prev
-}
-
-// ShortestPath returns the minimum-weight path from src to dst as a node
-// sequence including both endpoints, and its total weight. ok is false when
-// dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int) (path []int, weight float64, ok bool) {
-	dist, prev := g.Dijkstra(src)
-	if dist[dst] == Inf {
-		return nil, Inf, false
-	}
-	return reconstruct(prev, src, dst), dist[dst], true
-}
-
-func reconstruct(prev []int, src, dst int) []int {
-	var rev []int
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // ConstrainedDijkstra returns, for every node v, the minimum total edge

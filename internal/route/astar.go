@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"vaq/internal/alloc"
@@ -24,9 +25,9 @@ type costs struct {
 	// (U, V) — the A* neighbor-expansion order, so it is part of the
 	// determinism contract.
 	edges []graphx.Edge
-	// graph is the Dijkstra-ready swap-cost graph (same weights as edges);
-	// pairPlan's greedy fallback runs its path searches on it directly
-	// instead of rebuilding a graph from edges on every call.
+	// graph is the swap-cost graph (same weights as edges): path reads
+	// its neighbour lists and weights, and the MAH fallback runs its
+	// hop-limited search on it.
 	graph *graphx.Graph
 	// dist.Row(a)[b]: minimum summed SWAP cost to move a qubit from a to
 	// b, each row built on first touch. Under CostHops every SWAP costs
@@ -89,6 +90,31 @@ func newCosts(d *device.Device, model CostModel) *costs {
 func (cm *costs) isCoupled(a, b int) bool {
 	i := uint(a*cm.n + b)
 	return cm.coupled[i/64]&(1<<(i%64)) != 0
+}
+
+// path returns the cheapest src→dst path, both endpoints included, in
+// buf's storage. It is the path Dijkstra from src records, recovered from
+// the memoized row dist.Row(src) alone: stepping back from dst, each
+// node v's predecessor is the neighbour u with row[u]+w(u,v) == row[v]
+// and the least (row[u], u). Dijkstra pops nodes in (distance, node)
+// order and relaxes only on strict improvement, so that u is the one it
+// records.
+func (cm *costs) path(src, dst int, buf []int) []int {
+	row := cm.dist.Row(src)
+	buf = append(buf[:0], dst)
+	for v := dst; v != src; {
+		pred := -1
+		for _, u := range cm.graph.Neighbors(v) {
+			w, _ := cm.graph.Weight(u, v)
+			if row[u]+w == row[v] && (pred == -1 || row[u] < row[pred]) {
+				pred = u
+			}
+		}
+		v = pred
+		buf = append(buf, v)
+	}
+	slices.Reverse(buf)
+	return buf
 }
 
 // ensureAdj builds the adjacency-cost table on first use, under a
@@ -584,26 +610,19 @@ func (sc *searchScratch) extractPlan(si int32) []physPair {
 	return sc.plan
 }
 
-// pairPlan routes a single physical pair: it walks the qubit at src along
-// the cheapest (optionally hop-limited) path toward dst and returns the
-// swap sequence that makes them adjacent. Deterministic; always terminates
-// on a connected machine.
-func (r AStar) pairPlan(cm *costs, src, dst int) []physPair {
-	if cm.isCoupled(src, dst) {
-		return nil
+// movePair routes a single physical pair: it walks the qubit at src
+// along the cheapest (optionally hop-limited) path until it sits next to
+// dst. Deterministic; always terminates on a connected machine.
+func (r AStar) movePair(e *emitter, src, dst int) {
+	if e.cm.isCoupled(src, dst) {
+		return
 	}
-	var path []int
 	if r.MAH >= 0 {
-		maxHops := int(cm.hops.Row(src)[dst]) + r.MAH
-		_, paths := cm.graph.ConstrainedDijkstra(src, maxHops)
-		path = paths[dst]
+		maxHops := int(e.cm.hops.Row(src)[dst]) + r.MAH
+		if _, paths := e.cm.graph.ConstrainedDijkstra(src, maxHops); paths[dst] != nil {
+			e.along(paths[dst])
+			return
+		}
 	}
-	if path == nil {
-		path, _, _ = cm.graph.ShortestPath(src, dst)
-	}
-	var plan []physPair
-	for i := 0; i+2 < len(path); i++ {
-		plan = append(plan, physPair{path[i], path[i+1]})
-	}
-	return plan
+	e.walk(src, dst)
 }

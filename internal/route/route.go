@@ -2,7 +2,7 @@
 // initial program→physical mapping, insert SWAP operations so every
 // two-qubit gate executes across a real coupling link.
 //
-// Two routers are provided:
+// Three routers are provided:
 //
 //   - AStar: the layer-by-layer search of Zulehner et al. (the paper's
 //     baseline), parameterized by cost model. With CostHops it minimizes
@@ -11,17 +11,24 @@
 //     paper's Variation-Aware Qubit Movement (VQM, Algorithm 1). The MAH
 //     field implements the hop-limited VQM variant.
 //
-//   - Naive: route each CNOT independently along an arbitrary shortest hop
-//     path, modeling the IBM native compiler's movement strategy.
+//   - Naive: route each CNOT independently along a shortest hop path,
+//     modeling the IBM native compiler's movement strategy.
+//
+//   - Sabre: the SABRE heuristic (sabre.go), for devices beyond A*'s reach.
+//
+// All three emit through one emitter, which owns the output circuit and
+// the mapping, and walk paths over the memoized distance rows of cache.go.
 package route
 
 import (
 	"fmt"
+	"slices"
 
 	"vaq/internal/alloc"
 	"vaq/internal/circuit"
 	"vaq/internal/device"
 	"vaq/internal/gate"
+	"vaq/internal/graphx"
 )
 
 // Result is a routed (physical) program.
@@ -105,22 +112,16 @@ func (r AStar) Name() string {
 // cache.go — and every search buffer comes from a reused scratch, so in a
 // warmed-up compile loop routing allocates only the output circuit.
 func (r AStar) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping) (*Result, error) {
-	if err := prepare(d, c, initial); err != nil {
+	e, err := newEmitter(d, c, initial, r.Cost)
+	if err != nil {
 		return nil, err
 	}
-	cm := cachedCosts(d, r.Cost)
+	cm := e.cm
 	cm.ensureAdj() // the A* heuristic reads adjCost
 	maxExp := r.MaxExpansions
 	if maxExp <= 0 {
 		maxExp = 50000
 	}
-
-	out := circuit.New(c.Name, d.NumQubits())
-	out.NumCBits = c.NumCBits
-	m := initial.Clone()
-	swaps := 0
-	var movement []int
-	var ops opSlab
 
 	sc := getScratch()
 	defer putScratch(sc)
@@ -144,15 +145,13 @@ func (r AStar) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping
 			}
 			weight *= lookaheadDecay
 		}
-		plan, ok := r.searchSwaps(cm, sc, m, pairs, sc.future, sc.futureW, maxExp)
+		plan, ok := r.searchSwaps(cm, sc, e.m, pairs, sc.future, sc.futureW, maxExp)
 		if ok {
 			for _, sw := range plan {
-				emitSwap(out, m, sw, &ops)
-				swaps++
-				movement = append(movement, len(out.Gates)-1)
+				e.swap(sw)
 			}
 			for _, gi := range layer {
-				emitGate(out, c.Gates[gi], m, &ops)
+				e.gate(c.Gates[gi])
 			}
 			continue
 		}
@@ -162,30 +161,91 @@ func (r AStar) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping
 		for _, gi := range layer {
 			g := c.Gates[gi]
 			if g.Kind.TwoQubit() {
-				for _, sw := range r.pairPlan(cm, m[g.Qubits[0]], m[g.Qubits[1]]) {
-					emitSwap(out, m, sw, &ops)
-					swaps++
-					movement = append(movement, len(out.Gates)-1)
-				}
+				r.movePair(e, e.m[g.Qubits[0]], e.m[g.Qubits[1]])
 			}
-			emitGate(out, c.Gates[gi], m, &ops)
+			e.gate(g)
 		}
 	}
-	return &Result{Physical: out, Initial: initial.Clone(), Final: m, Swaps: swaps, Movement: movement}, nil
+	return e.result(), nil
 }
 
-// prepare validates router inputs.
-func prepare(d *device.Device, c *circuit.Circuit, initial alloc.Mapping) error {
+// emitter builds one Route call's output for every router: the physical
+// circuit, the program→physical mapping and its inverse, and the
+// indices of the movement SWAPs it inserts.
+type emitter struct {
+	cm       *costs
+	out      *circuit.Circuit
+	initial  alloc.Mapping
+	m        alloc.Mapping // program → physical
+	inv      []int         // physical → program, -1 empty
+	ops      opSlab
+	movement []int
+	path     []int // walk buffer
+}
+
+// newEmitter validates the router inputs and starts the output of
+// routing c onto d from initial under the cost model's tables.
+func newEmitter(d *device.Device, c *circuit.Circuit, initial alloc.Mapping, model CostModel) (*emitter, error) {
 	if len(initial) != c.NumQubits {
-		return fmt.Errorf("route: mapping covers %d qubits, program has %d", len(initial), c.NumQubits)
+		return nil, fmt.Errorf("route: mapping covers %d qubits, program has %d", len(initial), c.NumQubits)
 	}
 	if err := initial.Validate(d.NumQubits()); err != nil {
-		return fmt.Errorf("route: %w", err)
+		return nil, fmt.Errorf("route: %w", err)
 	}
-	if !d.Topology().Connected() {
-		return fmt.Errorf("route: device %q is not connected", d.Topology().Name)
+	cm := cachedCosts(d, model)
+	if cm.n > 0 && slices.Contains(cm.hops.Row(0), graphx.Inf) {
+		return nil, fmt.Errorf("route: device %q is not connected", d.Topology().Name)
 	}
-	return nil
+	out := circuit.New(c.Name, cm.n)
+	out.NumCBits = c.NumCBits
+	e := &emitter{cm: cm, out: out, initial: initial, m: initial.Clone(), inv: make([]int, cm.n)}
+	e.m.InverseInto(e.inv)
+	return e, nil
+}
+
+// swap appends a movement SWAP and exchanges the program qubits at its
+// ends, through the inverse map.
+func (e *emitter) swap(sw physPair) {
+	qs := e.ops.take(2)
+	qs[0], qs[1] = sw.U, sw.V
+	e.out.Append(circuit.Gate{Kind: gate.SWAP, Qubits: qs, CBit: -1})
+	e.movement = append(e.movement, len(e.out.Gates)-1)
+	pu, pv := e.inv[sw.U], e.inv[sw.V]
+	if pu != -1 {
+		e.m[pu] = sw.V
+	}
+	if pv != -1 {
+		e.m[pv] = sw.U
+	}
+	e.inv[sw.U], e.inv[sw.V] = pv, pu
+}
+
+// gate appends program gate g with its operands mapped to physical qubits.
+func (e *emitter) gate(g circuit.Gate) {
+	qs := e.ops.take(len(g.Qubits))
+	for i, q := range g.Qubits {
+		qs[i] = e.m[q]
+	}
+	e.out.Append(circuit.Gate{Kind: g.Kind, Qubits: qs, Param: g.Param, CBit: g.CBit})
+}
+
+// along swaps the qubit at path[0] down the path until it sits next to
+// the path's last node.
+func (e *emitter) along(path []int) {
+	for i := 0; i+2 < len(path); i++ {
+		e.swap(physPair{path[i], path[i+1]})
+	}
+}
+
+// walk swaps the qubit at src along the cheapest path until it sits
+// next to dst.
+func (e *emitter) walk(src, dst int) {
+	e.path = e.cm.path(src, dst, e.path)
+	e.along(e.path)
+}
+
+func (e *emitter) result() *Result {
+	return &Result{Physical: e.out, Initial: e.initial.Clone(), Final: e.m, Swaps: len(e.movement), Movement: e.movement}
 }
 
 // physPair is a physical SWAP: exchange the contents of qubits U and V.
@@ -225,67 +285,27 @@ func (s *opSlab) take(n int) []int {
 	return out
 }
 
-// emitSwap appends the SWAP to the output circuit and updates the
-// program→physical mapping for any program qubits it displaces.
-func emitSwap(out *circuit.Circuit, m alloc.Mapping, sw physPair, ops *opSlab) {
-	qs := ops.take(2)
-	qs[0], qs[1] = sw.U, sw.V
-	out.Append(circuit.Gate{Kind: gate.SWAP, Qubits: qs, CBit: -1})
-	for p, phys := range m {
-		switch phys {
-		case sw.U:
-			m[p] = sw.V
-		case sw.V:
-			m[p] = sw.U
-		}
-	}
-}
-
-// emitGate appends gate g with operands mapped through m.
-func emitGate(out *circuit.Circuit, g circuit.Gate, m alloc.Mapping, ops *opSlab) {
-	qs := ops.take(len(g.Qubits))
-	for i, q := range g.Qubits {
-		qs[i] = m[q]
-	}
-	out.Append(circuit.Gate{Kind: g.Kind, Qubits: qs, Param: g.Param, CBit: g.CBit})
-}
-
 // Naive routes each two-qubit gate independently: if its operands are not
-// adjacent, it swaps the control along an arbitrary minimum-hop path until
-// they are. No layer lookahead, no cost model — the movement half of the
+// adjacent, it swaps the control along a minimum-hop path (the one a
+// hop-count Dijkstra records) until they are. No layer lookahead, no cost model — the movement half of the
 // paper's "IBM native compiler" comparator.
 type Naive struct{}
 
 func (Naive) Name() string { return "naive" }
 
 func (Naive) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping) (*Result, error) {
-	if err := prepare(d, c, initial); err != nil {
+	e, err := newEmitter(d, c, initial, CostHops)
+	if err != nil {
 		return nil, err
 	}
-	out := circuit.New(c.Name, d.NumQubits())
-	out.NumCBits = c.NumCBits
-	m := initial.Clone()
-	hop := d.HopGraph()
-	swaps := 0
-	var movement []int
-	var ops opSlab
 	for _, g := range c.Gates {
 		if g.Kind.TwoQubit() {
-			src, dst := m[g.Qubits[0]], m[g.Qubits[1]]
-			if !d.Topology().Adjacent(src, dst) {
-				path, _, ok := hop.ShortestPath(src, dst)
-				if !ok {
-					return nil, fmt.Errorf("route: no path %d→%d", src, dst)
-				}
-				// Swap the control down the path until adjacent to dst.
-				for i := 0; i+2 < len(path); i++ {
-					emitSwap(out, m, physPair{path[i], path[i+1]}, &ops)
-					swaps++
-					movement = append(movement, len(out.Gates)-1)
-				}
+			// Swap the control down the path until adjacent to the target.
+			if src, dst := e.m[g.Qubits[0]], e.m[g.Qubits[1]]; !e.cm.isCoupled(src, dst) {
+				e.walk(src, dst)
 			}
 		}
-		emitGate(out, g, m, &ops)
+		e.gate(g)
 	}
-	return &Result{Physical: out, Initial: initial.Clone(), Final: m, Swaps: swaps, Movement: movement}, nil
+	return e.result(), nil
 }

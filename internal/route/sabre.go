@@ -52,12 +52,11 @@ func (r Sabre) Name() string {
 	return "sabre-reliability"
 }
 
-// sabreState carries the per-Route working set.
+// sabreState carries the per-Route working set; its emitter holds the
+// output and the mapping.
 type sabreState struct {
-	cm  *costs
-	c   *circuit.Circuit
-	m   alloc.Mapping // program → physical
-	inv []int         // physical → program, -1 empty
+	*emitter
+	c *circuit.Circuit
 
 	succs  [][]int // dependency DAG: gate → later gates it enables
 	indeg  []int   // unretired predecessor count per gate
@@ -82,21 +81,12 @@ type sabreState struct {
 // matrices stay unbuilt: SABRE only reads dist and coupled, and only
 // the dist rows of the qubits it scores are ever built.
 func (r Sabre) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping) (*Result, error) {
-	if err := prepare(d, c, initial); err != nil {
+	e, err := newEmitter(d, c, initial, r.Cost)
+	if err != nil {
 		return nil, err
 	}
-	cm := cachedCosts(d, r.Cost)
 	n := d.NumQubits()
-
-	out := circuit.New(c.Name, n)
-	out.NumCBits = c.NumCBits
-	var ops opSlab
-	var movement []int
-	swaps := 0
-
-	st := &sabreState{cm: cm, c: c, m: initial.Clone()}
-	st.inv = make([]int, n)
-	st.m.InverseInto(st.inv)
+	st := &sabreState{emitter: e, c: c}
 	st.buildDeps()
 	st.decay = make([]float64, n)
 	st.active = make([]bool, n)
@@ -109,15 +99,8 @@ func (r Sabre) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping
 	stallLimit := 2*n + 16
 	stall := 0
 
-	emit := func(sw physPair) {
-		emitSwap(out, st.m, sw, &ops)
-		st.inv[sw.U], st.inv[sw.V] = st.inv[sw.V], st.inv[sw.U]
-		swaps++
-		movement = append(movement, len(out.Gates)-1)
-	}
-
 	for st.remain > 0 {
-		if st.executeReady(out, &ops) {
+		if st.executeReady() {
 			st.resetDecay()
 			stall = 0
 			continue
@@ -129,14 +112,7 @@ func (r Sabre) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping
 		if stall >= stallLimit {
 			// Deterministic escape hatch: walk the first front gate's
 			// control toward its target along the cheapest path.
-			f := st.front[0]
-			path, _, ok := cm.graph.ShortestPath(f[0], f[1])
-			if !ok {
-				return nil, fmt.Errorf("route: no path %d→%d", f[0], f[1])
-			}
-			for i := 0; i+2 < len(path); i++ {
-				emit(physPair{path[i], path[i+1]})
-			}
+			st.walk(st.front[0][0], st.front[0][1])
 			st.resetDecay()
 			stall = 0
 			continue
@@ -148,12 +124,12 @@ func (r Sabre) Route(d *device.Device, c *circuit.Circuit, initial alloc.Mapping
 			// connected device, but fail loudly rather than spin.
 			return nil, fmt.Errorf("route: sabre found no candidate swap on %q", d.Topology().Name)
 		}
-		emit(sw)
+		st.swap(sw)
 		st.decay[sw.U] += sabreDecayStep
 		st.decay[sw.V] += sabreDecayStep
 		stall++
 	}
-	return &Result{Physical: out, Initial: initial.Clone(), Final: st.m, Swaps: swaps, Movement: movement}, nil
+	return st.result(), nil
 }
 
 // buildDeps constructs the gate dependency DAG: gate gi depends on the
@@ -216,7 +192,7 @@ func (st *sabreState) executable(gi int) bool {
 // sorted insertion sees them). Barriers retire without emission —
 // circuit.Layers never schedules them, so the A* output they must
 // match never contains them either. Reports whether anything retired.
-func (st *sabreState) executeReady(out *circuit.Circuit, ops *opSlab) bool {
+func (st *sabreState) executeReady() bool {
 	progress := false
 	for i := 0; i < len(st.ready); {
 		gi := st.ready[i]
@@ -226,7 +202,7 @@ func (st *sabreState) executeReady(out *circuit.Circuit, ops *opSlab) bool {
 		}
 		g := st.c.Gates[gi]
 		if g.Kind.TwoQubit() || g.Kind.Arity() == 1 {
-			emitGate(out, g, st.m, ops)
+			st.gate(g)
 		}
 		st.ready = append(st.ready[:i], st.ready[i+1:]...)
 		for _, e := range st.retire(gi) {

@@ -8,7 +8,9 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vaq/internal/graphx"
@@ -23,7 +25,7 @@ type Coupling struct {
 type Topology struct {
 	Name      string
 	NumQubits int
-	Couplings []Coupling
+	Couplings []Coupling // sorted by (A, B); Adjacent searches it
 }
 
 // New builds a topology after normalizing (A < B) and validating the
@@ -78,21 +80,17 @@ func (t *Topology) Graph(w float64) *graphx.Graph {
 	return g
 }
 
-// Adjacent reports whether qubits a and b share a coupling link.
+// Adjacent reports whether qubits a and b share a coupling link, by
+// binary search of the coupling list (New keeps it sorted).
 func (t *Topology) Adjacent(a, b int) bool {
 	if a > b {
 		a, b = b, a
 	}
-	for _, c := range t.Couplings {
-		if c.A == a && c.B == b {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearchFunc(t.Couplings, Coupling{a, b}, func(c, want Coupling) int {
+		return cmp.Or(cmp.Compare(c.A, want.A), cmp.Compare(c.B, want.B))
+	})
+	return ok
 }
-
-// Connected reports whether every qubit can reach every other.
-func (t *Topology) Connected() bool { return t.Graph(1).Connected(nil) }
 
 // IBMQ20 returns the 20-qubit IBM-Q20 "Tokyo" model used throughout the
 // paper's simulation study. Qubits are numbered row-major on a 4×5 grid

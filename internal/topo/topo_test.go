@@ -15,7 +15,7 @@ func TestIBMQ20Shape(t *testing.T) {
 	if got := q20.NumLinks(); got != 76 {
 		t.Fatalf("NumLinks = %d, want 76 (paper's IBM-Q20 link count)", got)
 	}
-	if !q20.Connected() {
+	if !q20.Graph(1).Connected(nil) {
 		t.Fatal("IBM-Q20 must be connected")
 	}
 }
@@ -41,7 +41,7 @@ func TestIBMQ5Shape(t *testing.T) {
 	if q5.NumQubits != 5 || len(q5.Couplings) != 6 {
 		t.Fatalf("Q5: qubits=%d couplings=%d, want 5/6", q5.NumQubits, len(q5.Couplings))
 	}
-	if !q5.Connected() {
+	if !q5.Graph(1).Connected(nil) {
 		t.Fatal("IBM-Q5 must be connected")
 	}
 	// Q2 is the bow-tie center: degree 4.
@@ -59,7 +59,7 @@ func TestIBMQ16Shape(t *testing.T) {
 	if len(q16.Couplings) != 22 {
 		t.Fatalf("Q16 couplings = %d, want 22", len(q16.Couplings))
 	}
-	if !q16.Connected() {
+	if !q16.Graph(1).Connected(nil) {
 		t.Fatal("Q16 must be connected")
 	}
 	if !q16.Adjacent(0, 8) || !q16.Adjacent(7, 15) || q16.Adjacent(0, 15) {
@@ -93,13 +93,13 @@ func TestGridShape(t *testing.T) {
 
 func TestLinear(t *testing.T) {
 	l := Linear(4)
-	if len(l.Couplings) != 3 || !l.Connected() {
+	if len(l.Couplings) != 3 || !l.Graph(1).Connected(nil) {
 		t.Fatalf("linear4 wrong: %+v", l)
 	}
 	if l.Adjacent(0, 2) {
 		t.Fatal("non-neighbors adjacent on a chain")
 	}
-	if single := Linear(1); len(single.Couplings) != 0 || !single.Connected() {
+	if single := Linear(1); len(single.Couplings) != 0 || !single.Graph(1).Connected(nil) {
 		t.Fatal("single-qubit chain should have no couplings and be connected")
 	}
 }

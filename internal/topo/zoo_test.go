@@ -27,7 +27,7 @@ func TestZooFamiliesConnectedAtEverySize(t *testing.T) {
 			if tp.Name != name {
 				t.Errorf("%s: topology named %q", name, tp.Name)
 			}
-			if !tp.Connected() {
+			if !tp.Graph(1).Connected(nil) {
 				t.Errorf("%s: disconnected coupling graph", name)
 			}
 		}
@@ -158,7 +158,7 @@ func TestWithHoles(t *testing.T) {
 		if holed.NumQubits != full.NumQubits {
 			t.Errorf("%s: qubit count changed: %d vs %d", holed.Name, holed.NumQubits, full.NumQubits)
 		}
-		if !holed.Connected() {
+		if !holed.Graph(1).Connected(nil) {
 			t.Errorf("%s: knockout disconnected the machine", holed.Name)
 		}
 		// Every surviving coupling existed in the base lattice.
@@ -191,5 +191,38 @@ func TestWithHoles(t *testing.T) {
 	}
 	if _, err := WithHoles(Ring(8), 0); err == nil {
 		t.Error("WithHoles k=0 should be rejected")
+	}
+}
+
+// TestAdjacentMatchesLinearScan: Adjacent's binary search over the
+// sorted coupling list answers every ordered pair exactly as a scan of
+// the list does, on each zoo family with and without holes and on the
+// paper's machines.
+func TestAdjacentMatchesLinearScan(t *testing.T) {
+	names := []string{"heavy-hex-20", "heavy-hex-127", "heavy-hex-399-holes8", "grid-25", "grid-100-holes5", "ring-64", "ring-16-holes1", "full-8", "full-8-holes10"}
+	tops := []*Topology{IBMQ20(), IBMQ5(), IBMQ16(), Linear(1)}
+	for _, name := range names {
+		tp, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, tp)
+	}
+	for _, tp := range tops {
+		linear := func(a, b int) bool {
+			for _, c := range tp.Couplings {
+				if (c.A == a && c.B == b) || (c.A == b && c.B == a) {
+					return true
+				}
+			}
+			return false
+		}
+		for a := 0; a < tp.NumQubits; a++ {
+			for b := 0; b < tp.NumQubits; b++ {
+				if got, want := tp.Adjacent(a, b), linear(a, b); got != want {
+					t.Fatalf("%s: Adjacent(%d, %d) = %v, linear scan %v", tp.Name, a, b, got, want)
+				}
+			}
+		}
 	}
 }
