@@ -8,7 +8,6 @@ package circuit
 
 import (
 	"fmt"
-	"time"
 
 	"vaq/internal/gate"
 )
@@ -208,16 +207,6 @@ func (c *Circuit) Stats() Stats {
 		s.Total++
 		s.CNOTs += g.Kind.CNOTCost()
 	}
-	s.Depth = len(c.layerSlowest())
+	s.Depth = c.depth()
 	return s
-}
-
-// Duration returns the scheduled wall-clock duration of the circuit: the
-// sum over dependency layers of the slowest gate in each layer.
-func (c *Circuit) Duration() time.Duration {
-	var total time.Duration
-	for _, d := range c.layerSlowest() {
-		total += d
-	}
-	return total
 }

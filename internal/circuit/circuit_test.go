@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"vaq/internal/gate"
 )
@@ -275,23 +274,6 @@ func TestStatsIgnoresBarriers(t *testing.T) {
 	}
 }
 
-func TestDuration(t *testing.T) {
-	// Layer 1: h (100ns) ∥ nothing; layer 2: cx (300ns); layer 3: measure (1µs).
-	c := New("d", 2).H(0).CX(0, 1).Measure(1, 0)
-	want := 100*time.Nanosecond + 300*time.Nanosecond + time.Microsecond
-	if got := c.Duration(); got != want {
-		t.Fatalf("Duration = %v, want %v", got, want)
-	}
-}
-
-func TestDurationParallelTakesMax(t *testing.T) {
-	// h(0) and cx(1,2) share a layer → layer costs 300ns, not 400.
-	c := New("d", 3).H(0).CX(1, 2)
-	if got := c.Duration(); got != 300*time.Nanosecond {
-		t.Fatalf("Duration = %v, want 300ns", got)
-	}
-}
-
 func TestMeasureAllCBits(t *testing.T) {
 	c := New("m", 3).MeasureAll()
 	if c.NumCBits != 3 || len(c.Gates) != 3 {
@@ -301,8 +283,8 @@ func TestMeasureAllCBits(t *testing.T) {
 
 func TestEmptyCircuit(t *testing.T) {
 	c := New("e", 0)
-	if len(c.Layers()) != 0 || c.Stats().Total != 0 || c.Duration() != 0 {
-		t.Fatal("empty circuit should have no layers, gates, or duration")
+	if len(c.Layers()) != 0 || c.Stats().Total != 0 || c.Stats().Depth != 0 {
+		t.Fatal("empty circuit should have no layers, gates, or depth")
 	}
 }
 
@@ -347,9 +329,9 @@ func TestMeasuredQubits(t *testing.T) {
 	}
 }
 
-// TestDepthAndDurationMatchLayersProperty pins Stats().Depth and
-// Duration() to the layer lists they summarize: the number of layers, and
-// the sum over layers of each layer's slowest gate.
+// TestDepthAndDurationMatchLayersProperty pins Stats().Depth to the
+// layer lists it summarizes: the number of layers. (A trial's duration
+// is the ASAP makespan, pinned in package schedule.)
 func TestDepthAndDurationMatchLayersProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -373,16 +355,7 @@ func TestDepthAndDurationMatchLayersProperty(t *testing.T) {
 				c.Barrier()
 			}
 		}
-		layers := c.Layers()
-		var want time.Duration
-		for _, layer := range layers {
-			var slowest time.Duration
-			for _, gi := range layer {
-				slowest = max(slowest, c.Gates[gi].Kind.Duration())
-			}
-			want += slowest
-		}
-		return c.Stats().Depth == len(layers) && c.Duration() == want
+		return c.Stats().Depth == len(c.Layers())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

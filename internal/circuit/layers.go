@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"time"
-
-	"vaq/internal/gate"
-)
+import "vaq/internal/gate"
 
 // Layers partitions the circuit into dependency layers using an ASAP
 // (as-soon-as-possible) schedule: gate i goes into layer
@@ -27,17 +23,12 @@ func (c *Circuit) Layers() [][]int {
 	return layers
 }
 
-// layerSlowest returns, per dependency layer of Layers, the duration of
-// the layer's slowest gate, without building the layer lists.
-func (c *Circuit) layerSlowest() []time.Duration {
-	var slowest []time.Duration
-	c.eachLayer(func(gi, layer int) {
-		for len(slowest) <= layer {
-			slowest = append(slowest, 0)
-		}
-		slowest[layer] = max(slowest[layer], c.Gates[gi].Kind.Duration())
-	})
-	return slowest
+// depth returns the number of dependency layers of Layers, without
+// building the layer lists.
+func (c *Circuit) depth() int {
+	n := 0
+	c.eachLayer(func(_, layer int) { n = max(n, layer+1) })
+	return n
 }
 
 // eachLayer calls visit(gi, layer) for every non-barrier gate in circuit

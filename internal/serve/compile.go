@@ -128,9 +128,9 @@ func Run(d *device.Device, prog *circuit.Circuit, spec Spec) (*Result, error) {
 
 	in := prog.Stats()
 	out := comp.Routed.Physical.Stats()
-	duration := comp.Routed.Physical.Duration()
 	scfg := sim.Config{Trials: spec.Trials, Seed: spec.Seed, Workers: spec.Workers}
 	prep := sim.Prepare(d, comp.Routed.Physical, scfg)
+	duration := prep.Duration()
 	analytic := prep.AnalyticPST()
 	breakdown := prep.Breakdown()
 

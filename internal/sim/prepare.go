@@ -75,6 +75,10 @@ func (p *Prepared) AnalyticPST() float64 { return p.analytic }
 // error model.
 func (p *Prepared) Breakdown() Breakdown { return p.breakdown }
 
+// Duration returns the execution time of one trial: the ASAP schedule's
+// makespan, the figure Run reports as Outcome.Duration.
+func (p *Prepared) Duration() time.Duration { return p.duration }
+
 // blockOutcome accumulates one trial block's counts; blocks are summed
 // in index order, so the totals are independent of execution order.
 type blockOutcome struct {

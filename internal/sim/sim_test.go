@@ -7,6 +7,7 @@ import (
 	"vaq/internal/calib"
 	"vaq/internal/circuit"
 	"vaq/internal/device"
+	"vaq/internal/gate"
 	"vaq/internal/topo"
 )
 
@@ -145,10 +146,9 @@ func TestOutcomeTiming(t *testing.T) {
 	d := uniformQ5(0.02)
 	c := circuit.New("t", 2).H(0).CX(0, 1).MeasureAll()
 	out := Run(d, c, Config{Trials: 1000, Seed: 1})
-	// h, cx, measure are strictly sequential here, so the ASAP makespan
-	// equals the layer-quantized duration.
-	if out.Duration != c.Duration() {
-		t.Fatalf("duration = %v, want %v", out.Duration, c.Duration())
+	// h, cx, then both measures in parallel.
+	if want := gate.H.Duration() + gate.CX.Duration() + gate.Measure.Duration(); out.Duration != want {
+		t.Fatalf("duration = %v, want %v", out.Duration, want)
 	}
 	if out.TrialLatency != out.Duration+DefaultResetOverhead {
 		t.Fatalf("latency = %v", out.TrialLatency)
