@@ -1,12 +1,14 @@
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -306,24 +308,17 @@ func (m *Manager) Get(id string) (*View, bool) {
 func (m *Manager) List() []*View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*View, 0, len(m.jobs))
+	jobs := make([]*job, 0, len(m.jobs))
 	for _, j := range m.jobs {
-		out = append(out, j.view())
+		jobs = append(jobs, j)
 	}
 	// Admission order — stable and meaningful for dashboards.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && m.seqOf(out[k].ID) < m.seqOf(out[k-1].ID); k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
+	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(a.Seq, b.Seq) })
+	out := make([]*View, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.view()
 	}
 	return out
-}
-
-func (m *Manager) seqOf(id string) uint64 {
-	if j, ok := m.jobs[id]; ok {
-		return j.Seq
-	}
-	return 0
 }
 
 // Result returns the verbatim response bytes of a succeeded job. The

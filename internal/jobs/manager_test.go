@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -704,5 +705,49 @@ func TestResultBytesRoundTripExactly(t *testing.T) {
 	body, st, ok := b.Result(v.ID)
 	if !ok || st != StateSucceeded || !bytes.Equal(body, exact) {
 		t.Fatalf("restart result = %q (%s, %v), want exact bytes", body, st, ok)
+	}
+}
+
+// TestListAdmissionOrder: List returns jobs in admission order although
+// they finish in reverse.
+func TestListAdmissionOrder(t *testing.T) {
+	const n = 6
+	release := make([]chan struct{}, n)
+	for i := range release {
+		release[i] = make(chan struct{})
+	}
+	be := BackendFunc(func(ctx context.Context, w Work, _ func(string)) ([]byte, error) {
+		var i int
+		if _, err := fmt.Sscanf(string(w.Request), `{"i":%d}`, &i); err != nil {
+			return nil, err
+		}
+		select {
+		case <-release[i]:
+			return w.Request, nil
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+	})
+	m, err := NewManager(Options{Workers: n}, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer m.Drain(context.Background())
+
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = submitOK(t, m, spec(KindCompile, fmt.Sprintf(`{"i":%d}`, i))).ID
+	}
+	for i := n - 1; i >= 0; i-- {
+		close(release[i])
+		waitState(t, m, ids[i], StateSucceeded)
+	}
+	var got []string
+	for _, v := range m.List() {
+		got = append(got, v.ID)
+	}
+	if !slices.Equal(got, ids) {
+		t.Fatalf("List order %v, admission order %v", got, ids)
 	}
 }
