@@ -488,3 +488,26 @@ func circuitBV5(t *testing.T) *circuit.Circuit {
 	t.Helper()
 	return circuit.New("packed-q5", 3).H(0).CX(0, 1).CX(1, 2).Swap(0, 1).MeasureAll()
 }
+
+// BenchmarkMonteCarloKernel times the packed kernel alone on the bv-16
+// q20 workload: the plan is built and its lazily filled split tables are
+// warmed by one block outside the timer, and each iteration runs 16
+// blocks of BlockSize trials through runBlock. The root package's
+// BenchmarkMonteCarlo times the same trials through Run, plan build
+// included.
+func BenchmarkMonteCarloKernel(b *testing.B) {
+	d, phys := q20Compiled(b)
+	p := Prepare(d, phys, Config{})
+	plan := buildPackedPlan(p.gateErr, p.gateClass, p.coh)
+	plan.runBlock(blockSeed(0, 0), BlockSize)
+	const blocks = 16
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for blk := 0; blk < blocks; blk++ {
+			plan.runBlock(blockSeed(int64(i), blk), BlockSize)
+		}
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(blocks*BlockSize*float64(b.N)/secs, "trials/sec")
+	}
+}
