@@ -711,7 +711,7 @@ func TestResultBytesRoundTripExactly(t *testing.T) {
 // TestListAdmissionOrder: List returns jobs in admission order although
 // they finish in reverse.
 func TestListAdmissionOrder(t *testing.T) {
-	const n = 6
+	const n = 16
 	release := make([]chan struct{}, n)
 	for i := range release {
 		release[i] = make(chan struct{})
