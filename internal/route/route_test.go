@@ -173,12 +173,21 @@ func TestRouteRejectsBadMapping(t *testing.T) {
 	}
 }
 
+// TestRouteRejectsDisconnectedDevice: every router rejects a split
+// device, and routes on a device with no qubits, which counts as
+// connected.
 func TestRouteRejectsDisconnectedDevice(t *testing.T) {
 	tp := topo.MustNew("split", 4, []topo.Coupling{{A: 0, B: 1}, {A: 2, B: 3}})
 	d := uniformDevice(tp, 0.05)
 	c := circuit.New("c", 2).CX(0, 1)
-	if _, err := (AStar{MAH: -1}).Route(d, c, alloc.Mapping{0, 2}); err == nil {
-		t.Fatal("disconnected device accepted")
+	empty := uniformDevice(topo.MustNew("empty", 0, nil), 0.05)
+	for _, r := range []Router{AStar{MAH: -1}, Naive{}, Sabre{Cost: CostReliability}} {
+		if _, err := r.Route(d, c, alloc.Mapping{0, 2}); err == nil {
+			t.Errorf("%s: disconnected device accepted", r.Name())
+		}
+		if _, err := r.Route(empty, circuit.New("e", 0), alloc.Mapping{}); err != nil {
+			t.Errorf("%s: empty device: %v", r.Name(), err)
+		}
 	}
 }
 
