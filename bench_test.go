@@ -361,7 +361,8 @@ func reportTrials(b *testing.B, trials int) {
 // fault-injection kernel: the plan build (with the split tables it fills
 // lazily) and 16 full blocks of trials. Every Run rebuilds the plan, as
 // a caller that runs its Prepared once pays for it; on this workload
-// that is about a third of the figure.
+// that is about a third of the figure. internal/sim's
+// BenchmarkMonteCarloKernel times the kernel alone.
 func BenchmarkMonteCarlo(b *testing.B) {
 	_, prep := mcCompiled(b)
 	const trials = 16 * sim.BlockSize
