@@ -1,9 +1,8 @@
 package graphx
 
 // pqItem is an entry in the Dijkstra priority queues (CSR and
-// hop-constrained),
-// ordered by distance, then node index, then hop count; hops is 0 outside
-// the hop-constrained search.
+// hop-constrained), ordered by distance, then node index, then hop
+// count; hops is 0 outside the hop-constrained search.
 type pqItem struct {
 	dist       float64
 	node, hops int32
