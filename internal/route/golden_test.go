@@ -144,7 +144,34 @@ func goldenCases() []goldenCase {
 		{"hh127/qft8/mah1-x1", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return workloads.QFT(8) }, permInit(17), mah1X1, 0x702ee5c6deff48dd},
 		{"hh127/rand12/naive", goldenZoo("heavy-hex-127-mid"), func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(23), Naive{}, 0x19afbdaf60206fae},
 		{"grid100/rand12/naive", goldenZoo("grid-100-high"), func() *circuit.Circuit { return goldenRandomCircuit(12, 40, 11) }, permInit(29), Naive{}, 0x330bc6eba864d96d},
+		// Wide state keys, pinned before A* keyed every width one way:
+		// 30 program qubits × 9 bits take 5 key words, past the 4-word
+		// key the search once packed into (wider mappings were keyed by
+		// strings).
+		{"line300/chain30/hops", line300, func() *circuit.Circuit { return goldenChain(30) }, gappedInit, hops, 0x12da88c75259e174},
+		{"line300/chain30/reliability", line300, func() *circuit.Circuit { return goldenChain(30) }, gappedInit, rel, 0x12da88c75259e174},
 	}
+}
+
+func line300() *device.Device { return uniformDevice(topo.Linear(300), 0.01) }
+
+// goldenChain is a CNOT chain over k qubits: CX(i, i+1) for every i.
+func goldenChain(k int) *circuit.Circuit {
+	c := circuit.New("chain", k)
+	for i := 0; i+1 < k; i++ {
+		c.CX(i, i+1)
+	}
+	return c.MeasureAll()
+}
+
+// gappedInit places program qubit i on physical 2i, so every CNOT of a
+// chain starts one link short of adjacency.
+func gappedInit(d *device.Device, c *circuit.Circuit) alloc.Mapping {
+	m := make(alloc.Mapping, c.NumQubits)
+	for i := range m {
+		m[i] = 2 * i
+	}
+	return m
 }
 
 // largeGoldenCases are A* routes on the 1000-qubit heavy-hex fleet,
@@ -154,6 +181,8 @@ func largeGoldenCases() []goldenCase {
 	return []goldenCase{
 		{"hh1000/qft12/hops", goldenZoo("heavy-hex-1000-mid"), func() *circuit.Circuit { return workloads.QFT(12) }, permInit(19), AStar{Cost: CostHops, MAH: -1}, 0x1ae7c135587ecf9e},
 		{"hh1000/qft12/reliability", goldenZoo("heavy-hex-1000-mid"), func() *circuit.Circuit { return workloads.QFT(12) }, permInit(19), AStar{Cost: CostReliability, MAH: -1}, 0xcc3db2794c947926},
+		{"hh1000/bv30/hops", goldenZoo("heavy-hex-1000-mid"), func() *circuit.Circuit { return workloads.BV(30) }, permInit(19), AStar{Cost: CostHops, MAH: -1}, 0x2afe918d5bc04d36},
+		{"hh1000/bv30/reliability", goldenZoo("heavy-hex-1000-mid"), func() *circuit.Circuit { return workloads.BV(30) }, permInit(19), AStar{Cost: CostReliability, MAH: -1}, 0x2b7622cb409bc595},
 	}
 }
 
