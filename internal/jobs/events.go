@@ -58,10 +58,6 @@ func NewBroker() *Broker {
 	return &Broker{feeds: make(map[string]*feed)}
 }
 
-// newBroker keeps the package-internal constructor name used by the
-// manager.
-func newBroker() *Broker { return NewBroker() }
-
 func (b *Broker) feedFor(id string) *feed {
 	f, ok := b.feeds[id]
 	if !ok {
@@ -130,6 +126,13 @@ func (b *Broker) Subscribe(id string) (history []Event, ch <-chan Event, cancel 
 		if ch, ok := f.subs[key]; ok {
 			close(ch)
 			delete(f.subs, key)
+		}
+		// A feed with no subscriber, no history and no terminal event
+		// holds nothing a later subscriber could replay. Dropping it
+		// keeps subscriptions to arbitrary names (the drift plane takes
+		// any valid device name) from piling up feeds.
+		if len(f.subs) == 0 && len(f.history) == 0 && !f.done && b.feeds[id] == f {
+			delete(b.feeds, id)
 		}
 	}
 }

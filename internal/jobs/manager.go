@@ -119,7 +119,7 @@ func NewManager(opts Options, be Backend) (*Manager, error) {
 		opts:      opts,
 		be:        be,
 		st:        st,
-		br:        newBroker(),
+		br:        NewBroker(),
 		jobs:      make(map[string]*job),
 		q:         &queue{},
 		quotas:    newQuotas(opts.Quota),
