@@ -209,21 +209,14 @@ func (cm *costs) minSwapsNeeded(m []int, pairs [][2]int) int {
 	return int(total)
 }
 
-// packedKey is a fixed-width encoding of a full program→physical mapping:
-// each entry takes bitsFor(numPhysical) bits, entries never straddle word
-// boundaries. Unlike the string key it replaces it is width-safe for
-// devices with more than 255 physical qubits, comparable (a hash-table
-// key), and derived from the parent state's key in O(1) without
-// materializing the child mapping.
-type packedKey [4]uint64
-
-// packer describes the encoding for one search: b bits per entry, epw
-// entries per 64-bit word. fits reports whether the mapping length fits
-// in a packedKey; when it does not (≳ 28 program qubits on a >255-qubit
-// machine), the search falls back to width-safe string keys.
+// packer describes the key encoding of one search's program→physical
+// mappings: b bits per entry, epw entries per 64-bit word, kw words per
+// key. The field width comes from the physical qubit count and entries
+// never straddle words, so keys are exact at any device size and any
+// mapping length, and a child's key is its parent's with two entries
+// rewritten, without materializing the child mapping.
 type packer struct {
-	b, epw uint32
-	fits   bool
+	b, epw, kw uint32
 }
 
 func newPacker(numProgram, numPhysical int) packer {
@@ -232,29 +225,31 @@ func newPacker(numProgram, numPhysical int) packer {
 		b = 1
 	}
 	epw := 64 / b
-	return packer{b: b, epw: epw, fits: uint32(numProgram) <= 4*epw}
+	return packer{b: b, epw: epw, kw: (uint32(numProgram) + epw - 1) / epw}
 }
 
 // set overwrites entry i of the key with value v.
-func (p packer) set(key *packedKey, i, v int) {
+func (p packer) set(key []uint64, i, v int) {
 	w := uint32(i) / p.epw
 	sh := (uint32(i) % p.epw) * p.b
 	mask := (uint64(1)<<p.b - 1) << sh
 	key[w] = key[w]&^mask | uint64(v)<<sh
 }
 
-// pack encodes the whole mapping.
-func (p packer) pack(m []int) packedKey {
-	var key packedKey
+// pack appends m's key to keys.
+func (p packer) pack(keys []uint64, m []int) []uint64 {
+	n := len(keys)
+	keys = slices.Grow(keys, int(p.kw))[:n+int(p.kw)]
+	clear(keys[n:])
 	for i, v := range m {
-		p.set(&key, i, v)
+		p.set(keys[n:], i, v)
 	}
-	return key
+	return keys
 }
 
 // unpack decodes the whole mapping into m, whose length is the number
 // of entries the key holds.
-func (p packer) unpack(key packedKey, m []int) {
+func (p packer) unpack(key []uint64, m []int) {
 	mask := uint64(1)<<p.b - 1
 	for i := range m {
 		w := uint32(i) / p.epw
@@ -263,14 +258,12 @@ func (p packer) unpack(key packedKey, m []int) {
 	}
 }
 
-// stateRec is one A* node. It stores only its mapping's key; the search
-// decodes the popped state's mapping from that key into one per-search
-// buffer, so generating a state copies no mapping and performs no heap
-// allocation.
+// stateRec is one A* node. Its mapping lives only as its key, at the
+// same index of the scratch key slab; the search decodes the popped
+// state's mapping from that key into one per-search buffer, so
+// generating a state copies no mapping and performs no heap allocation.
 type stateRec struct {
 	g      float64
-	key    packedKey // packed mapping (packer path)
-	skey   string    // width-safe string key (fallback path only)
 	swaps  int32
 	parent int32 // slab index; -1 for the root
 	move   physPair
@@ -291,24 +284,22 @@ func openLess(a, b openItem) bool {
 	return a.seq < b.seq
 }
 
-// searchScratch holds every buffer one Route call needs: the state slab,
-// the open heap, the best-g table, the popped state's mapping and
-// inverse, and the per-layer pair lists. It is reused across Route calls
-// (getScratch/putScratch), so a warmed-up compile loop allocates
-// (almost) nothing per circuit.
+// searchScratch holds every buffer one Route call needs: the state and
+// key slabs, the open heap, the best-g table, the popped state's
+// mapping and inverse, and the per-layer pair lists. It is reused across
+// Route calls (getScratch/putScratch), so a warmed-up compile loop
+// allocates (almost) nothing per circuit.
 type searchScratch struct {
 	k, n int // program qubits, physical qubits
 	pk   packer
-	strW int // bytes per entry of the fallback string key
 
 	states []stateRec
+	keys   []uint64 // state si's key is keys[si*kw:(si+1)*kw]
 	open   []openItem
-	bestG  epochTable[packedKey]
-	bestGS epochTable[string]
+	bestG  epochTable
 	cur    []int  // popped state's mapping (program→physical)
 	inv    []int  // its inverse (physical→program, -1 empty)
 	active []bool // per program qubit: does this layer move it?
-	keyBuf []byte
 	plan   []physPair
 
 	// Per-circuit layer pair lists: pairsBuf holds every layer's
@@ -357,17 +348,9 @@ func putScratch(sc *searchScratch) {
 func (sc *searchScratch) setup(numProgram, numPhysical int) {
 	sc.k, sc.n = numProgram, numPhysical
 	sc.pk = newPacker(numProgram, numPhysical)
-	sc.strW = 2
-	if numPhysical > 1<<16 {
-		sc.strW = 4
-	}
 	sc.active = resized(sc.active, numProgram)
 	sc.cur = resized(sc.cur, numProgram)
 	sc.inv = resized(sc.inv, numPhysical)
-	if sc.bestG.hash == nil {
-		sc.bestG = newEpochTable(hashPacked)
-		sc.bestGS = newEpochTable(hashString)
-	}
 }
 
 // resized returns s with length n, reallocating only when it lacks the
@@ -380,49 +363,23 @@ func resized[T any](s []T, n int) []T {
 }
 
 // resetSearch clears per-layer state while keeping every capacity. Its
-// cost is O(program qubits): the best-g tables reset by epoch, not by
-// clearing their slots.
+// cost is O(program qubits): the best-g table resets by epoch, not by
+// clearing its slots.
 func (sc *searchScratch) resetSearch() {
 	sc.states = sc.states[:0]
+	sc.keys = sc.keys[:0]
 	sc.open = sc.open[:0]
-	sc.bestG.reset()
-	sc.bestGS.reset()
+	sc.bestG.reset(int(sc.pk.kw))
 	for i := range sc.active {
 		sc.active[i] = false
 	}
 }
 
-// load decodes st's mapping into sc.cur and rebuilds its inverse in
-// sc.inv.
-func (sc *searchScratch) load(st *stateRec) {
-	if sc.pk.fits {
-		sc.pk.unpack(st.key, sc.cur)
-	} else {
-		for i := range sc.cur {
-			v := 0
-			for j := 0; j < sc.strW; j++ {
-				v |= int(st.skey[i*sc.strW+j]) << (8 * j)
-			}
-			sc.cur[i] = v
-		}
-	}
+// load decodes state si's mapping into sc.cur and rebuilds its inverse
+// in sc.inv.
+func (sc *searchScratch) load(si int32) {
+	sc.pk.unpack(sc.bestG.key(sc.keys, si), sc.cur)
 	alloc.Mapping(sc.cur).InverseInto(sc.inv)
-}
-
-// stringKey is the width-safe fallback encoding for mappings too long for
-// a packedKey: strW little-endian bytes per entry.
-func (sc *searchScratch) stringKey(m []int) string {
-	need := len(m) * sc.strW
-	if cap(sc.keyBuf) < need {
-		sc.keyBuf = make([]byte, need)
-	}
-	b := sc.keyBuf[:need]
-	for i, v := range m {
-		for j := 0; j < sc.strW; j++ {
-			b[i*sc.strW+j] = byte(v >> (8 * j))
-		}
-	}
-	return string(b)
 }
 
 // pushOpen and popOpen implement the open list as a binary heap ordered
@@ -509,15 +466,9 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 		sc.active[pr[1]] = true
 	}
 
-	root := stateRec{parent: -1}
-	if sc.pk.fits {
-		root.key = sc.pk.pack(m)
-		sc.bestG.lower(root.key, 0)
-	} else {
-		root.skey = sc.stringKey(m)
-		sc.bestGS.lower(root.skey, 0)
-	}
-	sc.states = append(sc.states, root)
+	sc.keys = sc.pk.pack(sc.keys, m)
+	sc.bestG.lower(sc.keys, 0, 0)
+	sc.states = append(sc.states, stateRec{parent: -1})
 	sc.pushOpen(openItem{f: cm.heuristic(m, pairs) + cm.lookahead(m, future, futureW), seq: 0, si: 0})
 	seq := int32(0)
 	expansions := 0
@@ -526,16 +477,10 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 	for len(sc.open) > 0 && expansions < maxExp {
 		it := sc.popOpen()
 		st := sc.states[it.si]
-		if sc.pk.fits {
-			if g, seen := sc.bestG.get(st.key); seen && st.g > g {
-				continue // stale entry
-			}
-		} else {
-			if g, seen := sc.bestGS.get(st.skey); seen && st.g > g {
-				continue
-			}
+		if g, seen := sc.bestG.get(sc.keys, it.si); seen && st.g > g {
+			continue // stale entry
 		}
-		sc.load(&st)
+		sc.load(it.si)
 		if cm.satisfied(cur, pairs) {
 			return sc.extractPlan(it.si), true
 		}
@@ -561,30 +506,27 @@ func (r AStar) searchSwaps(cm *costs, sc *searchScratch, m alloc.Mapping, pairs 
 			if pv != -1 {
 				cur[pv] = e.U
 			}
-			child := stateRec{g: st.g + e.W, swaps: st.swaps + 1, parent: it.si, move: physPair{e.U, e.V}}
-			var better bool
-			if sc.pk.fits {
-				// Derive the child key from the parent's in O(1).
-				child.key = st.key
-				if pu != -1 {
-					sc.pk.set(&child.key, pu, e.V)
-				}
-				if pv != -1 {
-					sc.pk.set(&child.key, pv, e.U)
-				}
-				better = sc.bestG.lower(child.key, child.g)
-			} else {
-				child.skey = sc.stringKey(cur)
-				better = sc.bestGS.lower(child.skey, child.g)
+			// Derive the child key from the parent's, at the slab slot
+			// the child takes if it is kept.
+			ci := int32(len(sc.states))
+			sc.keys = append(sc.keys, sc.bestG.key(sc.keys, it.si)...)
+			key := sc.bestG.key(sc.keys, ci)
+			if pu != -1 {
+				sc.pk.set(key, pu, e.V)
 			}
-			if better {
-				sc.states = append(sc.states, child)
+			if pv != -1 {
+				sc.pk.set(key, pv, e.U)
+			}
+			if g := st.g + e.W; sc.bestG.lower(sc.keys, ci, g) {
+				sc.states = append(sc.states, stateRec{g: g, swaps: st.swaps + 1, parent: it.si, move: physPair{e.U, e.V}})
 				seq++
 				sc.pushOpen(openItem{
-					f:   child.g + cm.heuristic(cur, pairs) + cm.lookahead(cur, future, futureW),
+					f:   g + cm.heuristic(cur, pairs) + cm.lookahead(cur, future, futureW),
 					seq: seq,
-					si:  int32(len(sc.states) - 1),
+					si:  ci,
 				})
+			} else {
+				sc.keys = sc.keys[:len(sc.keys)-len(key)]
 			}
 			if pu != -1 {
 				cur[pu] = e.U

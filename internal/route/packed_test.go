@@ -16,20 +16,20 @@ import (
 // from the physical qubit count, so those keys must differ.
 func TestPackerNoTruncationCollision(t *testing.T) {
 	p := newPacker(2, 300)
-	if !p.fits {
-		t.Fatal("2 program qubits on 300 physical must fit the packed key")
+	if p.kw != 1 {
+		t.Fatalf("2 program qubits on 300 physical must pack into one word, got %d", p.kw)
 	}
 	aliased := 258
 	if byte(aliased) != byte(2) {
 		t.Fatal("test premise: byte truncation aliases 258 and 2")
 	}
-	if p.pack([]int{1, 258}) == p.pack([]int{1, 2}) {
+	if p.pack(nil, []int{1, 258})[0] == p.pack(nil, []int{1, 2})[0] {
 		t.Fatal("packed keys collide for mappings {1,258} and {1,2}")
 	}
 	// Every pair of distinct placements of one qubit must key distinctly.
-	seen := make(map[packedKey]int)
+	seen := make(map[uint64]int)
 	for v := 0; v < 300; v++ {
-		k := p.pack([]int{v, 299 - v})
+		k := p.pack(nil, []int{v, 299 - v})[0]
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("packed key collision: mappings with v=%d and v=%d", prev, v)
 		}
@@ -63,25 +63,18 @@ func TestRouteBeyond255Qubits(t *testing.T) {
 	}
 }
 
-// TestRouteStringKeyFallback drives the width-safe string-key path: 30
-// program qubits on a 300-qubit line need 9 bits per entry, which
-// overflows the 256-bit packed key (4×7 entries), so the search must fall
-// back to string keys — and still route correctly.
-func TestRouteStringKeyFallback(t *testing.T) {
+// TestRouteWideKey routes with keys wider than four words: 30 program
+// qubits on a 300-qubit line need 9 bits per entry, 7 entries per word,
+// so 5 words per key. The search once keyed such mappings by strings;
+// it must route correctly on its one key encoding.
+func TestRouteWideKey(t *testing.T) {
 	const k, n = 30, 300
-	if newPacker(k, n).fits {
-		t.Fatalf("test premise: %d entries × 9 bits must not fit a packedKey", k)
+	if kw := newPacker(k, n).kw; kw <= 4 {
+		t.Fatalf("test premise: %d entries × 9 bits must take more than 4 key words, got %d", k, kw)
 	}
-	d := uniformDevice(topo.Linear(n), 0.01)
-	c := circuit.New("chain", k)
-	for i := 0; i+1 < k; i++ {
-		c.CX(i, i+1)
-	}
-	c.MeasureAll()
-	init := make(alloc.Mapping, k)
-	for i := range init {
-		init[i] = 2 * i // every CNOT pair starts one link short of adjacency
-	}
+	d := line300()
+	c := goldenChain(k)
+	init := gappedInit(d, c) // every CNOT pair starts one link short of adjacency
 	res, err := AStar{Cost: CostReliability, MAH: -1}.Route(d, c, init)
 	if err != nil {
 		t.Fatal(err)

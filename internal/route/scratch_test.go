@@ -47,6 +47,29 @@ func TestScratchReuseSurvivesGC(t *testing.T) {
 	}
 }
 
+// TestWideSearchAllocatesNothing: a warmed search whose keys are five
+// words wide (see wideSearch) allocates nothing, as a one-word search
+// does. Keys of every width live in the scratch key slab; a string key
+// per generated child made this search allocate hundreds of times.
+func TestWideSearchAllocatesNothing(t *testing.T) {
+	cm, m, pairs := wideSearch()
+	r := AStar{Cost: CostReliability, MAH: -1}
+	sc := new(searchScratch)
+	sc.setup(len(m), cm.n)
+	if sc.pk.kw != 5 {
+		t.Fatalf("test premise: keys are %d words, want 5", sc.pk.kw)
+	}
+	search := func() {
+		if plan, ok := r.searchSwaps(cm, sc, m, pairs, nil, nil, 50000); !ok || len(plan) == 0 {
+			t.Fatalf("search failed: ok=%v plan=%v", ok, plan)
+		}
+	}
+	search()
+	if allocs := testing.AllocsPerRun(5, search); allocs != 0 {
+		t.Fatalf("warmed wide-key search allocated %v times per run, want 0", allocs)
+	}
+}
+
 // TestScratchFreeListBounded: however many scratches concurrent routes
 // take out, the free list keeps at most GOMAXPROCS of them.
 func TestScratchFreeListBounded(t *testing.T) {
