@@ -77,3 +77,25 @@ func TestFingerprintRestrict(t *testing.T) {
 		t.Fatal("restricted device shares the full device's fingerprint")
 	}
 }
+
+// TestFingerprintKnownAnswers pins the digest of three named devices at
+// seed 2019: a built-in fleet, the Q5 fleet and a zoo fleet, whose seed
+// also folds in the device name.
+func TestFingerprintKnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want uint64
+	}{
+		{"q20", 0x98c23f1f8e0bfcd1},
+		{"q5", 0xa7c7d9d8af91b8f5},
+		{"heavy-hex-127-mid", 0x7f7d6df2f633849b},
+	} {
+		arch, err := calib.Named(tc.name, 2019)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := MustNew(arch.Topo, arch.MustMean()).Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}

@@ -341,3 +341,23 @@ func TestCandidateLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestDeriveSeedKnownAnswers pins the grid's seed derivation on both
+// streams.
+func TestDeriveSeedKnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		root   int64
+		stream uint64
+		i      int
+		want   int64
+	}{
+		{0, compileStream, 0, -5161308643252140986},
+		{2019, compileStream, 5, 6084246227982634627},
+		{2019, mcStream, 0, 4257323888423685458},
+		{-1, mcStream, 63, -5830339179449557485},
+	} {
+		if got := deriveSeed(tc.root, tc.stream, tc.i); got != tc.want {
+			t.Errorf("deriveSeed(%d, %#x, %d) = %d, want %d", tc.root, tc.stream, tc.i, got, tc.want)
+		}
+	}
+}

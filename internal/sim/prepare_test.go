@@ -148,3 +148,22 @@ func TestBlockSeedsDecorrelated(t *testing.T) {
 		t.Fatal("different run seeds share block-0 seed")
 	}
 }
+
+// TestBlockSeedKnownAnswers pins the per-block seed derivation: every
+// Monte-Carlo success count rests on these values.
+func TestBlockSeedKnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		b    int
+		want int64
+	}{
+		{0, 0, -2152535657050944081},
+		{1, 0, -7995527694508729151},
+		{2019, 3, -7398761459539803555},
+		{-7, 1000, 7040069683143917062},
+	} {
+		if got := blockSeed(tc.seed, tc.b); got != tc.want {
+			t.Errorf("blockSeed(%d, %d) = %d, want %d", tc.seed, tc.b, got, tc.want)
+		}
+	}
+}
