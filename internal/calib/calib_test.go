@@ -210,8 +210,8 @@ func TestGenerateMatchesPaperStatistics(t *testing.T) {
 	// Figure 9: spatial spread of mean link rates ≈ 7.5×.
 	m := arch.MustMean()
 	spatial := Summarize(m.LinkRates())
-	if spatial.SpreadFactor < 3 {
-		t.Errorf("spatial spread = %vx, want several x", spatial.SpreadFactor)
+	if spread := spatial.Max / spatial.Min; spread < 3 {
+		t.Errorf("spatial spread = %vx, want several x", spread)
 	}
 	if _, worstE := m.WeakestLink(); worstE < 0.10 {
 		t.Errorf("worst mean link = %v, want ≳0.15-ish", worstE)

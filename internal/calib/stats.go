@@ -1,18 +1,13 @@
 package calib
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds the descriptive statistics reported throughout Section 3
 // of the paper.
 type Summary struct {
-	N            int
-	Mean, Std    float64
-	Min, Max     float64
-	Median       float64
-	SpreadFactor float64 // Max / Min ("7.5x between strongest and weakest")
+	N         int
+	Mean, Std float64
+	Min, Max  float64
 }
 
 // Summarize computes descriptive statistics over values.
@@ -36,63 +31,7 @@ func Summarize(values []float64) Summary {
 		s.Std += d * d
 	}
 	s.Std = math.Sqrt(s.Std / float64(len(values)))
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	if s.Min > 0 {
-		s.SpreadFactor = s.Max / s.Min
-	}
 	return s
-}
-
-// HistogramBin is one bin of a histogram: [Lo, Hi) and the fraction of
-// samples that fell into it.
-type HistogramBin struct {
-	Lo, Hi   float64
-	Count    int
-	Fraction float64
-}
-
-// Histogram bins values into n equal-width bins spanning [min, max]. The
-// final bin is closed on both ends so the maximum value is counted.
-func Histogram(values []float64, n int) []HistogramBin {
-	if len(values) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		hi = lo + 1 // all samples identical: single degenerate bin span
-	}
-	width := (hi - lo) / float64(n)
-	bins := make([]HistogramBin, n)
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*width
-		bins[i].Hi = bins[i].Lo + width
-	}
-	for _, v := range values {
-		idx := int((v - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		bins[idx].Count++
-	}
-	for i := range bins {
-		bins[i].Fraction = float64(bins[i].Count) / float64(len(values))
-	}
-	return bins
 }
 
 // ArchiveLinkRates flattens every two-qubit error observation in the

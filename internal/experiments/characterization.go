@@ -13,7 +13,6 @@ import (
 // Fig5Result holds the coherence-time distributions of Figure 5.
 type Fig5Result struct {
 	T1Summary, T2Summary calib.Summary
-	T1Hist, T2Hist       []calib.HistogramBin
 }
 
 // Fig5CoherenceDistributions reproduces Figure 5: the distribution of T1
@@ -22,13 +21,9 @@ type Fig5Result struct {
 func Fig5CoherenceDistributions(cfg Config) Fig5Result {
 	cfg = cfg.withDefaults()
 	arch := cfg.archive()
-	t1 := arch.ArchiveT1s()
-	t2 := arch.ArchiveT2s()
 	return Fig5Result{
-		T1Summary: calib.Summarize(t1),
-		T2Summary: calib.Summarize(t2),
-		T1Hist:    calib.Histogram(t1, 20),
-		T2Hist:    calib.Histogram(t2, 20),
+		T1Summary: calib.Summarize(arch.ArchiveT1s()),
+		T2Summary: calib.Summarize(arch.ArchiveT2s()),
 	}
 }
 
@@ -48,7 +43,6 @@ func (r Fig5Result) Table() Table {
 // Fig6Result holds the single-qubit error distribution of Figure 6.
 type Fig6Result struct {
 	Summary           calib.Summary
-	Hist              []calib.HistogramBin
 	FractionBelow1Pct float64
 }
 
@@ -66,7 +60,6 @@ func Fig6SingleQubitErrors(cfg Config) Fig6Result {
 	}
 	return Fig6Result{
 		Summary:           calib.Summarize(rates),
-		Hist:              calib.Histogram(rates, 20),
 		FractionBelow1Pct: float64(below) / float64(len(rates)),
 	}
 }
@@ -88,7 +81,6 @@ func (r Fig6Result) Table() Table {
 // Fig7Result holds the two-qubit error distribution of Figure 7.
 type Fig7Result struct {
 	Summary calib.Summary
-	Hist    []calib.HistogramBin
 	Links   int
 }
 
@@ -101,7 +93,6 @@ func Fig7TwoQubitErrors(cfg Config) Fig7Result {
 	rates := arch.ArchiveLinkRates()
 	return Fig7Result{
 		Summary: calib.Summarize(rates),
-		Hist:    calib.Histogram(rates, 20),
 		Links:   arch.Topo.NumLinks(),
 	}
 }
@@ -123,7 +114,6 @@ func (r Fig7Result) Table() Table {
 // Fig8Link is one tracked link's time series.
 type Fig8Link struct {
 	Name   string
-	A, B   int
 	Series []float64
 	Mean   float64
 }
@@ -155,7 +145,7 @@ func Fig8TemporalVariation(cfg Config) Fig8Result {
 	for _, l := range tracked {
 		series := arch.LinkSeries(l.a, l.b)
 		res.Links = append(res.Links, Fig8Link{
-			Name: l.name, A: l.a, B: l.b,
+			Name:   l.name,
 			Series: series,
 			Mean:   calib.Summarize(series).Mean,
 		})

@@ -31,9 +31,6 @@ func TestFig5(t *testing.T) {
 	if r.T1Summary.N != 20*104 {
 		t.Errorf("T1 samples = %d, want 2080", r.T1Summary.N)
 	}
-	if len(r.T1Hist) != 20 || len(r.T2Hist) != 20 {
-		t.Error("histograms missing")
-	}
 	if s := r.Table().String(); !strings.Contains(s, "Figure 5") {
 		t.Error("table rendering broken")
 	}

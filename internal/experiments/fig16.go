@@ -18,10 +18,6 @@ type Fig16Row struct {
 	TwoCopiesNorm float64 // always 1.0
 	OneStrongNorm float64
 	Winner        partition.Mode
-	// Raw values for EXPERIMENTS.md.
-	OneSTPT, TwoSTPT float64
-	TwoPSTs          [2]float64
-	OnePST           float64
 }
 
 // Fig16Partitioning reproduces Figure 16: Successful Trials Per unit Time
@@ -46,10 +42,6 @@ func Fig16Partitioning(cfg Config) ([]Fig16Row, error) {
 			Name:          spec.Name,
 			TwoCopiesNorm: 1,
 			Winner:        res.Winner,
-			OneSTPT:       res.OneSTPT,
-			TwoSTPT:       res.TwoSTPT,
-			TwoPSTs:       [2]float64{res.Two[0].PST, res.Two[1].PST},
-			OnePST:        res.One.PST,
 		}
 		if res.TwoSTPT > 0 {
 			row.OneStrongNorm = res.OneSTPT / res.TwoSTPT

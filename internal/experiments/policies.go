@@ -113,8 +113,7 @@ func Fig12Table(rows []Fig12Row) Table {
 
 // Fig13Row is one workload's relative PST across all policies.
 type Fig13Row struct {
-	Name        string
-	BaselinePST float64
+	Name string
 	// Native statistics over cfg.NativeConfigs random configurations,
 	// normalized to the baseline.
 	NativeAvg, NativeMin, NativeMax float64
@@ -157,13 +156,12 @@ func Fig13Policies(cfg Config) ([]Fig13Row, error) {
 		}
 		lo, hi := metrics.MinMax(natives)
 		return Fig13Row{
-			Name:        spec.Name,
-			BaselinePST: base,
-			NativeAvg:   metrics.Mean(natives),
-			NativeMin:   lo,
-			NativeMax:   hi,
-			RelVQM:      metrics.Relative(vqm, base),
-			RelVQAVQM:   metrics.Relative(full, base),
+			Name:      spec.Name,
+			NativeAvg: metrics.Mean(natives),
+			NativeMin: lo,
+			NativeMax: hi,
+			RelVQM:    metrics.Relative(vqm, base),
+			RelVQAVQM: metrics.Relative(full, base),
 		}, nil
 	})
 }

@@ -156,7 +156,6 @@ type Spec struct {
 type Work struct {
 	ID      string
 	Kind    Kind
-	Tenant  string
 	Attempt int
 	Request json.RawMessage
 }

@@ -52,13 +52,11 @@ type Options struct {
 
 // CopyOutcome reports one running copy.
 type CopyOutcome struct {
-	Qubits []int // physical qubits (original indices) hosting the copy
-	PST    float64
+	PST float64
 }
 
 // Result reports the study for one workload.
 type Result struct {
-	Workload string
 	// One strong copy.
 	One     CopyOutcome
 	OneSTPT float64
@@ -88,7 +86,7 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 		opts.Compile.Policy = core.VQAVQM
 	}
 
-	res := &Result{Workload: prog.Name}
+	res := &Result{}
 
 	// One strong copy: the full machine is available; the allocation
 	// policy picks the strongest region itself. Like the paper's two-copy
@@ -99,11 +97,7 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	res.One = CopyOutcome{Qubits: all, PST: onePST}
+	res.One = CopyOutcome{PST: onePST}
 	res.OneSTPT = metrics.STPT(onePST, oneLatency)
 
 	// Two copies: search bipartitions (A gets k..n−k qubits, complement
@@ -158,7 +152,7 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 		}
 		if stpt := metrics.STPT(o.pst, o.lat); stpt > res.OneSTPT {
 			res.OneSTPT = stpt
-			res.One = CopyOutcome{Qubits: qubits, PST: o.pst}
+			res.One = CopyOutcome{PST: o.pst}
 		}
 	}
 
@@ -182,8 +176,8 @@ func Evaluate(d *device.Device, prog *circuit.Circuit, opts Options) (*Result, e
 		stpt := (psts[0] + psts[1]) / latency.Seconds()
 		if stpt > bestSTPT {
 			bestSTPT = stpt
-			res.Two[0] = CopyOutcome{Qubits: cand[0], PST: psts[0]}
-			res.Two[1] = CopyOutcome{Qubits: cand[1], PST: psts[1]}
+			res.Two[0] = CopyOutcome{PST: psts[0]}
+			res.Two[1] = CopyOutcome{PST: psts[1]}
 			res.TwoSTPT = stpt
 		}
 	}

@@ -290,8 +290,7 @@ func openLess(a, b openItem) bool {
 // Route calls (getScratch/putScratch), so a warmed-up compile loop
 // allocates (almost) nothing per circuit.
 type searchScratch struct {
-	k, n int // program qubits, physical qubits
-	pk   packer
+	pk packer
 
 	states []stateRec
 	keys   []uint64 // state si's key is keys[si*kw:(si+1)*kw]
@@ -346,7 +345,6 @@ func putScratch(sc *searchScratch) {
 
 // setup sizes the scratch for one Route call.
 func (sc *searchScratch) setup(numProgram, numPhysical int) {
-	sc.k, sc.n = numProgram, numPhysical
 	sc.pk = newPacker(numProgram, numPhysical)
 	sc.active = resized(sc.active, numProgram)
 	sc.cur = resized(sc.cur, numProgram)

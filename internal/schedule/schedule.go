@@ -18,7 +18,6 @@ import (
 
 // Op is one scheduled operation.
 type Op struct {
-	GateIndex  int // index into the source circuit's Gates
 	Kind       gate.Kind
 	Qubits     []int
 	Start, End time.Duration
@@ -45,7 +44,7 @@ func ASAP(c *circuit.Circuit) *Schedule {
 	s := &Schedule{NumQubits: c.NumQubits, Ops: make([]Op, 0, nops)}
 	flat := make([]int, 0, nqubits)
 	free := make([]time.Duration, c.NumQubits)
-	for gi, g := range c.Gates {
+	for _, g := range c.Gates {
 		start := time.Duration(0)
 		for _, q := range g.Qubits {
 			if free[q] > start {
@@ -61,7 +60,7 @@ func ASAP(c *circuit.Circuit) *Schedule {
 		}
 		lo := len(flat)
 		flat = append(flat, g.Qubits...)
-		s.Ops = append(s.Ops, Op{GateIndex: gi, Kind: g.Kind, Qubits: flat[lo:len(flat):len(flat)], Start: start, End: end})
+		s.Ops = append(s.Ops, Op{Kind: g.Kind, Qubits: flat[lo:len(flat):len(flat)], Start: start, End: end})
 		if end > s.Makespan {
 			s.Makespan = end
 		}

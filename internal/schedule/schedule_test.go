@@ -231,11 +231,19 @@ func TestSchedulePreservesPerQubitOrderProperty(t *testing.T) {
 			c.CX(a, b)
 		}
 		s := ASAP(c)
-		// Ops touching the same qubit must not overlap and must appear in
-		// gate order.
+		// With no barriers, op i schedules gate i: the ops appear in gate
+		// order.
+		if len(s.Ops) != len(c.Gates) {
+			return false
+		}
+		for i, op := range s.Ops {
+			if !slices.Equal(op.Qubits, c.Gates[i].Qubits) {
+				return false
+			}
+		}
+		// Ops touching the same qubit must not overlap.
 		for q := 0; q < n; q++ {
 			var prevEnd time.Duration
-			var prevIdx = -1
 			for _, op := range s.Ops {
 				touches := false
 				for _, oq := range op.Qubits {
@@ -246,11 +254,10 @@ func TestSchedulePreservesPerQubitOrderProperty(t *testing.T) {
 				if !touches {
 					continue
 				}
-				if op.Start < prevEnd || op.GateIndex < prevIdx {
+				if op.Start < prevEnd {
 					return false
 				}
 				prevEnd = op.End
-				prevIdx = op.GateIndex
 			}
 		}
 		return true

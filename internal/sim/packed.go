@@ -74,7 +74,6 @@ const sparseRowCut = 1.0 / 128
 // prepared for it.
 type packedRow struct {
 	class packedClass
-	p     float64
 	// tbl samples the Binomial(64, p) fault count; nil for sparse rows.
 	tbl *binomAlias
 	// invLogQ = 1 / ln(1−p) drives the sparse rows' geometric skip-ahead:
@@ -232,7 +231,7 @@ func (plan *packedPlan) buildSplits(gateErr []float64, gateClass []gate.ErrorCla
 }
 
 func makeRow(class packedClass, p float64, tables map[float64]*binomAlias) packedRow {
-	row := packedRow{class: class, p: p}
+	row := packedRow{class: class}
 	if p < sparseRowCut {
 		row.invLogQ = 1 / math.Log1p(-p)
 		return row

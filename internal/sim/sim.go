@@ -95,11 +95,9 @@ type Outcome struct {
 	ReadoutFailures   int
 	CoherenceFailures int
 	// Duration is the scheduled execution time of one trial, and
-	// TrialLatency adds the reset overhead; SuccessesPerSecond is the
-	// paper's STPT numerator rate: PST / TrialLatency.
-	Duration           time.Duration
-	TrialLatency       time.Duration
-	SuccessesPerSecond float64
+	// TrialLatency adds the reset overhead.
+	Duration     time.Duration
+	TrialLatency time.Duration
 	// Kernel records which Monte-Carlo kernel produced this Outcome
 	// (KernelPacked).
 	Kernel string
