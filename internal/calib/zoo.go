@@ -2,6 +2,7 @@ package calib
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"vaq/internal/topo"
@@ -118,8 +119,9 @@ func ZooGenConfig(name string, seed int64) (GenConfig, error) {
 	if err != nil {
 		return GenConfig{}, err
 	}
-	canonical := topoName + "-" + string(tier)
-	return ZooConfig(t, tier, seed^int64(fnv64(canonical))), nil
+	h := fnv.New64a() // folds the device name into the seed
+	h.Write([]byte(topoName + "-" + string(tier)))
+	return ZooConfig(t, tier, seed^int64(h.Sum64())), nil
 }
 
 // ZooArchive generates the synthetic fleet named by a zoo device name.
@@ -129,18 +131,4 @@ func ZooArchive(name string, seed int64) (*Archive, error) {
 		return nil, err
 	}
 	return Generate(cfg), nil
-}
-
-// fnv64 is the FNV-1a hash used to fold device names into seeds.
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }

@@ -7,7 +7,9 @@
 package device
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 
@@ -198,36 +200,27 @@ func (d *Device) HopCentrality() []float64 {
 // a different fingerprint, which is how those caches invalidate.
 //
 // The digest is computed once (a Device is an immutable pairing; see the
-// type comment) with FNV-1a over the raw float64 bits, so it is exact:
-// any bit change in any rate changes the fingerprint.
+// type comment) with FNV-1a over the name's bytes followed by every
+// integer and raw float64 bit pattern as 8 little-endian bytes, so it is
+// exact: any bit change in any rate changes the fingerprint.
 func (d *Device) Fingerprint() uint64 {
 	d.fpOnce.Do(func() {
-		h := uint64(14695981039346656037) // FNV-1a offset basis
-		mix := func(x uint64) {
-			for i := 0; i < 8; i++ {
-				h ^= x & 0xff
-				h *= 1099511628211 // FNV-1a prime
-				x >>= 8
-			}
-		}
-		for _, b := range []byte(d.topo.Name) {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-		mix(uint64(d.topo.NumQubits))
+		le := binary.LittleEndian
+		buf := le.AppendUint64([]byte(d.topo.Name), uint64(d.topo.NumQubits))
 		for _, c := range d.topo.Couplings {
-			mix(uint64(c.A))
-			mix(uint64(c.B))
+			buf = le.AppendUint64(le.AppendUint64(buf, uint64(c.A)), uint64(c.B))
 		}
 		for _, c := range d.topo.Couplings {
-			mix(math.Float64bits(d.snap.TwoQubit[c]))
+			buf = le.AppendUint64(buf, math.Float64bits(d.snap.TwoQubit[c]))
 		}
 		for _, vs := range [][]float64{d.snap.OneQubit, d.snap.Readout, d.snap.T1Us, d.snap.T2Us} {
 			for _, v := range vs {
-				mix(math.Float64bits(v))
+				buf = le.AppendUint64(buf, math.Float64bits(v))
 			}
 		}
-		d.fp = h
+		h := fnv.New64a()
+		h.Write(buf)
+		d.fp = h.Sum64()
 	})
 	return d.fp
 }

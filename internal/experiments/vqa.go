@@ -8,6 +8,7 @@ import (
 	"vaq/internal/core"
 	"vaq/internal/parallel"
 	"vaq/internal/sim"
+	"vaq/internal/splitmix"
 	"vaq/internal/statevec"
 )
 
@@ -71,16 +72,13 @@ type VQAResult struct {
 	Evals int
 }
 
-// vqaRand is the SplitMix64 finalizer (the packed kernel's stream
-// derivation function) iterated as a generator; see sim/rng.go.
+// vqaRand is a SplitMix64 generator, the packed kernel's stream (see
+// sim/rng.go) over its own seed.
 type vqaRand uint64
 
 func (s *vqaRand) next() uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	*s += splitmix.Gamma
+	return splitmix.Mix(uint64(*s))
 }
 
 // VQASweep runs the two-track SPSA loop. The tracks share the starting

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vaq/internal/parallel"
+	"vaq/internal/splitmix"
 )
 
 // Policy bounds retries of retryable failures: exponential backoff with
@@ -57,14 +58,11 @@ func (p Policy) Backoff(id string, attempt int) time.Duration {
 	if d > float64(p.Max) {
 		d = float64(p.Max)
 	}
-	// SplitMix64-style scramble of fnv(id)^attempt → uniform in [0,1).
+	// Output attempt of the SplitMix64 stream seeded at fnv(id) → uniform
+	// in [0,1).
 	h := fnv.New64a()
 	h.Write([]byte(id))
-	z := h.Sum64() + uint64(attempt)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	u := float64(z>>11) / (1 << 53)
+	u := float64(splitmix.At(h.Sum64(), uint64(attempt))>>11) / (1 << 53)
 	return time.Duration(d * (1 + jitterFrac*u))
 }
 

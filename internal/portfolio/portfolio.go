@@ -36,6 +36,7 @@ import (
 	"vaq/internal/parallel"
 	"vaq/internal/route"
 	"vaq/internal/sim"
+	"vaq/internal/splitmix"
 	"vaq/internal/transpile"
 )
 
@@ -243,11 +244,7 @@ const (
 // the same derivation discipline as the simulator's per-block streams,
 // a pure function of its inputs so the grid is reproducible anywhere.
 func deriveSeed(root int64, stream uint64, i int) int64 {
-	z := uint64(root) ^ stream
-	z += (uint64(i) + 1) * 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
+	return int64(splitmix.At(uint64(root)^stream, uint64(i)+1))
 }
 
 // MC is a candidate's Monte-Carlo refinement: PST with its binomial

@@ -1,6 +1,8 @@
 package sim
 
-// splitmix64 is the packed kernel's per-block random stream: the same
+import "vaq/internal/splitmix"
+
+// splitmix64 is the packed kernel's per-block random stream: the
 // SplitMix64 finalizer blockSeed uses for stream derivation, iterated as a
 // generator. It is tiny (one word of state), splittable by construction
 // (seeding two states from decorrelated values yields decorrelated
@@ -11,11 +13,8 @@ type splitmix64 uint64
 
 // next returns the next 64 uniform random bits.
 func (s *splitmix64) next() uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	*s += splitmix.Gamma
+	return splitmix.Mix(uint64(*s))
 }
 
 // open returns a uniform float64 in the half-open interval (0, 1]. The

@@ -16,11 +16,13 @@ package topo
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
 
 	"vaq/internal/graphx"
+	"vaq/internal/splitmix"
 )
 
 // Family is one parametric generator of the device zoo.
@@ -136,16 +138,11 @@ func WithHoles(t *Topology, k int) (*Topology, error) {
 	for i := range order {
 		order[i] = i
 	}
-	seed := fnv64(t.Name)
-	next := func() uint64 {
-		seed += 0x9E3779B97F4A7C15
-		z := seed
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
+	h := fnv.New64a()
+	h.Write([]byte(t.Name))
+	seed := h.Sum64()
 	for i := len(order) - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
+		j := int(splitmix.At(seed, uint64(len(order)-i)) % uint64(i+1))
 		order[i], order[j] = order[j], order[i]
 	}
 
@@ -181,21 +178,6 @@ func WithHoles(t *Topology, k int) (*Topology, error) {
 		}
 	}
 	return New(fmt.Sprintf("%s-holes%d", t.Name, k), t.NumQubits, keep)
-}
-
-// fnv64 is the FNV-1a fold of a lattice name into the hole-shuffle
-// seed (the same fold package calib uses for name→seed derivation).
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }
 
 // HeavyHex returns an IBM-style heavy-hexagon lattice with exactly n
