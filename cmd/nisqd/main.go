@@ -59,7 +59,7 @@ func main() {
 		trials   = flag.Int("trials", 1000000, "per-request Monte-Carlo trial cap")
 		workers  = flag.Int("workers", 0, "worker goroutines per Monte-Carlo estimate and batch fan-out (0: one per CPU, <0: serial); outcomes are identical at any setting")
 		inflight = flag.Int("max-inflight", 64, "concurrent requests before load shedding with 429")
-		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline (0: no limit)")
+		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline (0: the 60s default)")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
 		cacheN   = flag.Int("cache-entries", 512, "LRU response-cache capacity (0: disable)")
 		jobsDir  = flag.String("jobs-dir", "", "durable job-queue directory for POST /v1/jobs (empty: jobs are in-memory and do not survive restarts)")

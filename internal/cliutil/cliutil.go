@@ -47,9 +47,9 @@ func Workers(name string, n int) error {
 	return nil
 }
 
-// Timeout validates a duration flag where 0 means "no limit": negative
-// durations (a context that expires immediately) and durations beyond
-// MaxTimeout are rejected.
+// Timeout validates a duration flag that may be 0 (each flag's help says
+// what 0 means): negative durations (a context that expires immediately)
+// and durations beyond MaxTimeout are rejected.
 func Timeout(name string, d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("-%s must not be negative (got %v)", name, d)
