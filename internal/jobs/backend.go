@@ -11,7 +11,7 @@ import "context"
 // and the result is opaque bytes.
 //
 // Contract:
-//   - Execute must honor ctx: the manager cancels it on per-attempt
+//   - A backend must honor ctx: the manager cancels it on per-attempt
 //     deadline expiry, job cancellation, and drain. Work already done
 //     when ctx fires is discarded; the job is re-run from its spec, and
 //     determinism (seeded streams) makes the re-run byte-identical.
@@ -20,15 +20,5 @@ import "context"
 //     under the backoff policy.
 //   - progress may be called at any cadence; each call becomes one
 //     "progress" event on the job's feed. It must not be called after
-//     Execute returns.
-type Backend interface {
-	Execute(ctx context.Context, w Work, progress func(message string)) ([]byte, error)
-}
-
-// BackendFunc adapts a function to the Backend interface.
-type BackendFunc func(ctx context.Context, w Work, progress func(string)) ([]byte, error)
-
-// Execute implements Backend.
-func (f BackendFunc) Execute(ctx context.Context, w Work, progress func(string)) ([]byte, error) {
-	return f(ctx, w, progress)
-}
+//     the backend returns.
+type Backend func(ctx context.Context, w Work, progress func(message string)) ([]byte, error)

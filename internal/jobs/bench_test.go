@@ -24,7 +24,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 				Workers:  workers,
 				QueueMax: b.N + 1,
 				Quota:    Quota{Rate: 1e12, Burst: 1 << 30, MaxPerTenant: 1 << 30},
-			}, BackendFunc(func(ctx context.Context, w Work, progress func(string)) ([]byte, error) {
+			}, Backend(func(ctx context.Context, w Work, progress func(string)) ([]byte, error) {
 				return []byte("{}"), nil
 			}))
 			if err != nil {

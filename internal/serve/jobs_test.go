@@ -471,7 +471,7 @@ func TestJobKillResumeEquivalence(t *testing.T) {
 	// daemon #2 by writing a late result).
 	started := make(chan struct{})
 	crashed, err := jobs.NewManager(jobs.Options{Dir: dir, Workers: 1},
-		jobs.BackendFunc(func(ctx context.Context, w jobs.Work, progress func(string)) ([]byte, error) {
+		jobs.Backend(func(ctx context.Context, w jobs.Work, progress func(string)) ([]byte, error) {
 			close(started)
 			select {} // the crash point: this attempt never returns
 		}))
