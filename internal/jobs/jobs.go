@@ -126,6 +126,11 @@ func (s State) Terminal() bool {
 	return s == StateSucceeded || s == StateFailed || s == StateCancelled
 }
 
+// known reports whether s is one of the lifecycle states above.
+func (s State) known() bool {
+	return s == StateQueued || s == StateRunning || s.Terminal()
+}
+
 // Failure is the typed record of a job attempt's failure, quarantined
 // the way the experiment harness quarantines a failing unit: message,
 // panic disposition with the captured stack, and whether the failure
@@ -143,10 +148,11 @@ type Failure struct {
 // stays small.
 const maxStackBytes = 4096
 
-// Spec is a job submission: everything the caller chooses.
+// Spec is a job submission: everything the caller chooses. Its JSON
+// tags are the job record's (see job).
 type Spec struct {
-	Tenant  string          `json:"tenant,omitempty"`
-	Class   Class           `json:"class,omitempty"`
+	Tenant  string          `json:"tenant"`
+	Class   Class           `json:"class"`
 	Kind    Kind            `json:"kind"`
 	Request json.RawMessage `json:"request"`
 }
@@ -176,18 +182,25 @@ type View struct {
 	HasResult     bool     `json:"has_result,omitempty"`
 }
 
-// job is the manager's mutable record. All fields are guarded by the
-// manager mutex; workers operate on copies.
+// job is the manager's mutable record, and the durable record the store
+// persists: its exported fields, in this order and under these tags, are
+// the on-disk job body. Unexported runtime scheduling fields do not
+// survive a restart; a recovered job re-enters the queue fresh. All
+// fields are guarded by the manager mutex; workers operate on copies.
 type job struct {
+	ID string `json:"id"`
 	Spec
-	ID            string
-	State         State
-	Attempt       int // attempts started (1-based once running)
-	Interruptions int // crash/drain re-queues (not counted as attempts)
-	Seq           uint64
-	Failure       *Failure
-	Result        []byte // verbatim response bytes of the successful attempt
-	CancelRequest bool
+	State         State    `json:"state"`
+	Attempt       int      `json:"attempt"`       // attempts started (1-based once running)
+	Interruptions int      `json:"interruptions"` // crash/drain re-queues (not counted as attempts)
+	Seq           uint64   `json:"seq"`
+	Failure       *Failure `json:"failure,omitempty"`
+	// Result holds the successful attempt's verbatim response bytes.
+	// []byte marshals as base64, which round-trips byte-exactly;
+	// embedding it as raw JSON would re-compact it and break the
+	// byte-identity contract of the result endpoint.
+	Result        []byte `json:"result,omitempty"`
+	CancelRequest bool   `json:"cancel_requested,omitempty"`
 
 	// enqueuedAt drives aging; reset every time the job (re)enters the
 	// queue. readyAt delays a retried job until its backoff expires.

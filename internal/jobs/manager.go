@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"vaq/internal/checkpoint"
 	"vaq/internal/clock"
 	"vaq/internal/metrics"
 	"vaq/internal/parallel"
@@ -77,7 +78,7 @@ var (
 type Manager struct {
 	opts Options
 	be   Backend
-	st   *store
+	dir  checkpoint.Dir
 	br   *Broker
 
 	mu            sync.Mutex
@@ -111,14 +112,14 @@ func NewManager(opts Options, be Backend) (*Manager, error) {
 		return nil, fmt.Errorf("jobs: nil backend")
 	}
 	opts = opts.withDefaults()
-	st, err := openStore(opts.Dir)
+	dir, err := checkpoint.OpenDir(opts.Dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("jobs: store: %w", err)
 	}
 	m := &Manager{
 		opts:      opts,
 		be:        be,
-		st:        st,
+		dir:       dir,
 		br:        NewBroker(),
 		jobs:      make(map[string]*job),
 		q:         &queue{},
@@ -128,7 +129,7 @@ func NewManager(opts Options, be Backend) (*Manager, error) {
 		stopClaim: make(chan struct{}),
 	}
 	m.registerMetrics()
-	loaded, corrupt, err := st.load()
+	loaded, corrupt, err := loadJobs(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -275,12 +276,10 @@ func (m *Manager) Submit(spec Spec) (*View, error) {
 	// Durability before acknowledgement: if the spec cannot be
 	// persisted, the job is refused — an accepted job must survive a
 	// crash.
-	if m.st != nil {
-		if err := m.st.save(j); err != nil {
-			m.quotas.release(spec.Tenant, now)
-			m.mu.Unlock()
-			return nil, err
-		}
+	if err := save(m.dir, j); err != nil {
+		m.quotas.release(spec.Tenant, now)
+		m.mu.Unlock()
+		return nil, err
 	}
 	m.jobs[j.ID] = j
 	m.submitted.Add(1, string(j.Class), j.Tenant)
@@ -521,7 +520,7 @@ func (m *Manager) finishLocked(j *job, now time.Time) {
 }
 
 func (m *Manager) persistLocked(j *job) {
-	if err := m.st.save(j); err != nil {
+	if err := save(m.dir, j); err != nil {
 		m.persistErrors.Add(1)
 	}
 }
@@ -534,7 +533,7 @@ func (m *Manager) evictLocked() {
 		m.terminalOrder = m.terminalOrder[1:]
 		if j, ok := m.jobs[id]; ok && j.State.Terminal() {
 			delete(m.jobs, id)
-			m.st.remove(id)
+			m.dir.Delete(recordName(id))
 			m.br.Drop(id)
 		}
 	}
