@@ -117,14 +117,18 @@ type Server struct {
 	drift *driftState
 
 	mu      sync.RWMutex
-	devices map[string]*device.Device
-	// archives holds each device's full calibration archive (every
-	// cycle, not just the mean the device model is built from) — the
-	// portfolio compiler's cycle window and the /v1/devices cycle
-	// counts come from here. Built-ins always have one; a device whose
-	// archive is unknown portfolio-compiles on its reference snapshot
-	// only.
-	archives map[string]*calib.Archive
+	devices map[string]registered
+}
+
+// registered is one device registry entry: the device model and its
+// full calibration archive (every cycle, not just the mean the model is
+// built from) — the portfolio compiler's cycle window and the
+// /v1/devices cycle counts come from the archive. Built-ins always have
+// one; a device whose archive is unknown portfolio-compiles on its
+// reference snapshot only.
+type registered struct {
+	dev  *device.Device
+	arch *calib.Archive
 }
 
 // New builds a Server with the device catalog's built-ins
@@ -136,12 +140,11 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		cache:    newLRUCache(cfg.CacheEntries),
-		met:      newServerMetrics(),
-		devices:  make(map[string]*device.Device),
-		archives: make(map[string]*calib.Archive),
+		cfg:     cfg,
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		cache:   newLRUCache(cfg.CacheEntries),
+		met:     newServerMetrics(),
+		devices: make(map[string]registered),
 	}
 	for _, b := range calib.Builtins() {
 		arch := b.Archive(cfg.Seed)
@@ -149,8 +152,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.devices[b.Name] = d
-		s.archives[b.Name] = arch
+		s.devices[b.Name] = registered{d, arch}
 	}
 
 	// The drift plane shares the job store's failure posture: an
@@ -348,11 +350,10 @@ func NewDevice(arch *calib.Archive) (*device.Device, error) {
 // on first use that registers like any other device.
 func (s *Server) lookupDeviceArchive(name string) (*device.Device, *calib.Archive, error) {
 	s.mu.RLock()
-	d, ok := s.devices[name]
-	arch := s.archives[name]
+	e, ok := s.devices[name]
 	s.mu.RUnlock()
 	if ok {
-		return d, arch, nil
+		return e.dev, e.arch, nil
 	}
 	d, arch, zooErr := s.resolveNamed(name)
 	if zooErr == nil {
@@ -408,17 +409,26 @@ func (s *Server) resolveNamed(name string) (*device.Device, *calib.Archive, erro
 	if err != nil {
 		return nil, nil, err
 	}
+	e, err := s.register(name, d, arch)
+	return e.dev, e.arch, err
+}
+
+// register adds (d, arch) to the bounded registry under name and returns
+// the entry name now holds: the existing one if name was taken (it is
+// kept, archive included), else the new one. It fails only when name is
+// new and the registry is full.
+func (s *Server) register(name string, d *device.Device, arch *calib.Archive) (registered, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if existing, ok := s.devices[name]; ok {
-		return existing, s.archives[name], nil
+	if e, ok := s.devices[name]; ok {
+		return e, nil
 	}
 	if len(s.devices) >= maxDevices {
-		return nil, nil, fmt.Errorf("device registry full (%d entries)", maxDevices)
+		return registered{}, fmt.Errorf("device registry full (%d entries)", maxDevices)
 	}
-	s.devices[name] = d
-	s.archives[name] = arch
-	return d, arch, nil
+	e := registered{d, arch}
+	s.devices[name] = e
+	return e, nil
 }
 
 // readBody drains a capped request body.
@@ -486,23 +496,16 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 		name = fmt.Sprintf("fp-%016x", d.Fingerprint())
 	}
 
-	s.mu.Lock()
-	if existing, ok := s.devices[name]; ok && existing.Fingerprint() != d.Fingerprint() {
-		s.mu.Unlock()
+	e, err := s.register(name, d, arch)
+	if err != nil {
+		writeError(w, http.StatusConflict, err.Error())
+		return
+	}
+	if e.dev.Fingerprint() != d.Fingerprint() {
 		writeError(w, http.StatusConflict,
 			fmt.Sprintf("device %q already registered with a different calibration", name))
 		return
-	} else if !ok {
-		if len(s.devices) >= maxDevices {
-			s.mu.Unlock()
-			writeError(w, http.StatusConflict,
-				fmt.Sprintf("device registry full (%d entries)", maxDevices))
-			return
-		}
-		s.devices[name] = d
-		s.archives[name] = arch
 	}
-	s.mu.Unlock()
 
 	resp := calibrationResponse{Device: Describe(d), Snapshots: len(arch.Snapshots)}
 	resp.Device.Name = name
@@ -580,10 +583,11 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	resp := devicesResponse{Devices: make([]namedDevice, 0, len(names)), Families: zooFamilies()}
 	for _, n := range names {
-		d := s.devices[n]
+		e := s.devices[n]
+		d := e.dev
 		cycles := 0
-		if arch := s.archives[n]; arch != nil {
-			cycles = len(arch.Snapshots)
+		if e.arch != nil {
+			cycles = len(e.arch.Snapshots)
 		}
 		fp := fmt.Sprintf("%016x", d.Fingerprint())
 		resp.Devices = append(resp.Devices, namedDevice{
