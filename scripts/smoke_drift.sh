@@ -10,14 +10,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+SMOKE=smoke_drift
 PORT="${NISQD_SMOKE_DRIFT_PORT:-18083}"
 BASE="http://127.0.0.1:$PORT"
-WORK="$(mktemp -d)"
-BIN="$WORK/nisqd"
+. scripts/smoke_lib.sh
 LOG="$WORK/nisqd.log"
 PID=""
-
-go build -o "$BIN" ./cmd/nisqd
 
 cleanup() {
 	[ -n "$PID" ] && kill "$PID" 2> /dev/null || true
@@ -29,16 +27,7 @@ trap cleanup EXIT
 "$BIN" -addr "127.0.0.1:$PORT" -drift-dir "$WORK/drift" \
 	-drift-threshold 0.02 >> "$LOG" 2>&1 &
 PID=$!
-i=0
-until curl -sf "$BASE/healthz" > /dev/null 2>&1; do
-	i=$((i + 1))
-	if [ "$i" -ge 100 ]; then
-		echo "smoke_drift: daemon never became healthy" >&2
-		cat "$LOG" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+wait_healthy "$BASE" "$LOG"
 
 # Register the device from a generated Q5 archive, then warm one hot
 # circuit so the canary has a recompile target.

@@ -14,18 +14,16 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+SMOKE=smoke_jobs
 PORT="${NISQD_SMOKE_JOBS_PORT:-18081}"
 REF_PORT=$((PORT + 1))
 BASE="http://127.0.0.1:$PORT"
 REF_BASE="http://127.0.0.1:$REF_PORT"
-WORK="$(mktemp -d)"
-BIN="$WORK/nisqd"
+. scripts/smoke_lib.sh
 JOBS_DIR="$WORK/jobs"
 LOG="$WORK/nisqd.log"
 PID=""
 REF_PID=""
-
-go build -o "$BIN" ./cmd/nisqd
 
 cleanup() {
 	[ -n "$PID" ] && kill "$PID" 2> /dev/null || true
@@ -35,24 +33,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-wait_healthy() {
-	i=0
-	until curl -sf "$1/healthz" > /dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -ge 100 ]; then
-			echo "smoke_jobs: daemon at $1 never became healthy" >&2
-			cat "$LOG" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-}
-
 boot() {
 	"$BIN" -addr "127.0.0.1:$PORT" -trials 100000000 \
 		-jobs-dir "$JOBS_DIR" -job-workers 1 >> "$LOG" 2>&1 &
 	PID=$!
-	wait_healthy "$BASE"
+	wait_healthy "$BASE" "$LOG"
 }
 
 # job_state ID -> current state string
@@ -141,7 +126,7 @@ curl -sf "$BASE/v1/jobs/$ID/result" | normalize_timings > "$WORK/resumed.json"
 # crashed (separate port, no shared state). Byte-identical or bust.
 "$BIN" -addr "127.0.0.1:$REF_PORT" -trials 100000000 >> "$LOG" 2>&1 &
 REF_PID=$!
-wait_healthy "$REF_BASE"
+wait_healthy "$REF_BASE" "$LOG"
 curl -sf -X POST "$REF_BASE/v1/portfolio" \
 	-H 'Content-Type: application/json' \
 	-d "$REQUEST" | normalize_timings > "$WORK/clean.json"

@@ -7,34 +7,22 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+SMOKE=smoke
 PORT="${NISQD_SMOKE_PORT:-18080}"
 BASE="http://127.0.0.1:$PORT"
-BIN="$(mktemp -d)/nisqd"
-LOG="$(mktemp)"
-
-go build -o "$BIN" ./cmd/nisqd
+. scripts/smoke_lib.sh
+LOG="$WORK/nisqd.log"
 
 "$BIN" -addr "127.0.0.1:$PORT" -trials 1000000 > "$LOG" 2>&1 &
 PID=$!
 cleanup() {
 	kill "$PID" 2> /dev/null || true
 	wait "$PID" 2> /dev/null || true
-	rm -f "$LOG"
-	rm -rf "$(dirname "$BIN")"
+	rm -rf "$WORK"
 }
 trap cleanup EXIT
 
-# Wait (up to ~10s) for the daemon to come up.
-i=0
-until curl -sf "$BASE/healthz" > /dev/null 2>&1; do
-	i=$((i + 1))
-	if [ "$i" -ge 100 ]; then
-		echo "smoke: daemon never became healthy" >&2
-		cat "$LOG" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
+wait_healthy "$BASE" "$LOG"
 
 # One real compile through the full stack; the response must carry the
 # nisqc-format report.

@@ -11,16 +11,15 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+SMOKE=smoke_sweep
 PORT1="${NISQD_SMOKE_SWEEP_PORT:-18084}"
 PORT2=$((PORT1 + 1))
 BASE1="http://127.0.0.1:$PORT1"
 BASE2="http://127.0.0.1:$PORT2"
-WORK="$(mktemp -d)"
-BIN="$WORK/nisqd"
+. scripts/smoke_lib.sh
 PID1=""
 PID2=""
 
-go build -o "$BIN" ./cmd/nisqd
 go build -o "$WORK/nisqc" ./cmd/nisqc
 
 cleanup() {
@@ -35,18 +34,8 @@ trap cleanup EXIT
 PID1=$!
 "$BIN" -addr "127.0.0.1:$PORT2" >> "$WORK/nisqd2.log" 2>&1 &
 PID2=$!
-for BASE in "$BASE1" "$BASE2"; do
-	i=0
-	until curl -sf "$BASE/healthz" > /dev/null 2>&1; do
-		i=$((i + 1))
-		if [ "$i" -ge 100 ]; then
-			echo "smoke_sweep: daemon at $BASE never became healthy" >&2
-			cat "$WORK"/nisqd*.log >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-done
+wait_healthy "$BASE1" "$WORK"/nisqd*.log
+wait_healthy "$BASE2" "$WORK"/nisqd*.log
 
 # A 100-point grid over qaoa-6's (γ, β) plane, identical on every send.
 awk 'BEGIN {
