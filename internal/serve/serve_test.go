@@ -322,6 +322,39 @@ func TestCalibrationUpload(t *testing.T) {
 	}
 }
 
+// TestRegistryFull pins the one registration path's bound: once the
+// registry holds maxDevices entries, a new upload is refused with 409
+// and a new zoo fleet with 404, both naming the full registry, while a
+// name already registered still resolves.
+func TestRegistryFull(t *testing.T) {
+	s, ts := newTestServer(t)
+	for seed := int64(1); ; seed++ {
+		var arch bytes.Buffer
+		if err := calib.Generate(calib.DefaultQ5Config(seed)).WriteJSON(&arch); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := post(t, ts.URL+"/v1/calibration?name="+fmt.Sprintf("lab-%d", seed), arch.String())
+		if resp.StatusCode == http.StatusOK {
+			continue
+		}
+		want := fmt.Sprintf("device registry full (%d entries)", maxDevices)
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), want) {
+			t.Fatalf("upload %d: status %d %s, want 409 %q", seed, resp.StatusCode, body, want)
+		}
+		break
+	}
+	if n := len(s.devices); n != maxDevices {
+		t.Fatalf("registry holds %d devices, want %d", n, maxDevices)
+	}
+	resp, body := post(t, ts.URL+"/v1/compile", `{"workload":"bv-4","policy":"vqm","device":"heavy-hex-20-mid","trials":100}`)
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "device registry full") {
+		t.Fatalf("zoo device past the cap: status %d %s", resp.StatusCode, body)
+	}
+	if _, _, err := s.lookupDeviceArchive("lab-1"); err != nil {
+		t.Fatalf("registered device lost: %v", err)
+	}
+}
+
 func TestCalibrationQuarantine(t *testing.T) {
 	_, ts := newTestServer(t)
 	cfg := calib.DefaultQ5Config(7)
